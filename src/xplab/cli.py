@@ -4,8 +4,8 @@
     xplab verify --seed 42 --trials 100
     xplab besov --fn eta --extent 64pi --points 16384 [--json out.json]
 
-Exit codes: 0 success, 1 suite failure, 2 configuration error.
-``XPLAB_THREADS`` caps the growth worker pool (default: hardware count).
+Exit codes: 0 success, 1 suite failure, 2 configuration error (including
+an output path whose directory is missing or not writable).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .experiment import (
@@ -50,6 +51,23 @@ def _parse_extent(text: str) -> float:
         return float(token)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad extent {text!r}; use e.g. 64pi or 201.06")
+
+
+def _check_writable(path) -> None:
+    """Raise ``ValueError`` unless an output file can be created at ``path``
+    (``None`` means no output).  Runs before any computation, so a bad path
+    fails fast instead of after the whole run."""
+    if path is None:
+        return
+    if not path:
+        raise ValueError("output path is empty")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent!r} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"output directory {parent!r} is not writable")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,6 +111,8 @@ def _run_growth(args) -> int:
     )
     try:
         config.validate()
+        _check_writable(args.out)
+        _check_writable(args.json_path)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -103,7 +123,10 @@ def _run_growth(args) -> int:
             f"n={row.n:<5d} s1_diff={row.s1_diff_norm:.6f} pert={row.perturbation_s1:.6f} "
             f"sup={row.sup_norm:.6f} besov={besov} ratio={row.ratio:.6f}"
         )
-    print(f"fit: ratio ~ {report.fit_a:.4f} + {report.fit_b:.4f} ln n  (r^2 = {report.fit_r2:.6f})")
+    if report.fit_a is None:
+        print("fit: needs at least two sizes")
+    else:
+        print(f"fit: ratio ~ {report.fit_a:.4f} + {report.fit_b:.4f} ln n  (r^2 = {report.fit_r2:.6f})")
     return 0
 
 
@@ -124,15 +147,16 @@ def _run_verify(args) -> int:
 
 def _run_besov(args) -> int:
     try:
+        _check_writable(args.json_path)
         report = cmd_besov(args.fn, extent=args.extent, points=args.points)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for line in report.lines():
         print(line)
-    if args.json_path:
+    if args.json_path is not None:
         with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
     return 0
 

@@ -275,8 +275,7 @@ def _instance_field(phi: ScalarField, psi: EtaField, eps: float) -> ScalarField:
         za = np.asarray(z, dtype=np.float64) / eps
         return eps * phi(xa, za) * psi(ya)
 
-    return ScalarField(3, fn, name="product-scaled",
-                       descriptor=("separable_xz_y_scaled", phi, psi, eps))
+    return ScalarField(3, fn, name="product-scaled")
 
 
 def build_instance(n: int) -> CounterexampleInstance:

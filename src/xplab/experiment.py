@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -83,19 +81,14 @@ class ExperimentConfig:
     ``sizes`` must be ascending; ``epsilon_schedule`` is one of
     ``constant | one_over_size | one_over_loglog``; Besov estimates are
     computed for sizes up to ``besov_max_size`` (larger grids would not fit
-    the run budget) and reported as missing beyond it.
+    the run budget) and reported as missing beyond it; their sampling grid
+    and piece range are the defaults of :mod:`xplab.sampling`.
     """
 
     sizes: tuple
     epsilon_schedule: str = "constant"
     sup_step: float = math.pi / 8
     besov_max_size: int = 64
-    besov_step: float = math.pi / 4
-    besov_margin: float = 8 * math.pi
-    besov_yspan: float = 16 * math.pi
-    besov_n_min: int = -20
-    besov_n_max: int = 5
-    seed: int = 42
 
     def validate(self) -> None:
         if not self.sizes:
@@ -112,8 +105,8 @@ class ExperimentConfig:
             )
         if self.epsilon_schedule == "one_over_loglog" and min(sizes) < 3:
             raise ValueError("the 1/loglog schedule needs sizes >= 3")
-        if self.sup_step <= 0 or self.besov_step <= 0:
-            raise ValueError("grid steps must be positive")
+        if not (math.isfinite(self.sup_step) and self.sup_step > 0):
+            raise ValueError(f"sup step must be positive and finite, got {self.sup_step!r}")
 
 
 @dataclass(frozen=True)
@@ -142,10 +135,12 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """Growth rows plus the log fit; the fit is ``None`` below two sizes."""
+
     rows: tuple
-    fit_a: float
-    fit_b: float
-    fit_r2: float
+    fit_a: float | None
+    fit_b: float | None
+    fit_r2: float | None
     config: ExperimentConfig
 
     def to_dict(self) -> dict:
@@ -164,7 +159,7 @@ class ExperimentReport:
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(self.to_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 
@@ -176,12 +171,13 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def log_fit(ns, ys) -> tuple[float, float, float]:
-    """Least squares ``y ~ a + b ln n``; returns ``(a, b, r_squared)``."""
+def log_fit(ns, ys) -> tuple[float | None, float | None, float | None]:
+    """Least squares ``y ~ a + b ln n``; returns ``(a, b, r_squared)``, or
+    three ``None`` when fewer than two points leave the fit undefined."""
     ns = np.asarray(ns, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if len(ns) < 2:
-        return float("nan"), float("nan"), float("nan")
+        return None, None, None
     b, a = np.polyfit(np.log(ns), ys, 1)
     pred = a + b * np.log(ns)
     ss_res = float(np.sum((ys - pred) ** 2))
@@ -209,9 +205,8 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
         pert = schatten_norm((scaled.B1 - scaled.B2).mat, 1)
 
     if n <= config.besov_max_size:
-        f3 = sample_instance(inst, step=config.besov_step,
-                             margin=config.besov_margin, yspan=config.besov_yspan)
-        n_min, n_max = default_piece_range(f3, config.besov_n_min, config.besov_n_max)
+        f3 = sample_instance(inst)
+        n_min, n_max = default_piece_range(f3)
         besov = besov_breakdown(f3, make_window(), n_min, n_max).total
     else:
         besov = None
@@ -229,28 +224,15 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("XPLAB_THREADS", "")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def cmd_growth(config: ExperimentConfig, csv_path=None, json_path=None) -> ExperimentReport:
     """Run the growth experiment over the configured sizes.
 
-    Sizes run on a worker pool (capped by ``XPLAB_THREADS``); rows are
-    assembled in size order, so the report is deterministic for a fixed
-    configuration.
+    Sizes run one after another in ascending order, so each row's
+    ``wall_time_ms`` is that size's own time and the report is
+    deterministic for a fixed configuration (apart from those timings).
     """
     config.validate()
-    sizes = [int(n) for n in config.sizes]
-    workers = min(_worker_count(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda n: _grow_one(n, config), sizes))
-    else:
-        rows = [_grow_one(n, config) for n in sizes]
+    rows = [_grow_one(int(n), config) for n in config.sizes]
     a, b, r2 = log_fit([r.n for r in rows], [r.ratio for r in rows])
     report = ExperimentReport(rows=tuple(rows), fit_a=a, fit_b=b, fit_r2=r2, config=config)
     if csv_path is not None:
@@ -516,8 +498,8 @@ def _parse_size(token: str, name: str) -> int:
     return n
 
 
-def cmd_besov(function_name: str, extent: float = 64 * math.pi, points: int = 2**14,
-              n_min: int = -20, n_max: int = 5) -> BesovScalarReport:
+def cmd_besov(function_name: str, extent: float = 64 * math.pi,
+              points: int = 2**14) -> BesovScalarReport:
     """Besov estimate, tail bound and band-limit mass for a named function.
 
     Known names: ``eta``, ``psi``, ``phi_tri:<n>`` (2-D interpolant of the
@@ -543,7 +525,7 @@ def cmd_besov(function_name: str, extent: float = 64 * math.pi, points: int = 2*
             f"unknown function name {function_name!r}; "
             "expected eta, psi, phi_tri:<n> or f3:<n>"
         )
-    lo, hi = default_piece_range(f, n_min, n_max)
+    lo, hi = default_piece_range(f)
     breakdown = besov_breakdown(f, make_window(), lo, hi)
     mass = bandlimit_check(f, sigma)
     return BesovScalarReport(

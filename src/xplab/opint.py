@@ -15,7 +15,6 @@ the literal sum over atoms and costs O(dim^3) regardless of atom count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -44,8 +43,9 @@ class ScalarField:
 
     ``fn`` should accept numpy arrays (broadcasting); scalar-only callables
     still work through the fallback loop in :func:`grid_eval`.  The optional
-    ``descriptor`` carries structure (for example a coefficient expansion)
-    that specialized routines can exploit; it never changes the values.
+    ``descriptor`` is a :class:`~xplab.counterexample.CoeffMatrix` on lattice
+    interpolants, read by the sup-norm scan and the instance sampler; it
+    never changes the values.
     """
 
     arity: int
@@ -75,14 +75,13 @@ def as_field(obj, arity: int) -> ScalarField:
 
 
 def polynomial_field(coeffs) -> ScalarField:
-    """One-variable polynomial ``sum coeffs[k] x^k`` with exposed derivative.
+    """One-variable polynomial ``sum coeffs[k] x^k``.
 
-    The returned field's descriptor is the ``numpy`` Polynomial object;
-    ``derivative()`` on the descriptor is not needed by callers, use
-    :func:`polynomial_field` of ``poly.deriv().coef`` instead.
+    For its derivative, use :func:`polynomial_field` of
+    ``np.polynomial.Polynomial(coeffs).deriv().coef``.
     """
     poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=np.complex128))
-    return ScalarField(1, poly, name=f"poly(deg={poly.degree()})", descriptor=poly)
+    return ScalarField(1, poly, name=f"poly(deg={poly.degree()})")
 
 
 def product_field(phi: ScalarField, psi: ScalarField) -> ScalarField:
@@ -93,15 +92,16 @@ def product_field(phi: ScalarField, psi: ScalarField) -> ScalarField:
     def fn(x, y, z):
         return phi(x, z) * psi(y)
 
-    return ScalarField(3, fn, name="product", descriptor=("separable_xz_y", phi, psi))
+    return ScalarField(3, fn, name="product")
 
 
 def grid_eval(field_obj, *axes) -> np.ndarray:
     """Evaluate a field on the Cartesian grid of the given 1-D axes.
 
-    Tries one broadcast call; falls back to an element-wise loop for
-    callables that only take scalars.  Result is a complex array of shape
-    ``(len(axes[0]), ..., len(axes[-1]))``.
+    Tries one broadcast call; falls back to an element-wise loop when that
+    call raises ``TypeError``, which is how callables that only take
+    scalars reject arrays.  Any other exception propagates.  Result is a
+    complex array of shape ``(len(axes[0]), ..., len(axes[-1]))``.
     """
     f = as_field(field_obj, len(axes))
     axes = [np.asarray(a, dtype=np.float64) for a in axes]
@@ -109,9 +109,10 @@ def grid_eval(field_obj, *axes) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     try:
         out = np.asarray(f(*mesh), dtype=np.complex128)
-        return np.ascontiguousarray(np.broadcast_to(out, shape))
-    except Exception:
+    except TypeError:
         pass
+    else:
+        return np.ascontiguousarray(np.broadcast_to(out, shape))
     out = np.empty(shape, dtype=np.complex128)
     for idx in np.ndindex(shape):
         out[idx] = complex(f(*(float(a[i]) for a, i in zip(axes, idx))))
@@ -123,11 +124,6 @@ def _check_dim(name: str, got: int, want: int) -> None:
         raise ValueError(f"dimension mismatch: {name} has dim {got}, expected {want}")
 
 
-def _tampered() -> bool:
-    # test hook for the verify harness; leaves release behavior untouched
-    return os.environ.get("XPLAB_TAMPER_DOI", "") not in ("", "0")
-
-
 def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
     """Double operator integral ``sum Phi(a_j, b_k) P_j T Q_k``."""
     tmat = as_matrix(t)
@@ -136,10 +132,7 @@ def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
     fgrid = grid_eval(as_field(phi, 2), e1.values, e2.values)
     fcols = fgrid[np.ix_(e1.column_atom_index(), e2.column_atom_index())]
     tt = e1.basis.conj().T @ tmat @ e2.basis
-    out = e1.basis @ (fcols * tt) @ e2.basis.conj().T
-    if _tampered():
-        out = out + 1e-6
-    return out
+    return e1.basis @ (fcols * tt) @ e2.basis.conj().T
 
 
 def toi(phi, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasure) -> np.ndarray:

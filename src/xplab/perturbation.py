@@ -31,13 +31,6 @@ __all__ = [
 ]
 
 
-def _eval_vectorized(fn: Callable, x: np.ndarray) -> np.ndarray:
-    try:
-        return np.asarray(fn(x), dtype=np.complex128)
-    except Exception:
-        return np.asarray(np.vectorize(lambda t: complex(fn(t)))(x), dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class DividedDifferenceField(ScalarField):
     """Two-variable field ``(f(x) - f(y)) / (x - y)`` with a caller-supplied
@@ -63,9 +56,10 @@ def divided_difference(phi, phi_prime) -> DividedDifferenceField:
         xb, yb = np.broadcast_arrays(xa, ya)
         same = xb == yb
         denom = np.where(same, 1.0, xb - yb)
-        vals = (_eval_vectorized(base, xb) - _eval_vectorized(base, yb)) / denom
+        vals = (np.asarray(base(xb), dtype=np.complex128)
+                - np.asarray(base(yb), dtype=np.complex128)) / denom
         if same.any():
-            vals = np.where(same, _eval_vectorized(diag, xb), vals)
+            vals = np.where(same, np.asarray(diag(xb), dtype=np.complex128), vals)
         return vals[()] if scalar else vals
 
     return DividedDifferenceField(2, fn, name="divided-difference", base=base, diagonal=diag)

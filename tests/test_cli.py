@@ -1,0 +1,141 @@
+import csv
+import json
+import math
+import os
+from pathlib import Path
+
+import pytest
+
+import xplab
+from xplab import cli, experiment
+from xplab.cli import main
+from xplab.experiment import SuiteResult
+
+
+def u_n_ratio(n):
+    """Closed-form growth ratio from the singular values of ``U_n``."""
+    s1 = math.fsum(1.0 / (2.0 * math.sin((2 * k + 1) * math.pi / (2 * (2 * n + 1))))
+                   for k in range(n))
+    return s1 / (2.0 * math.pi * n)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def load_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+def run_growth(tmp_path, tag, *extra):
+    csv_path = tmp_path / f"{tag}.csv"
+    json_path = tmp_path / f"{tag}.json"
+    code = main(["growth", "--sizes", "4,8", "--besov-max-size", "0",
+                 "--out", str(csv_path), "--json", str(json_path), *extra])
+    assert code == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return rows, load_json(json_path)
+
+
+class TestGrowth:
+    def test_csv_and_json_agree_with_oracle(self, tmp_path):
+        csv_rows, report = run_growth(tmp_path, "a")
+        json_rows = report["rows"]
+        assert [r["n"] for r in json_rows] == [4, 8]
+        assert len(csv_rows) == len(json_rows)
+        for c, j in zip(csv_rows, json_rows):
+            assert set(c) == set(j)
+            for key, value in j.items():
+                if value is None:
+                    assert c[key] == ""
+                else:
+                    assert float(c[key]) == value
+            assert abs(j["ratio"] - u_n_ratio(j["n"])) <= 1e-9
+        assert set(report["config"]) == {"sizes", "epsilon_schedule", "sup_step", "besov_max_size"}
+
+    def test_runs_identical_apart_from_timings(self, tmp_path):
+        runs = [run_growth(tmp_path, tag) for tag in ("a", "b")]
+        for csv_rows, report in runs:
+            for r in csv_rows + report["rows"]:
+                r.pop("wall_time_ms")
+        assert runs[0] == runs[1]
+
+    def test_single_size_writes_null_fit(self, tmp_path, capsys):
+        json_path = tmp_path / "one.json"
+        code = main(["growth", "--sizes", "8", "--besov-max-size", "0", "--json", str(json_path)])
+        assert code == 0
+        assert load_json(json_path)["fit"] == {"a": None, "b": None, "r_squared": None}
+        assert "fit: needs at least two sizes" in capsys.readouterr().out
+
+
+class TestVerify:
+    def test_passes(self, capsys):
+        assert main(["verify", "--trials", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out
+        assert "all suites passed" in out
+
+    def test_failing_suite_exits_one(self, monkeypatch, capsys):
+        def failing(rng, trials):
+            return SuiteResult("forced failure", 1.0, 0.0)
+
+        monkeypatch.setattr(experiment, "_SUITES", (experiment._suite_eta, failing))
+        assert main(["verify", "--trials", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "[PASS] eta lattice certificate" in out
+        assert "[FAIL] forced failure" in out
+
+
+class TestBesov:
+    def test_json_round_trip(self, tmp_path, capsys):
+        json_path = tmp_path / "eta.json"
+        assert main(["besov", "--fn", "eta", "--json", str(json_path)]) == 0
+        written = load_json(json_path)
+        assert written == experiment.cmd_besov("eta").to_dict()
+        assert f"besov_estimate  {written['besov_estimate']!r}" in capsys.readouterr().out
+
+
+def _no_computation(*args, **kwargs):
+    raise AssertionError("computation started before the arguments were checked")
+
+
+class TestConfigErrors:
+    @pytest.fixture(autouse=True)
+    def forbid_computation(self, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_growth", _no_computation)
+        monkeypatch.setattr(cli, "cmd_besov", _no_computation)
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_sup_step(self, step, capsys):
+        assert main(["growth", "--sizes", "4,8", f"--sup-step={step}"]) == 2
+        assert "sup step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["growth", "--sizes", "4,8", "--out"],
+        ["growth", "--sizes", "4,8", "--json"],
+        ["besov", "--fn", "eta", "--json"],
+    ])
+    @pytest.mark.parametrize("where", ["missing_dir", "file_as_dir", "directory", "read_only"])
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys, command, where):
+        (tmp_path / "plain.txt").write_text("x")
+        path = {
+            "missing_dir": tmp_path / "missing" / "out",
+            "file_as_dir": tmp_path / "plain.txt" / "out",
+            "directory": tmp_path,
+            "read_only": tmp_path / "out",
+        }[where]
+        if where == "read_only":
+            # permission bits do not bind a superuser, so stand in for them
+            monkeypatch.setattr(os, "access", lambda p, mode: False)
+        assert main([*command, str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_no_environment_knobs():
+    src = Path(xplab.__file__).parent
+    for module in sorted(src.glob("*.py")):
+        text = module.read_text(encoding="utf-8")
+        assert "os.environ" not in text, module.name
+        assert "os.getenv" not in text, module.name

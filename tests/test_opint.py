@@ -228,6 +228,17 @@ class TestGridEval:
         assert out.shape == (3, 4)
         assert out[2, 3] == pytest.approx(math.cos(1.0) * math.sin(1.0))
 
+    def test_other_errors_propagate_without_fallback(self):
+        calls = []
+
+        def broken(x, y):
+            calls.append(1)
+            raise ValueError("broken field")
+
+        with pytest.raises(ValueError, match="broken field"):
+            grid_eval(broken, np.arange(3.0), np.arange(4.0))
+        assert len(calls) == 1
+
     def test_constant_broadcasts(self):
         out = grid_eval(lambda x, y: 1.0, np.arange(3.0), np.arange(5.0))
         assert out.shape == (3, 5)

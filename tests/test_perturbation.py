@@ -63,6 +63,13 @@ class TestPerturbationIdentity:
         res = perturbation_identity_residual(f, f.derivative(), a, b)
         assert res < 1e-9
 
+    def test_scalar_only_function(self, rng):
+        # arrays reach math.cos only through grid_eval's per-element loop
+        a = random_hermitian(rng, 6, 2.0)
+        b = random_hermitian(rng, 6, 2.0)
+        res = perturbation_identity_residual(math.cos, lambda x: -math.sin(x), a, b)
+        assert res < 1e-12
+
     def test_many_fields_and_dims(self, rng):
         fields = [
             (polynomial_field([1.0, -2.0, 0.5, 0.0, 0.25, 1.0]),
