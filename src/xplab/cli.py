@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .experiment import (
     EPSILON_SCHEDULES,
     ExperimentConfig,
+    _check_writable,
     cmd_besov,
     cmd_growth,
     cmd_verify,
@@ -53,23 +53,6 @@ def _parse_extent(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad extent {text!r}; use e.g. 64pi or 201.06")
 
 
-def _check_writable(path) -> None:
-    """Raise ``ValueError`` unless an output file can be created at ``path``
-    (``None`` means no output).  Runs before any computation, so a bad path
-    fails fast instead of after the whole run."""
-    if path is None:
-        return
-    if not path:
-        raise ValueError("output path is empty")
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise ValueError(f"output directory {parent!r} does not exist")
-    if os.path.isdir(path):
-        raise ValueError(f"output path {path!r} is a directory")
-    if not os.access(parent, os.W_OK):
-        raise ValueError(f"output directory {parent!r} is not writable")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xplab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -84,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     growth.add_argument("--json", dest="json_path", default=None, help="JSON output path")
     growth.add_argument("--besov-max-size", type=int, default=64,
                         help="largest size for which the Besov estimate is computed")
-    growth.add_argument("--sup-step", type=float, default=math.pi / 8,
-                        help="grid step of the sup-norm scan")
 
     verify = sub.add_parser("verify", help="run the randomized identity suites")
     verify.add_argument("--seed", type=int, default=42)
@@ -106,7 +87,6 @@ def _run_growth(args) -> int:
     config = ExperimentConfig(
         sizes=args.sizes,
         epsilon_schedule=_EPS_ALIASES[args.eps],
-        sup_step=args.sup_step,
         besov_max_size=args.besov_max_size,
     )
     try:

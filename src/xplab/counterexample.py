@@ -47,6 +47,7 @@ __all__ = [
     "build_instance",
     "difference_matrix",
     "closed_form_difference",
+    "certified_sup_norm",
     "measured_sup_norm",
     "sup_norm_refinement",
     "growth_ratio",
@@ -176,7 +177,8 @@ def phi_from_coeffs(c: CoeffMatrix) -> ScalarField:
     Interpolation is exact: ``phi(2 pi j, 2 pi k) = c_jk`` because the
     shifted bumps vanish on all other lattice points.  The coefficient
     matrix rides along as the field descriptor so that grid scans can use
-    the bilinear structure.
+    the bilinear structure and :func:`certified_sup_norm` can find the
+    largest coefficient.
     """
     lat_x = _lattice(c.rows)
     lat_y = _lattice(c.cols)
@@ -185,20 +187,29 @@ def phi_from_coeffs(c: CoeffMatrix) -> ScalarField:
     def fn(x, y):
         xa = np.asarray(x, dtype=np.float64)
         ya = np.asarray(y, dtype=np.float64)
-        scalar = xa.ndim == 0 and ya.ndim == 0
         bx = eta(xa[..., None] - lat_x)
         by = eta(ya[..., None] - lat_y)
         t = bx @ entries
-        if t.ndim == 3 and by.ndim == 3 and t.shape[1] == 1 and by.shape[0] == 1:
-            # outer (meshgrid) pattern reduces to one bilinear product
-            return t[:, 0, :] @ by[0].T
-        shape = np.broadcast_shapes(t.shape[:-1], by.shape[:-1])
+        shape = np.broadcast_shapes(xa.shape, ya.shape)
+        if _outer_pattern(xa.shape, ya.shape):
+            # scalars and sparse meshes of any rank reduce to one bilinear product
+            out = t.reshape(-1, c.cols) @ by.reshape(-1, c.cols).T
+            return out.reshape(shape)[()]
         tb = np.broadcast_to(t, shape + (c.cols,))
         byb = np.broadcast_to(by, shape + (c.cols,))
-        out = np.einsum("...k,...k->...", tb, byb)
-        return out[()] if scalar else out
+        return np.einsum("...k,...k->...", tb, byb)
 
     return ScalarField(2, fn, name="lattice-interpolant", descriptor=c)
+
+
+def _outer_pattern(xshape: tuple, yshape: tuple) -> bool:
+    """Whether ``x`` and ``y`` broadcast as an outer product: each has at
+    most one non-singleton axis and ``x``'s comes before ``y``'s, so the
+    broadcast result is the row-major ``(x.size, y.size)`` matrix."""
+    ndim = max(len(xshape), len(yshape))
+    xaxes = [i for i, s in enumerate(xshape, ndim - len(xshape)) if s != 1]
+    yaxes = [i for i, s in enumerate(yshape, ndim - len(yshape)) if s != 1]
+    return len(xaxes) <= 1 and len(yaxes) <= 1 and max(xaxes, default=-1) < min(yaxes, default=ndim)
 
 
 def _grid_axis(radius: float, step: float) -> np.ndarray:
@@ -248,8 +259,9 @@ class CounterexampleInstance:
     """One size of the counterexample family, possibly ``eps``-scaled.
 
     Invariants: ``B1 - B2`` has rank one with trace norm ``2*pi*epsilon``;
-    ``A = C`` diagonal with entries ``2*pi*epsilon*j``; ``sup_bound`` is the
-    a-priori bound ``epsilon * sup |c_jk|`` on ``|f|``.
+    ``A = C`` diagonal with entries ``2*pi*epsilon*j``; ``sup_bound`` is
+    ``epsilon * sup |c_jk|``, which is exactly ``sup |f|`` and is certified
+    by :func:`certified_sup_norm`.
     """
 
     n: int
@@ -310,8 +322,32 @@ def closed_form_difference(inst: CounterexampleInstance) -> np.ndarray:
     return (inst.epsilon / inst.n) * upper_triangular_ones(inst.n)
 
 
+def certified_sup_norm(inst: CounterexampleInstance) -> float:
+    """Exact ``sup |f|``, which is ``inst.sup_bound = eps * max |c_jk|``.
+
+    Upper bound: ``0 <= eta <= 1`` and the Fejer identity
+    ``sum_j eta(x - 2 pi j) = 1`` give ``|phi| <= max |c_jk|`` and
+    ``|psi| <= 1``, so ``|f| <= eps * max |c_jk|``.  Attained: ``phi``
+    interpolates ``c_jk`` exactly and ``psi(2 pi) = eta(0) = 1``, so ``|f|``
+    reaches the bound at the lattice point of the largest coefficient.  That
+    value is checked in O(n^2) work; a mismatch beyond ``1e-12`` relative
+    is a bug and raises ``AssertionError``.
+    """
+    c = inst.phi.descriptor
+    j, k = np.unravel_index(int(np.abs(c.entries).argmax()), c.entries.shape)
+    attained = (inst.epsilon * abs(complex(inst.phi(TWO_PI * j, TWO_PI * k)))
+                * abs(float(inst.psi(TWO_PI))))
+    if not abs(attained - inst.sup_bound) <= 1e-12 * inst.sup_bound:
+        raise AssertionError(
+            f"sup |f| certificate failed: |f| = {attained!r} at lattice point "
+            f"({j}, {k}) but sup_bound = {inst.sup_bound!r}"
+        )
+    return inst.sup_bound
+
+
 def measured_sup_norm(inst: CounterexampleInstance, step: float = math.pi / 8) -> float:
-    """Grid estimate of ``sup |f|``.
+    """Grid estimate of ``sup |f|``, a lower bound; the tests use it as the
+    independent cross-check of :func:`certified_sup_norm`.
 
     ``f = eps * phi(./eps) psi(./eps)`` splits over the grid
     ``[-2 pi n - pi, 2 pi n + pi]^2 x [0, 4 pi]`` (scaled by ``eps``), so the
@@ -345,20 +381,26 @@ def _perturbation_norm(inst: CounterexampleInstance) -> float:
     )
 
 
-def growth_ratio(inst: CounterexampleInstance, *, sup_step: float = math.pi / 8) -> float:
+def growth_ratio(inst: CounterexampleInstance) -> float:
     """Trace norm of the difference over ``sup|f| * max ||increment||_S1``."""
     num = schatten_norm(difference_matrix(inst), 1)
-    den = measured_sup_norm(inst, sup_step) * _perturbation_norm(inst)
+    den = certified_sup_norm(inst) * _perturbation_norm(inst)
     if den == 0.0:
         raise ValueError("degenerate instance: zero denominator in growth ratio")
     return num / den
 
 
-def closed_form_ratio(inst: CounterexampleInstance, *, sup_step: float = math.pi / 8) -> float:
-    """Independent ratio path: singular values of ``U_n / n`` over
-    ``sup|f| * 2 pi eps``."""
-    num = schatten_norm(closed_form_difference(inst), 1)
-    den = measured_sup_norm(inst, sup_step) * (TWO_PI * inst.epsilon)
+def closed_form_ratio(inst: CounterexampleInstance) -> float:
+    """Independent ratio path: ``||eps U_n / n||_S1`` over ``sup|f| * 2 pi eps``.
+
+    The singular values of ``U_n`` are ``1 / (2 sin((2k+1) pi / (2(2n+1))))``
+    for ``k = 0..n-1``, so the numerator costs O(n).
+    """
+    n = inst.n
+    k = np.arange(n)
+    s1 = math.fsum(1.0 / (2.0 * np.sin((2 * k + 1) * math.pi / (2.0 * (2 * n + 1)))))
+    num = inst.epsilon / n * s1
+    den = certified_sup_norm(inst) * (TWO_PI * inst.epsilon)
     return num / den
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -21,11 +22,11 @@ from .besov import bandlimit_check, besov_breakdown, make_window
 from .counterexample import (
     TWO_PI,
     build_instance,
+    certified_sup_norm,
     closed_form_ratio,
     difference_matrix,
     eta,
     eta_field,
-    measured_sup_norm,
     scale_instance,
     triangular_coeffs,
 )
@@ -87,7 +88,6 @@ class ExperimentConfig:
 
     sizes: tuple
     epsilon_schedule: str = "constant"
-    sup_step: float = math.pi / 8
     besov_max_size: int = 64
 
     def validate(self) -> None:
@@ -105,8 +105,26 @@ class ExperimentConfig:
             )
         if self.epsilon_schedule == "one_over_loglog" and min(sizes) < 3:
             raise ValueError("the 1/loglog schedule needs sizes >= 3")
-        if not (math.isfinite(self.sup_step) and self.sup_step > 0):
-            raise ValueError(f"sup step must be positive and finite, got {self.sup_step!r}")
+        m = self.besov_max_size
+        if not (isinstance(m, (int, np.integer)) and m >= 0):
+            raise ValueError(f"besov max size must be an integer >= 0, got {m!r}")
+
+
+def _check_writable(path) -> None:
+    """Raise ``ValueError`` unless an output file can be created at ``path``
+    (``None`` means no output).  Called before any computation, so a bad
+    path fails fast instead of after the whole run."""
+    if path is None:
+        return
+    if not path:
+        raise ValueError("output path is empty")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent!r} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"output directory {parent!r} is not writable")
 
 
 @dataclass(frozen=True)
@@ -191,10 +209,10 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     inst = build_instance(n)
     diff = difference_matrix(inst)
     diff_norm = schatten_norm(diff, 1)
-    sup = measured_sup_norm(inst, config.sup_step)
+    sup = certified_sup_norm(inst)
     pert_unscaled = schatten_norm((inst.B1 - inst.B2).mat, 1)
     ratio = diff_norm / (sup * pert_unscaled)
-    closed = closed_form_ratio(inst, sup_step=config.sup_step)
+    closed = closed_form_ratio(inst)
 
     eps = _schedule_value(config.epsilon_schedule, n)
     if eps == 1.0:
@@ -230,8 +248,12 @@ def cmd_growth(config: ExperimentConfig, csv_path=None, json_path=None) -> Exper
     Sizes run one after another in ascending order, so each row's
     ``wall_time_ms`` is that size's own time and the report is
     deterministic for a fixed configuration (apart from those timings).
+    The configuration and the output paths are checked before any size
+    runs.
     """
     config.validate()
+    _check_writable(csv_path)
+    _check_writable(json_path)
     rows = [_grow_one(int(n), config) for n in config.sizes]
     a, b, r2 = log_fit([r.n for r in rows], [r.ratio for r in rows])
     report = ExperimentReport(rows=tuple(rows), fit_a=a, fit_b=b, fit_r2=r2, config=config)

@@ -44,8 +44,8 @@ class ScalarField:
     ``fn`` should accept numpy arrays (broadcasting); scalar-only callables
     still work through the fallback loop in :func:`grid_eval`.  The optional
     ``descriptor`` is a :class:`~xplab.counterexample.CoeffMatrix` on lattice
-    interpolants, read by the sup-norm scan and the instance sampler; it
-    never changes the values.
+    interpolants, read by the sup-norm scan and certificate and by the
+    instance sampler; it never changes the values.
     """
 
     arity: int

@@ -52,7 +52,7 @@ class TestGrowth:
                 else:
                     assert float(c[key]) == value
             assert abs(j["ratio"] - u_n_ratio(j["n"])) <= 1e-9
-        assert set(report["config"]) == {"sizes", "epsilon_schedule", "sup_step", "besov_max_size"}
+        assert set(report["config"]) == {"sizes", "epsilon_schedule", "besov_max_size"}
 
     def test_runs_identical_apart_from_timings(self, tmp_path):
         runs = [run_growth(tmp_path, tag) for tag in ("a", "b")]
@@ -106,10 +106,9 @@ class TestConfigErrors:
         monkeypatch.setattr(cli, "cmd_growth", _no_computation)
         monkeypatch.setattr(cli, "cmd_besov", _no_computation)
 
-    @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0", "-1"])
-    def test_bad_sup_step(self, step, capsys):
-        assert main(["growth", "--sizes", "4,8", f"--sup-step={step}"]) == 2
-        assert "sup step" in capsys.readouterr().err
+    def test_negative_besov_max_size(self, capsys):
+        assert main(["growth", "--sizes", "4,8", "--besov-max-size", "-1"]) == 2
+        assert "besov max size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["growth", "--sizes", "4,8", "--out"],
@@ -131,6 +130,14 @@ class TestConfigErrors:
         assert main([*command, str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("target", ["csv_path", "json_path"])
+def test_library_growth_checks_paths_first(tmp_path, monkeypatch, target):
+    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
+    config = experiment.ExperimentConfig(sizes=(4, 8), besov_max_size=0)
+    with pytest.raises(ValueError, match="does not exist"):
+        experiment.cmd_growth(config, **{target: str(tmp_path / "missing" / "out")})
 
 
 def test_no_environment_knobs():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ from xplab.counterexample import (
     TWO_PI,
     CoeffMatrix,
     build_instance,
+    certified_sup_norm,
     closed_form_difference,
     closed_form_ratio,
     difference_matrix,
@@ -143,10 +145,18 @@ class TestCoeffsAndInterpolant:
     def test_outer_and_elementwise_paths_agree(self, rng):
         phi = phi_from_coeffs(triangular_coeffs(4))
         x = rng.uniform(-5, 30, size=6)
-        z = rng.uniform(-5, 30, size=6)
-        outer = np.asarray(phi(x[:, None], z[None, :]))
+        z = rng.uniform(-5, 30, size=5)
         element = np.array([[complex(phi(a, b)) for b in z] for a in x])
+        outer = np.asarray(phi(x[:, None], z[None, :]))
         assert np.abs(outer - element).max() < 1e-13
+        # the sparse mesh of a three-variable grid, as the TOI passes it
+        mesh = np.asarray(phi(x[:, None, None], z[None, None, :]))
+        assert mesh.shape == (6, 1, 5)
+        assert np.abs(mesh[:, 0, :] - element).max() < 1e-13
+        # x's axis after y's is not an outer product and broadcasts instead
+        reversed_axes = np.asarray(phi(x[None, :], z[:, None]))
+        assert reversed_axes.shape == (5, 6)
+        assert np.abs(reversed_axes - element.T).max() < 1e-13
 
 
 class TestSupNorm:
@@ -173,6 +183,22 @@ class TestSupNorm:
         base, fine, rel = sup_norm_refinement(inst)
         assert rel < 0.01
         assert base == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCertifiedSupNorm:
+    @pytest.mark.parametrize("eps", [1.0, 0.5, 0.125])
+    @pytest.mark.parametrize("step", [math.pi / 8, math.pi / 16])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 32])
+    def test_equals_grid_scan(self, n, step, eps):
+        inst = scale_instance(build_instance(n), eps)
+        assert certified_sup_norm(inst) == eps
+        assert certified_sup_norm(inst) == pytest.approx(measured_sup_norm(inst, step), rel=1e-12)
+
+    @pytest.mark.parametrize("bound", [2.0, 0.5])
+    def test_wrong_bound_is_a_bug(self, bound):
+        inst = dataclasses.replace(build_instance(4), sup_bound=bound)
+        with pytest.raises(AssertionError):
+            certified_sup_norm(inst)
 
 
 class TestInstance:
@@ -226,7 +252,7 @@ class TestRatios:
         assert growth_ratio(inst) == pytest.approx(want, rel=1e-9)
 
     def test_two_paths_agree(self):
-        for n in (2, 4, 8, 16):
+        for n in range(2, 65):
             inst = build_instance(n)
             assert growth_ratio(inst) == pytest.approx(closed_form_ratio(inst), rel=1e-9)
 
