@@ -4,87 +4,4 @@ identities, Littlewood-Paley/Besov estimates, and the triangular-projection
 growth experiment showing that no trace-norm Lipschitz bound holds for
 triples."""
 
-from .besov import (
-    BesovBreakdown,
-    NyquistError,
-    SampledField,
-    SeparableField3,
-    Window,
-    bandlimit_check,
-    besov_breakdown,
-    besov_norm_estimate,
-    lp_piece,
-    make_window,
-    sample_field,
-)
-from .counterexample import (
-    CoeffMatrix,
-    CounterexampleInstance,
-    EtaField,
-    build_instance,
-    closed_form_difference,
-    closed_form_ratio,
-    difference_matrix,
-    eta,
-    eta_deriv,
-    eta_field,
-    eta_periodized,
-    growth_ratio,
-    measured_sup_norm,
-    phi_from_coeffs,
-    scale_instance,
-    sup_norm_estimate,
-    sup_norm_refinement,
-    triangular_coeffs,
-    upper_triangular_ones,
-)
-from .experiment import (
-    BesovScalarReport,
-    ExperimentConfig,
-    ExperimentReport,
-    SizeRow,
-    VerifySummary,
-    cmd_besov,
-    cmd_growth,
-    cmd_verify,
-    log_fit,
-)
-from .hermitian import (
-    HermitianMatrix,
-    hermitian_eig,
-    schatten_norm,
-    singular_values,
-)
-from .opint import (
-    ScalarField,
-    doi,
-    func_calc_pair,
-    func_calc_triple,
-    grid_eval,
-    polynomial_field,
-    product_field,
-    s2_contraction_check,
-    toi,
-)
-from .perturbation import (
-    DividedDifferenceField,
-    diagonal_irrelevance_check,
-    divided_difference,
-    perturbation_identity_residual,
-    psi_difference,
-    separated_difference,
-)
-from .sampling import (
-    default_piece_range,
-    sample_eta_1d,
-    sample_instance,
-    sample_phi_2d,
-)
-from .spectral import (
-    SpectralMeasure,
-    apply_scalar,
-    coordinate_measure,
-    from_hermitian,
-)
-
 __version__ = "0.1.0"

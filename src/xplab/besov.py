@@ -16,7 +16,6 @@ dense transform along the middle axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +31,6 @@ __all__ = [
     "lp_piece",
     "BesovBreakdown",
     "besov_breakdown",
-    "besov_norm_estimate",
     "bandlimit_check",
 ]
 
@@ -302,23 +300,16 @@ def _separable_breakdown(f: SeparableField3, w: Window, n_min: int, n_max: int) 
 def besov_breakdown(f, w: Window, n_min: int, n_max: int) -> BesovBreakdown:
     """Per-piece suprema of ``2^n``-weighted Littlewood-Paley pieces for
     ``n_min <= n <= n_max`` plus the low-frequency tail bound
-    ``2^(n_min) * max |f|``."""
+    ``2^(n_min) * max |f|``; ``.total`` is the Besov estimate.
+
+    For ``f`` band-limited inside ``||xi|| <= sigma`` every piece with
+    ``2^(n-1) > sigma`` vanishes identically, so ``n_max`` may be chosen
+    just above ``log2(sigma) + 1`` without loss."""
     if n_min > n_max:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
     if isinstance(f, SeparableField3):
         return _separable_breakdown(f, w, n_min, n_max)
     return _dense_breakdown(f, w, n_min, n_max)
-
-
-def besov_norm_estimate(f, w: Window, n_min: int, n_max: int) -> float:
-    """``sum 2^n sup|f_n|`` over the requested range plus the reported tail
-    bound for the truncated low frequencies.
-
-    For ``f`` band-limited inside ``||xi|| <= sigma`` every piece with
-    ``2^(n-1) > sigma`` vanishes identically, so ``n_max`` may be chosen
-    just above ``log2(sigma) + 1`` without loss.
-    """
-    return besov_breakdown(f, w, n_min, n_max).total
 
 
 def _threshold(f, sigma: float) -> float:

@@ -16,7 +16,6 @@ import math
 import sys
 
 from .experiment import (
-    EPSILON_SCHEDULES,
     ExperimentConfig,
     _check_writable,
     cmd_besov,
@@ -46,11 +45,12 @@ def _parse_sizes(text: str) -> tuple:
 def _parse_extent(text: str) -> float:
     token = text.strip().lower()
     try:
-        if token.endswith("pi"):
-            return float(token[:-2] or "1") * math.pi
-        return float(token)
+        value = float(token[:-2] or "1") * math.pi if token.endswith("pi") else float(token)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad extent {text!r}; use e.g. 64pi or 201.06")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"extent must be positive and finite, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     besov = sub.add_parser("besov", help="Besov estimate of a named function")
     besov.add_argument("--fn", required=True,
                        help="eta | psi | phi_tri:<n> | f3:<n>")
-    besov.add_argument("--extent", type=_parse_extent, default=64 * math.pi,
-                       help="half-width of the 1-D sampling grid (e.g. 64pi)")
-    besov.add_argument("--points", type=int, default=2**14,
-                       help="1-D sample count (power of two)")
+    besov.add_argument("--extent", type=_parse_extent, default=None,
+                       help="eta and psi only: half-width of the sampling grid (default 64pi)")
+    besov.add_argument("--points", type=int, default=None,
+                       help="eta and psi only: sample count, a power of two (default 16384)")
     besov.add_argument("--json", dest="json_path", default=None, help="JSON output path")
     return parser
 

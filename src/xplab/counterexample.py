@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -46,10 +45,8 @@ __all__ = [
     "CounterexampleInstance",
     "build_instance",
     "difference_matrix",
-    "closed_form_difference",
     "certified_sup_norm",
     "measured_sup_norm",
-    "sup_norm_refinement",
     "growth_ratio",
     "closed_form_ratio",
     "scale_instance",
@@ -175,10 +172,9 @@ def phi_from_coeffs(c: CoeffMatrix) -> ScalarField:
     """Interpolant ``phi(x, y) = sum c_jk eta(x - 2 pi j) eta(y - 2 pi k)``.
 
     Interpolation is exact: ``phi(2 pi j, 2 pi k) = c_jk`` because the
-    shifted bumps vanish on all other lattice points.  The coefficient
-    matrix rides along as the field descriptor so that grid scans can use
-    the bilinear structure and :func:`certified_sup_norm` can find the
-    largest coefficient.
+    shifted bumps vanish on all other lattice points.  On a sparse mesh
+    (scalars, or one row axis before one column axis, as :func:`grid_eval`
+    passes them) the evaluation is one bilinear GEMM.
     """
     lat_x = _lattice(c.rows)
     lat_y = _lattice(c.cols)
@@ -199,7 +195,7 @@ def phi_from_coeffs(c: CoeffMatrix) -> ScalarField:
         byb = np.broadcast_to(by, shape + (c.cols,))
         return np.einsum("...k,...k->...", tb, byb)
 
-    return ScalarField(2, fn, name="lattice-interpolant", descriptor=c)
+    return ScalarField(2, fn, name="lattice-interpolant")
 
 
 def _outer_pattern(xshape: tuple, yshape: tuple) -> bool:
@@ -223,27 +219,11 @@ _SUP_CHUNK = 512
 
 
 def sup_norm_estimate(phi, grid_radius: float, grid_step: float) -> float:
-    """Max of ``|phi|`` over the square grid ``[-R, R]^2`` with given step.
-
-    Fields carrying a :class:`CoeffMatrix` descriptor are scanned through
-    the bilinear form (one small GEMM per row block); anything else is
-    evaluated directly in row chunks.
-    """
+    """Max of ``|phi|`` over the square grid ``[-R, R]^2`` with given step,
+    evaluated in row chunks (a lower bound on ``sup |phi|``)."""
     phi = as_field(phi, 2)
     axis = _grid_axis(grid_radius, grid_step)
     best = 0.0
-    c = phi.descriptor
-    if isinstance(c, CoeffMatrix):
-        bx = eta(axis[:, None] - _lattice(c.rows)[None, :])  # (G, rows)
-        by = eta(axis[:, None] - _lattice(c.cols)[None, :])  # (G, cols)
-        entries = c.entries
-        if np.all(entries.imag == 0.0):
-            entries = entries.real
-        ce = by @ entries.T  # (G, rows)
-        for lo in range(0, len(axis), _SUP_CHUNK):
-            block = bx[lo : lo + _SUP_CHUNK] @ ce.T  # (chunk, G)
-            best = max(best, float(np.abs(block).max()))
-        return best
     for lo in range(0, len(axis), _SUP_CHUNK):
         block = grid_eval(phi, axis[lo : lo + _SUP_CHUNK], axis)
         best = max(best, float(np.abs(block).max()))
@@ -258,8 +238,9 @@ def upper_triangular_ones(n: int) -> np.ndarray:
 class CounterexampleInstance:
     """One size of the counterexample family, possibly ``eps``-scaled.
 
-    Invariants: ``B1 - B2`` has rank one with trace norm ``2*pi*epsilon``;
-    ``A = C`` diagonal with entries ``2*pi*epsilon*j``; ``sup_bound`` is
+    Invariants: ``phi`` is the lattice interpolant of ``coeffs``;
+    ``B1 - B2`` has rank one with trace norm ``2*pi*epsilon``; ``A = C``
+    diagonal with entries ``2*pi*epsilon*j``; ``sup_bound`` is
     ``epsilon * sup |c_jk|``, which is exactly ``sup |f|`` and is certified
     by :func:`certified_sup_norm`.
     """
@@ -268,13 +249,13 @@ class CounterexampleInstance:
     f: ScalarField
     phi: ScalarField
     psi: EtaField
+    coeffs: CoeffMatrix
     A: HermitianMatrix
     B1: HermitianMatrix
     B2: HermitianMatrix
     C: HermitianMatrix
     epsilon: float = 1.0
     sup_bound: float = 1.0
-    _sup_cache: dict = field(default_factory=dict, repr=False)
 
 
 def _instance_field(phi: ScalarField, psi: EtaField, eps: float) -> ScalarField:
@@ -303,7 +284,7 @@ def build_instance(n: int) -> CounterexampleInstance:
     psi = eta_field(TWO_PI)
     f = _instance_field(phi, psi, 1.0)
     return CounterexampleInstance(
-        n=n, f=f, phi=phi, psi=psi, A=diag, B1=b1, B2=b2, C=diag,
+        n=n, f=f, phi=phi, psi=psi, coeffs=coeffs, A=diag, B1=b1, B2=b2, C=diag,
         epsilon=1.0, sup_bound=coeffs.sup_abs,
     )
 
@@ -317,11 +298,6 @@ def difference_matrix(inst: CounterexampleInstance) -> np.ndarray:
     return func_calc_triple(inst.f, ea, eb1, ec) - func_calc_triple(inst.f, ea, eb2, ec)
 
 
-def closed_form_difference(inst: CounterexampleInstance) -> np.ndarray:
-    """The same difference in closed form, ``epsilon * U_n / n``."""
-    return (inst.epsilon / inst.n) * upper_triangular_ones(inst.n)
-
-
 def certified_sup_norm(inst: CounterexampleInstance) -> float:
     """Exact ``sup |f|``, which is ``inst.sup_bound = eps * max |c_jk|``.
 
@@ -333,7 +309,7 @@ def certified_sup_norm(inst: CounterexampleInstance) -> float:
     value is checked in O(n^2) work; a mismatch beyond ``1e-12`` relative
     is a bug and raises ``AssertionError``.
     """
-    c = inst.phi.descriptor
+    c = inst.coeffs
     j, k = np.unravel_index(int(np.abs(c.entries).argmax()), c.entries.shape)
     attained = (inst.epsilon * abs(complex(inst.phi(TWO_PI * j, TWO_PI * k)))
                 * abs(float(inst.psi(TWO_PI))))
@@ -353,41 +329,21 @@ def measured_sup_norm(inst: CounterexampleInstance, step: float = math.pi / 8) -
     ``[-2 pi n - pi, 2 pi n + pi]^2 x [0, 4 pi]`` (scaled by ``eps``), so the
     scan factors into the 2-D interpolant scan times the max of ``psi``.
     """
-    key = float(step)
-    if key in inst._sup_cache:
-        return inst._sup_cache[key]
     radius = TWO_PI * inst.n + math.pi
     sup2 = sup_norm_estimate(inst.phi, radius, step)
     yaxis = np.arange(0.0, 4.0 * math.pi + step / 2.0, step)
     sup1 = float(np.abs(np.asarray(inst.psi(yaxis))).max())
-    value = inst.epsilon * sup2 * sup1
-    inst._sup_cache[key] = value
-    return value
+    return inst.epsilon * sup2 * sup1
 
 
-def sup_norm_refinement(inst: CounterexampleInstance, step: float = math.pi / 8) -> tuple[float, float, float]:
-    """Base and half-step sup estimates plus their relative change."""
-    base = measured_sup_norm(inst, step)
-    fine = measured_sup_norm(inst, step / 2.0)
-    rel = abs(fine - base) / fine if fine else 0.0
-    return base, fine, rel
-
-
-def _perturbation_norm(inst: CounterexampleInstance) -> float:
-    return max(
-        schatten_norm((inst.A - inst.A).mat, 1),
-        schatten_norm((inst.B1 - inst.B2).mat, 1),
-        schatten_norm((inst.C - inst.C).mat, 1),
-    )
-
-
-def growth_ratio(inst: CounterexampleInstance) -> float:
-    """Trace norm of the difference over ``sup|f| * max ||increment||_S1``."""
-    num = schatten_norm(difference_matrix(inst), 1)
-    den = certified_sup_norm(inst) * _perturbation_norm(inst)
-    if den == 0.0:
-        raise ValueError("degenerate instance: zero denominator in growth ratio")
-    return num / den
+def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
+    """The growth row ``(s1_diff, pert, ratio)`` through the matrix path:
+    ``s1_diff = ||f(A, B1, C) - f(A, B2, C)||_S1``, ``pert = ||B1 - B2||_S1``
+    (``A`` and ``C`` are not perturbed) and
+    ``ratio = s1_diff / (sup |f| * pert)``."""
+    s1_diff = schatten_norm(difference_matrix(inst), 1)
+    pert = schatten_norm((inst.B1 - inst.B2).mat, 1)
+    return s1_diff, pert, s1_diff / (certified_sup_norm(inst) * pert)
 
 
 def closed_form_ratio(inst: CounterexampleInstance) -> float:
@@ -419,6 +375,7 @@ def scale_instance(inst: CounterexampleInstance, eps: float) -> CounterexampleIn
         f=_instance_field(inst.phi, inst.psi, total),
         phi=inst.phi,
         psi=inst.psi,
+        coeffs=inst.coeffs,
         A=e * inst.A,
         B1=e * inst.B1,
         B2=e * inst.B2,

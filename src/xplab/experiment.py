@@ -22,15 +22,13 @@ from .besov import bandlimit_check, besov_breakdown, make_window
 from .counterexample import (
     TWO_PI,
     build_instance,
-    certified_sup_norm,
     closed_form_ratio,
-    difference_matrix,
     eta,
     eta_field,
-    scale_instance,
+    growth_ratio,
     triangular_coeffs,
 )
-from .hermitian import HermitianMatrix, schatten_norm, singular_values
+from .hermitian import HermitianMatrix, schatten_norm
 from .opint import (
     ScalarField,
     doi,
@@ -207,20 +205,14 @@ def log_fit(ns, ys) -> tuple[float | None, float | None, float | None]:
 def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     t0 = time.perf_counter()
     inst = build_instance(n)
-    diff = difference_matrix(inst)
-    diff_norm = schatten_norm(diff, 1)
-    sup = certified_sup_norm(inst)
-    pert_unscaled = schatten_norm((inst.B1 - inst.B2).mat, 1)
-    ratio = diff_norm / (sup * pert_unscaled)
+    s1_diff, pert, ratio = growth_ratio(inst)
     closed = closed_form_ratio(inst)
-
+    # g = eps f(./eps) on the eps-scaled operators: both trace norms scale
+    # by exactly eps (scale_instance is the reference in the tests); the
+    # ratio and sup |f| (sup_bound, certified by growth_ratio) are reported
+    # for the unscaled instance
     eps = _schedule_value(config.epsilon_schedule, n)
-    if eps == 1.0:
-        s1_diff, pert = diff_norm, pert_unscaled
-    else:
-        scaled = scale_instance(inst, eps)
-        s1_diff = schatten_norm(difference_matrix(scaled), 1)
-        pert = schatten_norm((scaled.B1 - scaled.B2).mat, 1)
+    s1_diff, pert = eps * s1_diff, eps * pert
 
     if n <= config.besov_max_size:
         f3 = sample_instance(inst)
@@ -234,7 +226,7 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
         n=n,
         s1_diff_norm=float(s1_diff),
         perturbation_s1=float(pert),
-        sup_norm=float(sup),
+        sup_norm=float(inst.sup_bound),
         besov_estimate=None if besov is None else float(besov),
         ratio=float(ratio),
         closed_form_ratio=float(closed),
@@ -520,26 +512,33 @@ def _parse_size(token: str, name: str) -> int:
     return n
 
 
-def cmd_besov(function_name: str, extent: float = 64 * math.pi,
-              points: int = 2**14) -> BesovScalarReport:
+def _no_grid_options(name: str, extent, points) -> None:
+    if extent is not None or points is not None:
+        raise ValueError(f"extent and points set the 1-D grid of eta and psi; {name!r} takes neither")
+
+
+def cmd_besov(function_name: str, extent: float | None = None,
+              points: int | None = None) -> BesovScalarReport:
     """Besov estimate, tail bound and band-limit mass for a named function.
 
     Known names: ``eta``, ``psi``, ``phi_tri:<n>`` (2-D interpolant of the
-    triangular pattern), ``f3:<n>`` (the 3-D instance function).
+    triangular pattern), ``f3:<n>`` (the 3-D instance function).  ``extent``
+    and ``points`` set the grid of the 1-D functions (default: those of
+    :func:`~xplab.sampling.sample_eta_1d`); the others reject them.
     """
     name = function_name.strip()
-    if name == "eta":
-        f = sample_eta_1d(0.0, extent, points)
-        sigma = 1.0
-    elif name == "psi":
-        f = sample_eta_1d(TWO_PI, extent, points)
+    if name in ("eta", "psi"):
+        grid = {k: v for k, v in (("extent", extent), ("points", points)) if v is not None}
+        f = sample_eta_1d(0.0 if name == "eta" else TWO_PI, **grid)
         sigma = 1.0
     elif name.startswith("phi_tri:"):
         n = _parse_size(name.split(":", 1)[1], name)
+        _no_grid_options(name, extent, points)
         f = sample_phi_2d(triangular_coeffs(n))
         sigma = math.sqrt(2.0)
     elif name.startswith("f3:"):
         n = _parse_size(name.split(":", 1)[1], name)
+        _no_grid_options(name, extent, points)
         f = sample_instance(build_instance(n))
         sigma = math.sqrt(3.0)
     else:

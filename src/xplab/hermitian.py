@@ -18,7 +18,6 @@ __all__ = [
     "HERMITIAN_TOL",
     "HermitianMatrix",
     "as_matrix",
-    "hermitian_eig",
     "singular_values",
     "schatten_norm",
 ]
@@ -116,18 +115,6 @@ def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(
             f"eigendecomposition did not converge for a {n}x{n} Hermitian matrix"
         ) from exc
-
-
-def hermitian_eig(H) -> list[tuple[float, np.ndarray]]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns a list of ``(eigenvalue, eigenvector)`` pairs with eigenvalues
-    ascending and eigenvectors orthonormal, so that
-    ``H = sum(lam * outer(v, v.conj()))``.
-    """
-    mat = HermitianMatrix.wrap(H).mat
-    w, v = _eigh_checked(mat)
-    return [(float(w[i]), v[:, i].copy()) for i in range(len(w))]
 
 
 def singular_values(M) -> np.ndarray:

@@ -15,13 +15,13 @@ the literal sum over atoms and costs O(dim^3) regardless of atom count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .hermitian import HermitianMatrix, as_matrix, schatten_norm
-from .spectral import SpectralMeasure, apply_scalar, from_hermitian
+from .spectral import SpectralMeasure, from_hermitian
 
 __all__ = [
     "ScalarField",
@@ -42,16 +42,12 @@ class ScalarField:
     """Evaluatable function of 1, 2 or 3 real variables.
 
     ``fn`` should accept numpy arrays (broadcasting); scalar-only callables
-    still work through the fallback loop in :func:`grid_eval`.  The optional
-    ``descriptor`` is a :class:`~xplab.counterexample.CoeffMatrix` on lattice
-    interpolants, read by the sup-norm scan and certificate and by the
-    instance sampler; it never changes the values.
+    still work through the fallback loop in :func:`grid_eval`.
     """
 
     arity: int
     fn: Callable[..., Any]
     name: str | None = None
-    descriptor: Any = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity not in (1, 2, 3):
@@ -196,7 +192,3 @@ def s2_contraction_check(phi, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tu
             f"Hilbert-Schmidt contraction violated: lhs={lhs!r} > rhs={rhs!r}"
         )
     return lhs, rhs
-
-
-# re-exported for convenience: the scalar calculus lives with the measures
-__all__ += ["apply_scalar"]

@@ -12,17 +12,13 @@ diagonal never matters, because ``E_A({v}) (A - B) E_B({v}) = 0`` whenever
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
-
 import numpy as np
 
 from .hermitian import HermitianMatrix, schatten_norm
 from .opint import ScalarField, as_field, doi
-from .spectral import SpectralMeasure, apply_scalar, from_hermitian
+from .spectral import apply_scalar, from_hermitian
 
 __all__ = [
-    "DividedDifferenceField",
     "divided_difference",
     "perturbation_identity_residual",
     "diagonal_irrelevance_check",
@@ -31,17 +27,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DividedDifferenceField(ScalarField):
-    """Two-variable field ``(f(x) - f(y)) / (x - y)`` with a caller-supplied
-    value on the diagonal ``x == y`` (exact float equality)."""
-
-    base: ScalarField = field(default=None, compare=False)
-    diagonal: Callable[[Any], Any] = field(default=None, compare=False)
-
-
-def divided_difference(phi, phi_prime) -> DividedDifferenceField:
-    """Divided difference of ``phi`` with diagonal values ``phi_prime``.
+def divided_difference(phi, phi_prime) -> ScalarField:
+    """Two-variable field ``(phi(x) - phi(y)) / (x - y)``, with the value
+    ``phi_prime(x)`` on the diagonal ``x == y`` (exact float equality).
 
     ``phi_prime`` is typically the derivative in closed form; any map works,
     since diagonal values never affect the perturbation identities.
@@ -62,10 +50,10 @@ def divided_difference(phi, phi_prime) -> DividedDifferenceField:
             vals = np.where(same, np.asarray(diag(xb), dtype=np.complex128), vals)
         return vals[()] if scalar else vals
 
-    return DividedDifferenceField(2, fn, name="divided-difference", base=base, diagonal=diag)
+    return ScalarField(2, fn, name="divided-difference")
 
 
-def _off_diagonal(dd: DividedDifferenceField) -> ScalarField:
+def _off_diagonal(dd: ScalarField) -> ScalarField:
     # same field with the diagonal cells zeroed (the sum over distinct
     # eigenvalue pairs only)
     def fn(x, y):

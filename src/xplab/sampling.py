@@ -86,10 +86,7 @@ def sample_instance(
     line factor ``psi`` on a scaled y grid centered at ``2*pi*eps``; their
     product reproduces ``f`` exactly on the product grid.
     """
-    c = inst.phi.descriptor
-    if not isinstance(c, CoeffMatrix):
-        raise ValueError("instance interpolant lacks a coefficient descriptor")
-    plane = sample_phi_2d(c, step=step, margin=margin)
+    plane = sample_phi_2d(inst.coeffs, step=step, margin=margin)
     ny = int(round(yspan / step))
     if not _is_pow2(ny) or abs(ny * step - yspan) > 1e-9 * yspan:
         raise ValueError(

@@ -70,10 +70,6 @@ class SpectralMeasure:
         """Map basis column -> index of the atom owning it."""
         return np.repeat(np.arange(self.atom_count), self.ranks)
 
-    def column_values(self) -> np.ndarray:
-        """Atom value per basis column."""
-        return np.repeat(self.values, self.ranks)
-
     def projection(self, j: int) -> np.ndarray:
         """Dense orthogonal projection of atom ``j``."""
         cols = self.basis[:, self.starts[j] : self.starts[j + 1]]

@@ -7,7 +7,6 @@ from xplab.besov import (
     NyquistError,
     SampledField,
     besov_breakdown,
-    besov_norm_estimate,
     bandlimit_check,
     lp_piece,
     make_window,
@@ -108,7 +107,7 @@ class TestLpPiece:
 class TestBesovEstimate:
     def test_zero_field(self, window):
         f = SampledField((0.0,), (0.5,), np.zeros(64))
-        assert besov_norm_estimate(f, window, -10, 1) == 0.0
+        assert besov_breakdown(f, window, -10, 1).total == 0.0
 
     def test_eta_upper_pieces_negligible(self, window):
         f = sample_eta_1d(extent=64 * math.pi, points=2**14)
@@ -126,17 +125,17 @@ class TestBesovEstimate:
 
     def test_scaling_covariance(self, window):
         base = sample_eta_1d(extent=64 * math.pi, points=2**13)
-        ref = besov_norm_estimate(base, window, -14, 5)
+        ref = besov_breakdown(base, window, -14, 5).total
         for eps in (0.5, 0.25):
             scaled = SampledField(
                 (eps * base.starts[0],), (eps * base.steps[0],), eps * base.samples)
-            got = besov_norm_estimate(scaled, window, -14, 5)
+            got = besov_breakdown(scaled, window, -14, 5).total
             assert abs(got - ref) / ref < 0.02
 
     def test_range_validation(self, window):
         f = sample_eta_1d(extent=8 * math.pi, points=256)
         with pytest.raises(ValueError):
-            besov_norm_estimate(f, window, 3, -3)
+            besov_breakdown(f, window, 3, -3)
 
 
 class TestBandlimit:

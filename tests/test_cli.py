@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import xplab
-from xplab import cli, experiment
+from xplab import cli, counterexample, experiment
 from xplab.cli import main
 from xplab.experiment import SuiteResult
 
@@ -27,10 +28,10 @@ def load_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
-def run_growth(tmp_path, tag, *extra):
+def run_growth(tmp_path, tag, *extra, sizes="4,8"):
     csv_path = tmp_path / f"{tag}.csv"
     json_path = tmp_path / f"{tag}.json"
-    code = main(["growth", "--sizes", "4,8", "--besov-max-size", "0",
+    code = main(["growth", "--sizes", sizes, "--besov-max-size", "0",
                  "--out", str(csv_path), "--json", str(json_path), *extra])
     assert code == 0
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -60,6 +61,30 @@ class TestGrowth:
             for r in csv_rows + report["rows"]:
                 r.pop("wall_time_ms")
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("schedule, eps", [
+        ("constant", lambda n: 1.0),
+        ("1/n", lambda n: 1.0 / n),
+        ("1/loglog", lambda n: 1.0 / math.log(math.log(n))),
+    ])
+    def test_eps_schedules_against_oracle(self, tmp_path, monkeypatch, schedule, eps):
+        calls = []
+        original = counterexample.difference_matrix
+
+        def counted(inst):
+            calls.append(inst.n)
+            return original(inst)
+
+        for module in (counterexample, experiment):
+            monkeypatch.setattr(module, "difference_matrix", counted, raising=False)
+        _, report = run_growth(tmp_path, "eps", "--eps", schedule, sizes="4,8,16")
+        assert calls == [4, 8, 16]  # one triple operator integral per size
+        for row in report["rows"]:
+            n, e = row["n"], eps(row["n"])
+            # ||U_n||_S1 / n = 2 pi times the closed-form ratio
+            assert row["s1_diff_norm"] == pytest.approx(e * 2.0 * math.pi * u_n_ratio(n), rel=1e-12)
+            assert row["perturbation_s1"] == pytest.approx(2.0 * math.pi * e, rel=1e-12)
+            assert abs(row["ratio"] - u_n_ratio(n)) <= 1e-9
 
     def test_single_size_writes_null_fit(self, tmp_path, capsys):
         json_path = tmp_path / "one.json"
@@ -95,6 +120,14 @@ class TestBesov:
         assert written == experiment.cmd_besov("eta").to_dict()
         assert f"besov_estimate  {written['besov_estimate']!r}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fn", ["f3:8", "phi_tri:8"])
+    @pytest.mark.parametrize("option", [["--points", "1024"], ["--extent", "64pi"]])
+    def test_grid_options_rejected_beyond_1d(self, monkeypatch, capsys, fn, option):
+        monkeypatch.setattr(experiment, "sample_instance", _no_computation)
+        monkeypatch.setattr(experiment, "sample_phi_2d", _no_computation)
+        assert main(["besov", "--fn", fn, *option]) == 2
+        assert "takes neither" in capsys.readouterr().err
+
 
 def _no_computation(*args, **kwargs):
     raise AssertionError("computation started before the arguments were checked")
@@ -105,6 +138,13 @@ class TestConfigErrors:
     def forbid_computation(self, monkeypatch):
         monkeypatch.setattr(cli, "cmd_growth", _no_computation)
         monkeypatch.setattr(cli, "cmd_besov", _no_computation)
+
+    @pytest.mark.parametrize("extent", ["inf", "nan", "0", "-64pi"])
+    def test_bad_extent(self, capsys, extent):
+        with pytest.raises(SystemExit) as exc:
+            main(["besov", "--fn", "eta", f"--extent={extent}"])
+        assert exc.value.code == 2
+        assert f"argument --extent: extent must be positive and finite, got {extent!r}" in capsys.readouterr().err
 
     def test_negative_besov_max_size(self, capsys):
         assert main(["growth", "--sizes", "4,8", "--besov-max-size", "-1"]) == 2
@@ -146,3 +186,19 @@ def test_no_environment_knobs():
         text = module.read_text(encoding="utf-8")
         assert "os.environ" not in text, module.name
         assert "os.getenv" not in text, module.name
+
+
+def test_no_unused_imports():
+    """Every name a module imports is referenced in its code or annotations;
+    listing it in ``__all__`` (a re-export) does not count."""
+    src = Path(xplab.__file__).parent
+    for module in sorted(src.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{module.name} never uses {sorted(imported - used)}"

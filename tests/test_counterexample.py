@@ -10,7 +10,6 @@ from xplab.counterexample import (
     CoeffMatrix,
     build_instance,
     certified_sup_norm,
-    closed_form_difference,
     closed_form_ratio,
     difference_matrix,
     eta,
@@ -22,7 +21,6 @@ from xplab.counterexample import (
     phi_from_coeffs,
     scale_instance,
     sup_norm_estimate,
-    sup_norm_refinement,
     triangular_coeffs,
     upper_triangular_ones,
 )
@@ -180,8 +178,9 @@ class TestSupNorm:
 
     def test_refinement_stable(self):
         inst = build_instance(8)
-        base, fine, rel = sup_norm_refinement(inst)
-        assert rel < 0.01
+        base = measured_sup_norm(inst, math.pi / 8)
+        fine = measured_sup_norm(inst, math.pi / 16)
+        assert abs(fine - base) / fine < 0.01
         assert base == pytest.approx(1.0, abs=1e-9)
 
 
@@ -248,16 +247,18 @@ class TestRatios:
     def test_growth_ratio_n2_composition(self):
         inst = build_instance(2)
         s2 = measured_sup_norm(inst)
-        want = (math.sqrt(5.0) / 2.0) / (TWO_PI * s2)
-        assert growth_ratio(inst) == pytest.approx(want, rel=1e-9)
+        s1_diff, pert, ratio = growth_ratio(inst)
+        assert s1_diff == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-12)
+        assert pert == pytest.approx(TWO_PI, rel=1e-12)
+        assert ratio == pytest.approx((math.sqrt(5.0) / 2.0) / (TWO_PI * s2), rel=1e-9)
 
     def test_two_paths_agree(self):
         for n in range(2, 65):
             inst = build_instance(n)
-            assert growth_ratio(inst) == pytest.approx(closed_form_ratio(inst), rel=1e-9)
+            assert growth_ratio(inst)[2] == pytest.approx(closed_form_ratio(inst), rel=1e-9)
 
     def test_strictly_increasing_small_sizes(self):
-        ratios = [growth_ratio(build_instance(n)) for n in (4, 8, 16, 32)]
+        ratios = [growth_ratio(build_instance(n))[2] for n in (4, 8, 16, 32)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xplab.hermitian import HermitianMatrix, hermitian_eig, schatten_norm, singular_values
+from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
 
 from conftest import random_complex, random_hermitian, random_unitary
 
@@ -38,31 +38,6 @@ class TestHermitianMatrix:
             1j * h
 
 
-class TestHermitianEig:
-    def test_diagonal_input(self):
-        pairs = hermitian_eig(HermitianMatrix.diag([3.0, -4.0]))
-        assert [lam for lam, _ in pairs] == [-4.0, 3.0]
-        vecs = np.column_stack([v for _, v in pairs])
-        assert np.allclose(np.abs(vecs), np.array([[0, 1], [1, 0]]), atol=1e-14)
-
-    def test_flip_matrix(self):
-        pairs = hermitian_eig(HermitianMatrix([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose([lam for lam, _ in pairs], [-1.0, 1.0])
-
-    def test_random_reconstruction(self, rng):
-        h = random_hermitian(rng, 8, 2.0)
-        pairs = hermitian_eig(h)
-        rebuilt = sum(lam * np.outer(v, v.conj()) for lam, v in pairs)
-        assert schatten_norm(rebuilt - h.mat, np.inf) < 1e-10
-        vecs = np.column_stack([v for _, v in pairs])
-        assert np.abs(vecs.conj().T @ vecs - np.eye(8)).max() < 1e-10
-
-    def test_eigenvalues_ascending(self, rng):
-        h = random_hermitian(rng, 11)
-        vals = [lam for lam, _ in hermitian_eig(h)]
-        assert vals == sorted(vals)
-
-
 class TestSingularValues:
     def test_zero_matrix(self):
         assert np.all(singular_values(np.zeros((3, 3))) == 0.0)
@@ -89,7 +64,7 @@ class TestSingularValues:
 
     def test_hermitian_eigen_abs(self, rng):
         h = random_hermitian(rng, 6)
-        eig = np.sort(np.abs([lam for lam, _ in hermitian_eig(h)]))[::-1]
+        eig = np.sort(np.abs(np.linalg.eigvalsh(h.mat)))[::-1]
         assert np.allclose(singular_values(h), eig, atol=1e-12)
 
 

@@ -116,4 +116,3 @@ class TestCoordinateMeasure:
     def test_column_maps(self):
         e = from_hermitian(HermitianMatrix.diag([0.0, 0.0, 5.0]))
         assert list(e.column_atom_index()) == [0, 0, 1]
-        assert np.allclose(e.column_values(), [0.0, 0.0, 5.0])
