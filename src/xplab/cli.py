@@ -42,6 +42,15 @@ def _parse_sizes(text: str) -> tuple:
     return sizes
 
 
+def _int_at_least(name: str, low: int):
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def _parse_extent(text: str) -> float:
     token = text.strip().lower()
     try:
@@ -69,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="largest size for which the Besov estimate is computed")
 
     verify = sub.add_parser("verify", help="run the randomized identity suites")
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
+    verify.add_argument("--trials", type=_int_at_least("trials", 1), default=100)
 
     besov = sub.add_parser("besov", help="Besov estimate of a named function")
     besov.add_argument("--fn", required=True,
@@ -111,11 +120,7 @@ def _run_growth(args) -> int:
 
 
 def _run_verify(args) -> int:
-    try:
-        summary = cmd_verify(seed=args.seed, trials=args.trials)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    summary = cmd_verify(seed=args.seed, trials=args.trials)
     for line in summary.lines():
         print(line)
     if summary.all_passed:

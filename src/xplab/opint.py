@@ -41,8 +41,8 @@ __all__ = [
 class ScalarField:
     """Evaluatable function of 1, 2 or 3 real variables.
 
-    ``fn`` should accept numpy arrays (broadcasting); scalar-only callables
-    still work through the fallback loop in :func:`grid_eval`.
+    ``fn`` must accept numpy arrays and broadcast them: every evaluation
+    is one call on whole arrays, never a loop over points.
     """
 
     arity: int
@@ -94,25 +94,16 @@ def product_field(phi: ScalarField, psi: ScalarField) -> ScalarField:
 def grid_eval(field_obj, *axes) -> np.ndarray:
     """Evaluate a field on the Cartesian grid of the given 1-D axes.
 
-    Tries one broadcast call; falls back to an element-wise loop when that
-    call raises ``TypeError``, which is how callables that only take
-    scalars reject arrays.  Any other exception propagates.  Result is a
-    complex array of shape ``(len(axes[0]), ..., len(axes[-1]))``.
+    Makes one broadcast call on a sparse mesh; any exception raised by the
+    field propagates.  Result is a complex array of shape
+    ``(len(axes[0]), ..., len(axes[-1]))``.
     """
     f = as_field(field_obj, len(axes))
     axes = [np.asarray(a, dtype=np.float64) for a in axes]
     shape = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    try:
-        out = np.asarray(f(*mesh), dtype=np.complex128)
-    except TypeError:
-        pass
-    else:
-        return np.ascontiguousarray(np.broadcast_to(out, shape))
-    out = np.empty(shape, dtype=np.complex128)
-    for idx in np.ndindex(shape):
-        out[idx] = complex(f(*(float(a[i]) for a, i in zip(axes, idx))))
-    return out
+    out = np.asarray(f(*mesh), dtype=np.complex128)
+    return np.ascontiguousarray(np.broadcast_to(out, shape))
 
 
 def _check_dim(name: str, got: int, want: int) -> None:
@@ -151,27 +142,27 @@ def toi(phi, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasu
     return e1.basis @ acc @ e3.basis.conj().T
 
 
-def _measure_of(x, cluster_tol: float) -> SpectralMeasure:
+def _measure_of(x) -> SpectralMeasure:
     if isinstance(x, SpectralMeasure):
         return x
-    return from_hermitian(HermitianMatrix.wrap(x), cluster_tol)
+    return from_hermitian(HermitianMatrix.wrap(x))
 
 
-def func_calc_pair(f, A, B, *, cluster_tol: float = 1e-8) -> np.ndarray:
+def func_calc_pair(f, A, B) -> np.ndarray:
     """``f(A, B) = sum f(lam_j, mu_k) P_j Q_k`` for a pair of Hermitian
     matrices (or prebuilt spectral measures)."""
-    ea = _measure_of(A, cluster_tol)
-    eb = _measure_of(B, cluster_tol)
+    ea = _measure_of(A)
+    eb = _measure_of(B)
     eye = np.eye(ea.dim, dtype=np.complex128)
     return doi(as_field(f, 2), ea, eye, eb)
 
 
-def func_calc_triple(f, A, B, C, *, cluster_tol: float = 1e-8) -> np.ndarray:
+def func_calc_triple(f, A, B, C) -> np.ndarray:
     """``f(A, B, C) = sum f(lam, mu, nu) E_A E_B E_C`` for a Hermitian
     triple (or prebuilt spectral measures)."""
-    ea = _measure_of(A, cluster_tol)
-    eb = _measure_of(B, cluster_tol)
-    ec = _measure_of(C, cluster_tol)
+    ea = _measure_of(A)
+    eb = _measure_of(B)
+    ec = _measure_of(C)
     eye = np.eye(ea.dim, dtype=np.complex128)
     return toi(as_field(f, 3), ea, eye, eb, eye, ec)
 

@@ -53,20 +53,6 @@ def divided_difference(phi, phi_prime) -> ScalarField:
     return ScalarField(2, fn, name="divided-difference")
 
 
-def _off_diagonal(dd: ScalarField) -> ScalarField:
-    # same field with the diagonal cells zeroed (the sum over distinct
-    # eigenvalue pairs only)
-    def fn(x, y):
-        xa = np.asarray(x, dtype=np.float64)
-        ya = np.asarray(y, dtype=np.float64)
-        scalar = xa.ndim == 0 and ya.ndim == 0
-        xb, yb = np.broadcast_arrays(xa, ya)
-        vals = np.where(xb == yb, 0.0 + 0.0j, np.asarray(dd(xb, yb), dtype=np.complex128))
-        return vals[()] if scalar else vals
-
-    return ScalarField(2, fn, name="divided-difference-offdiag")
-
-
 def perturbation_identity_residual(f, f_prime, A, B) -> float:
     """Trace-norm residual of ``f(A) - f(B) - doi(Df, E_A, A - B, E_B)``.
 
@@ -101,21 +87,20 @@ def diagonal_irrelevance_check(f, A, B, g1, g2) -> float:
     return schatten_norm(d1 - d2, 1)
 
 
-def psi_difference(psi, psi_prime, B1, B2) -> np.ndarray:
+def psi_difference(psi, B1, B2) -> np.ndarray:
     """The double-integral form of ``psi(B1) - psi(B2)``:
 
     ``sum over eigenvalues l of B1, m of B2 with l != m of
-    (psi(l) - psi(m)) / (l - m) * E_B1({l}) (B1 - B2) E_B2({m})``.
+    (psi(l) - psi(m)) / (l - m) * E_B1({l}) (B1 - B2) E_B2({m})``,
 
-    ``psi_prime`` enters only through cells that vanish identically; it is
-    accepted for interface symmetry with :func:`divided_difference`.
+    that is, the divided difference of ``psi`` with zero on the diagonal.
     """
     B1 = HermitianMatrix.wrap(B1)
     B2 = HermitianMatrix.wrap(B2)
     e1 = from_hermitian(B1)
     e2 = from_hermitian(B2)
-    dd = divided_difference(as_field(psi, 1), psi_prime)
-    return doi(_off_diagonal(dd), e1, (B1 - B2).mat, e2)
+    dd = divided_difference(as_field(psi, 1), np.zeros_like)
+    return doi(dd, e1, (B1 - B2).mat, e2)
 
 
 def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:

@@ -14,11 +14,11 @@ import numpy as np
 from .hermitian import HermitianMatrix, _eigh_checked, as_matrix
 
 MEASURE_TOL = 1e-10
-DEFAULT_CLUSTER_TOL = 1e-8
+CLUSTER_TOL = 1e-8
 
 __all__ = [
     "MEASURE_TOL",
-    "DEFAULT_CLUSTER_TOL",
+    "CLUSTER_TOL",
     "SpectralMeasure",
     "from_hermitian",
     "apply_scalar",
@@ -29,11 +29,11 @@ __all__ = [
 class SpectralMeasure:
     """Atomic spectral measure with finitely many atoms.
 
-    Invariants (checked by :meth:`validate`):
+    Invariants (checked by :meth:`validate` to ``MEASURE_TOL``):
 
-    * each projection is Hermitian and idempotent to ``1e-10``;
-    * distinct atoms are mutually orthogonal to ``1e-10``;
-    * the projections sum to the identity to ``1e-10``;
+    * each projection is Hermitian and idempotent;
+    * distinct atoms are mutually orthogonal;
+    * the projections sum to the identity;
     * atom values are strictly increasing.
     """
 
@@ -80,30 +80,31 @@ class SpectralMeasure:
         """Materialized ``(value, projection)`` pairs."""
         return [(float(self.values[j]), self.projection(j)) for j in range(self.atom_count)]
 
-    def validate(self, tol: float = MEASURE_TOL) -> None:
+    def validate(self) -> None:
         """Check the measure invariants; raise ``ValueError`` on violation."""
         eye = np.eye(self.dim)
         gram = self.basis.conj().T @ self.basis
-        if np.abs(gram - eye).max() > tol:
+        if np.abs(gram - eye).max() > MEASURE_TOL:
             raise ValueError("atom basis is not orthonormal within tolerance")
         total = self.basis @ self.basis.conj().T
-        if np.abs(total - eye).max() > tol:
+        if np.abs(total - eye).max() > MEASURE_TOL:
             raise ValueError("projections do not sum to the identity within tolerance")
         for j in range(self.atom_count):
             p = self.projection(j)
-            if np.abs(p - p.conj().T).max() > tol:
+            if np.abs(p - p.conj().T).max() > MEASURE_TOL:
                 raise ValueError(f"projection of atom {j} is not Hermitian")
-            if np.abs(p @ p - p).max() > tol:
+            if np.abs(p @ p - p).max() > MEASURE_TOL:
                 raise ValueError(f"projection of atom {j} is not idempotent")
         for j in range(self.atom_count):
             pj = self.projection(j)
             for k in range(j + 1, self.atom_count):
-                if np.abs(pj @ self.projection(k)).max() > tol:
+                if np.abs(pj @ self.projection(k)).max() > MEASURE_TOL:
                     raise ValueError(f"atoms {j} and {k} are not orthogonal")
 
     @classmethod
-    def from_atoms(cls, atoms, *, validate: bool = True) -> "SpectralMeasure":
-        """Build a measure from explicit ``(value, projection)`` pairs.
+    def from_atoms(cls, atoms) -> "SpectralMeasure":
+        """Build and validate a measure from explicit ``(value, projection)``
+        pairs.
 
         Pairs may be given in any order; values must be distinct.  Each
         projection is factored through its eigen-range (eigenvalues > 1/2).
@@ -129,51 +130,38 @@ class SpectralMeasure:
                 "projections do not resolve the identity"
             )
         measure = cls(values, np.hstack(blocks), starts)
-        if validate:
-            measure.validate()
+        measure.validate()
         return measure
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralMeasure(dim={self.dim}, atoms={self.atom_count})"
 
 
-def from_hermitian(H, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralMeasure:
+def from_hermitian(H) -> SpectralMeasure:
     """Spectral measure of a Hermitian matrix.
 
-    Eigenvalues closer than ``cluster_tol`` (gap-wise, after sorting) are
-    merged into one atom whose value is the cluster mean and whose
-    projection sums the corresponding rank-one projectors.
+    Sorted eigenvalues whose gap is at most ``CLUSTER_TOL`` are merged into
+    one atom whose value is the cluster mean and whose projection sums the
+    corresponding rank-one projectors.
     """
-    if cluster_tol < 0:
-        raise ValueError("cluster_tol must be nonnegative")
     mat = HermitianMatrix.wrap(H).mat
     w, v = _eigh_checked(mat)
-    # split where the gap exceeds cluster_tol
     if len(w) == 0:
         raise ValueError("empty matrix has no spectral measure")
-    boundaries = [0]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > cluster_tol:
-            boundaries.append(i)
-    boundaries.append(len(w))
-    values = [float(np.mean(w[a:b])) for a, b in zip(boundaries[:-1], boundaries[1:])]
-    return SpectralMeasure(values, v, boundaries)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1, [len(w)]))
+    values = [np.mean(w[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    return SpectralMeasure(values, v, starts)
 
 
 def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     """Scalar functional calculus ``sum g(value_j) P_j``.
 
-    ``g`` is any callable of one real variable.  The result is exactly
-    Hermitian whenever ``g`` is real on the atom values.
+    ``g`` is called once, on the array of atom values, and must broadcast;
+    a scalar result (a constant function) applies to every atom.  Errors
+    raised by ``g`` propagate unchanged.  The result is exactly Hermitian
+    whenever ``g`` is real on the atom values.
     """
-    gvals = np.empty(E.atom_count, dtype=np.complex128)
-    for j, v in enumerate(E.values):
-        try:
-            gvals[j] = complex(g(float(v)))
-        except Exception as exc:
-            raise ValueError(
-                f"scalar field evaluation failed at atom value {float(v)!r}: {exc}"
-            ) from exc
+    gvals = np.broadcast_to(np.asarray(g(E.values), dtype=np.complex128), (E.atom_count,))
     out = (E.basis * gvals[E.column_atom_index()]) @ E.basis.conj().T
     if np.all(gvals.imag == 0.0):
         out = (out + out.conj().T) / 2

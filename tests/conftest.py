@@ -1,9 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from xplab.hermitian import HermitianMatrix
+from xplab.experiment import _random_hermitian as random_hermitian
+from xplab.experiment import _random_unitary as random_unitary
+
+__all__ = ["random_complex", "random_hermitian", "random_unitary"]
 
 
 @pytest.fixture
@@ -11,15 +12,5 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_hermitian(rng, n, scale=1.0):
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMatrix(scale * (raw + raw.conj().T) / (2.0 * math.sqrt(n)))
-
-
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(random_complex(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -84,6 +84,10 @@ class TestGrowth:
             # ||U_n||_S1 / n = 2 pi times the closed-form ratio
             assert row["s1_diff_norm"] == pytest.approx(e * 2.0 * math.pi * u_n_ratio(n), rel=1e-12)
             assert row["perturbation_s1"] == pytest.approx(2.0 * math.pi * e, rel=1e-12)
+            assert row["sup_norm"] == pytest.approx(e, rel=1e-12)  # sup |g| = eps sup |f|
+            # all three columns scale by eps; the ratio is the unscaled one
+            assert row["ratio"] == pytest.approx(
+                e * row["s1_diff_norm"] / (row["sup_norm"] * row["perturbation_s1"]), rel=1e-12)
             assert abs(row["ratio"] - u_n_ratio(n)) <= 1e-9
 
     def test_single_size_writes_null_fit(self, tmp_path, capsys):
@@ -110,6 +114,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS] eta lattice certificate" in out
         assert "[FAIL] forced failure" in out
+
+    def test_internal_error_propagates(self, monkeypatch):
+        # a ValueError raised inside a suite is a bug, not a configuration error
+        def broken(rng, trials):
+            raise ValueError("matrix is not Hermitian")
+
+        monkeypatch.setattr(experiment, "_SUITES", (experiment._suite_eta, broken))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            main(["verify", "--trials", "3"])
 
 
 class TestBesov:
@@ -138,6 +151,20 @@ class TestConfigErrors:
     def forbid_computation(self, monkeypatch):
         monkeypatch.setattr(cli, "cmd_growth", _no_computation)
         monkeypatch.setattr(cli, "cmd_besov", _no_computation)
+        monkeypatch.setattr(experiment, "_SUITES", (_no_computation,))
+
+    @pytest.mark.parametrize("trials", ["0", "-3", "2.5"])
+    def test_bad_trials(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", f"--trials={trials}"])
+        assert exc.value.code == 2
+        assert f"argument --trials: trials must be an integer >= 1, got {trials!r}" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed=-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extent", ["inf", "nan", "0", "-64pi"])
     def test_bad_extent(self, capsys, extent):
@@ -202,3 +229,18 @@ def test_no_unused_imports():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{module.name} never uses {sorted(imported - used)}"
+
+
+def test_no_catch_all_handlers():
+    """No bare ``except:`` and no ``except Exception`` / ``BaseException``:
+    a catch-all that re-raises under another type hides bugs as bad input."""
+    src = Path(xplab.__file__).parent
+    broad = {"Exception", "BaseException"}
+    for module in sorted(src.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {c.id for c in caught if isinstance(c, ast.Name)}
+            assert node.type is not None and not names & broad, f"{module.name}:{node.lineno}"

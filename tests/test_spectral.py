@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from conftest import random_hermitian
 
 class TestFromHermitian:
     def test_exact_degeneracy_clusters(self):
-        e = from_hermitian(HermitianMatrix.diag([TWO_PI, 0.0, 0.0]), cluster_tol=1e-8)
+        e = from_hermitian(HermitianMatrix.diag([TWO_PI, 0.0, 0.0]))
         assert e.atom_count == 2
         assert np.allclose(e.values, [0.0, TWO_PI])
         ranks = [round(np.trace(p).real) for _, p in e.atoms]
@@ -25,7 +23,7 @@ class TestFromHermitian:
         assert np.allclose(e.projection(0), np.eye(4))
 
     def test_near_degenerate_merged(self):
-        e = from_hermitian(HermitianMatrix.diag([1.0, 1.0 + 1e-12]), cluster_tol=1e-8)
+        e = from_hermitian(HermitianMatrix.diag([1.0, 1.0 + 1e-12]))
         assert e.atom_count == 1
         assert round(np.trace(e.projection(0)).real) == 2
 
@@ -37,12 +35,8 @@ class TestFromHermitian:
 
     def test_invariants_hold(self, rng):
         e = from_hermitian(random_hermitian(rng, 7))
-        e.validate(tol=1e-10)
+        e.validate()
         assert np.all(np.diff(e.values) > 0)
-
-    def test_rejects_negative_tol(self):
-        with pytest.raises(ValueError):
-            from_hermitian(HermitianMatrix.diag([1.0, 2.0]), cluster_tol=-1.0)
 
 
 class TestFromAtoms:
@@ -92,18 +86,28 @@ class TestApplyScalar:
 
     def test_real_field_gives_hermitian(self, rng):
         e = from_hermitian(random_hermitian(rng, 5))
-        out = apply_scalar(e, lambda x: math.exp(x))
+        out = apply_scalar(e, np.exp)
         assert np.abs(out - out.conj().T).max() == 0.0
 
-    def test_evaluation_error_names_atom(self):
+    def test_one_call_on_atom_values(self):
+        e = from_hermitian(HermitianMatrix.diag([1.0, 4.0, 4.0]))
+        calls = []
+
+        def g(x):
+            calls.append(np.array(x))
+            return x
+
+        assert np.allclose(apply_scalar(e, g), np.diag([1.0, 4.0, 4.0]))
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], e.values)
+
+    def test_field_error_propagates_unchanged(self):
         e = from_hermitian(HermitianMatrix.diag([1.0, 4.0]))
 
         def bad(x):
-            if x > 2:
-                raise FloatingPointError("boom")
-            return x
+            raise FloatingPointError("boom")
 
-        with pytest.raises(ValueError, match="atom value 4.0"):
+        with pytest.raises(FloatingPointError, match="^boom$"):
             apply_scalar(e, bad)
 
 
