@@ -234,6 +234,7 @@ _X_CHUNK = 64
 def _separable_piece_sup(
     phat: np.ndarray,
     lhat: np.ndarray,
+    active: np.ndarray,
     rr: np.ndarray,
     xi_mid: np.ndarray,
     w: Window,
@@ -241,25 +242,20 @@ def _separable_piece_sup(
 ) -> float:
     """Sup of one 3-D piece of a product field, slice by middle frequency.
 
-    For each middle frequency ``xi_2`` with nonneglible weight, the 2-D
-    inverse transform of ``phat * w(sqrt(rr + xi_2^2)/2^n)`` is taken; the
-    final transform along the middle axis is a small dense matrix product
-    applied in row chunks, so peak memory stays at ``|slices| * plane``.
+    For each active middle frequency ``xi_2`` whose weight is nonzero in
+    this piece, the 2-D inverse transform of
+    ``phat * w(sqrt(rr + xi_2^2)/2^n)`` is taken; the final transform along
+    the middle axis is a small dense matrix product applied in row chunks,
+    so peak memory stays at ``|active| * plane``.
     """
     ny = len(lhat)
     scale = 2.0**n
-    active = np.flatnonzero(np.abs(lhat) > _SLICE_FLOOR * max(np.abs(lhat).max(), 1e-300))
     slices = []
     index = []
     for i2 in active:
         mult = w(np.sqrt(rr + xi_mid[i2] ** 2) / scale)
         if not mult.any():
             continue
-        if (len(slices) + 1) * phat.size * 16 > _SLICE_BYTES_BUDGET:
-            raise MemoryError(
-                "separable Besov piece needs too many middle-frequency slices; "
-                "shorten the middle axis or sample its factor periodized"
-            )
         slices.append(np.fft.ifft2(phat * mult) * lhat[i2])
         index.append(i2)
     if not slices:
@@ -283,15 +279,25 @@ def _separable_breakdown(f: SeparableField3, w: Window, n_min: int, n_max: int) 
     nyq = min(f.plane.nyquist(), f.line.nyquist())
     for n in range(n_min, n_max + 1):
         _band_guard(nyq, n)
-    phat = np.fft.fft2(f.plane.samples)
     lhat = np.fft.fft(f.line.samples)
+    # middle frequencies with nonneglible weight; each piece transforms a subset
+    active = np.flatnonzero(np.abs(lhat) > _SLICE_FLOOR * max(np.abs(lhat).max(), 1e-300))
+    need = len(active) * f.plane.samples.size * 16
+    if need > _SLICE_BYTES_BUDGET:
+        nx, nz = f.plane.samples.shape
+        raise ValueError(
+            f"separable Besov pieces need {need / 1e9:.1f} GB for {len(active)} "
+            f"middle-frequency slices of the {nx} x {nz} plane, over the "
+            f"{_SLICE_BYTES_BUDGET / 1e9:.1f} GB budget"
+        )
+    phat = np.fft.fft2(f.plane.samples)
     xi1 = f.plane.freq_axis(0)
     xi3 = f.plane.freq_axis(1)
     rr = xi1[:, None] ** 2 + xi3[None, :] ** 2
     xi2 = f.line.freq_axis(0)
     sups = {}
     for n in range(n_min, n_max + 1):
-        sups[n] = _separable_piece_sup(phat, lhat, rr, xi2, w, n)
+        sups[n] = _separable_piece_sup(phat, lhat, active, rr, xi2, w, n)
     sup_abs = f.sup_abs()
     tail = 2.0**n_min * sup_abs
     return BesovBreakdown(piece_sup=sups, tail_bound=tail, sup_abs=sup_abs)

@@ -5,7 +5,8 @@
     xplab besov --fn eta --extent 64pi --points 16384 [--json out.json]
 
 Exit codes: 0 success, 1 suite failure, 2 configuration error (including
-an output path whose directory is missing or not writable).
+an output path whose directory is missing or not writable, or two outputs
+that name the same file).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .experiment import (
     ExperimentConfig,
-    _check_writable,
+    _check_outputs,
     cmd_besov,
     cmd_growth,
     cmd_verify,
@@ -75,13 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     growth.add_argument("--out", default=None, help="CSV output path")
     growth.add_argument("--json", dest="json_path", default=None, help="JSON output path")
     growth.add_argument("--besov-max-size", type=int, default=64,
-                        help="largest size for which the Besov estimate is computed")
+                        help="largest size for which besov_estimate is computed: an estimate "
+                             "on a periodized grid, neither an upper nor a lower bound")
 
     verify = sub.add_parser("verify", help="run the randomized identity suites")
     verify.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
     verify.add_argument("--trials", type=_int_at_least("trials", 1), default=100)
 
-    besov = sub.add_parser("besov", help="Besov estimate of a named function")
+    besov_help = ("Besov estimate of a named function: an estimate on a periodized grid, "
+                  "neither an upper nor a lower bound")
+    besov = sub.add_parser("besov", help=besov_help, description=besov_help)
     besov.add_argument("--fn", required=True,
                        help="eta | psi | phi_tri:<n> | f3:<n>")
     besov.add_argument("--extent", type=_parse_extent, default=None,
@@ -100,8 +104,7 @@ def _run_growth(args) -> int:
     )
     try:
         config.validate()
-        _check_writable(args.out)
-        _check_writable(args.json_path)
+        _check_outputs(args.out, args.json_path)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -132,7 +135,7 @@ def _run_verify(args) -> int:
 
 def _run_besov(args) -> int:
     try:
-        _check_writable(args.json_path)
+        _check_outputs(args.json_path)
         report = cmd_besov(args.fn, extent=args.extent, points=args.points)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .hermitian import HermitianMatrix, schatten_norm
-from .opint import ScalarField, as_field, func_calc_triple, grid_eval, product_field
+from .opint import func_calc_triple, grid_eval
 from .spectral import from_hermitian
 
 TWO_PI = 2.0 * math.pi
@@ -35,7 +36,6 @@ __all__ = [
     "eta",
     "eta_deriv",
     "eta_periodized",
-    "EtaField",
     "eta_field",
     "CoeffMatrix",
     "triangular_coeffs",
@@ -115,22 +115,11 @@ def eta_periodized(x, period: float):
     return out[()]
 
 
-@dataclass(frozen=True)
-class EtaField(ScalarField):
-    """Shifted bump ``x -> eta(x - shift)`` as a one-variable field."""
-
-    shift: float = 0.0
-
-    def derivative(self) -> ScalarField:
-        s = self.shift
-        return ScalarField(1, lambda x: eta_deriv(np.asarray(x, dtype=np.float64) - s),
-                           name=f"eta'(.-{s:g})")
-
-
-def eta_field(shift: float = 0.0) -> EtaField:
+def eta_field(shift: float = 0.0) -> Callable:
+    """Shifted bump ``x -> eta(x - shift)``; its derivative is
+    ``lambda x: eta_deriv(x - shift)``."""
     s = float(shift)
-    return EtaField(1, lambda x: eta(np.asarray(x, dtype=np.float64) - s),
-                    name=f"eta(.-{s:g})", shift=s)
+    return lambda x: eta(np.asarray(x, dtype=np.float64) - s)
 
 
 @dataclass(frozen=True)
@@ -168,7 +157,7 @@ def _lattice(count: int) -> np.ndarray:
     return TWO_PI * np.arange(count, dtype=np.float64)
 
 
-def phi_from_coeffs(c: CoeffMatrix) -> ScalarField:
+def phi_from_coeffs(c: CoeffMatrix) -> Callable:
     """Interpolant ``phi(x, y) = sum c_jk eta(x - 2 pi j) eta(y - 2 pi k)``.
 
     Interpolation is exact: ``phi(2 pi j, 2 pi k) = c_jk`` because the
@@ -195,7 +184,7 @@ def phi_from_coeffs(c: CoeffMatrix) -> ScalarField:
         byb = np.broadcast_to(by, shape + (c.cols,))
         return np.einsum("...k,...k->...", tb, byb)
 
-    return ScalarField(2, fn, name="lattice-interpolant")
+    return fn
 
 
 def _outer_pattern(xshape: tuple, yshape: tuple) -> bool:
@@ -221,7 +210,6 @@ _SUP_CHUNK = 512
 def sup_norm_estimate(phi, grid_radius: float, grid_step: float) -> float:
     """Max of ``|phi|`` over the square grid ``[-R, R]^2`` with given step,
     evaluated in row chunks (a lower bound on ``sup |phi|``)."""
-    phi = as_field(phi, 2)
     axis = _grid_axis(grid_radius, grid_step)
     best = 0.0
     for lo in range(0, len(axis), _SUP_CHUNK):
@@ -246,9 +234,9 @@ class CounterexampleInstance:
     """
 
     n: int
-    f: ScalarField
-    phi: ScalarField
-    psi: EtaField
+    f: Callable
+    phi: Callable
+    psi: Callable
     coeffs: CoeffMatrix
     A: HermitianMatrix
     B1: HermitianMatrix
@@ -258,9 +246,9 @@ class CounterexampleInstance:
     sup_bound: float = 1.0
 
 
-def _instance_field(phi: ScalarField, psi: EtaField, eps: float) -> ScalarField:
-    if eps == 1.0:
-        return product_field(phi, psi)
+def _instance_field(phi: Callable, psi: Callable, eps: float) -> Callable:
+    """``f = eps * phi(x/eps, z/eps) * psi(y/eps)``; at ``eps = 1`` this is
+    exactly ``phi(x, z) * psi(y)``, since ``x / 1.0`` and ``1.0 * v`` are exact."""
 
     def fn(x, y, z):
         xa = np.asarray(x, dtype=np.float64) / eps
@@ -268,7 +256,7 @@ def _instance_field(phi: ScalarField, psi: EtaField, eps: float) -> ScalarField:
         za = np.asarray(z, dtype=np.float64) / eps
         return eps * phi(xa, za) * psi(ya)
 
-    return ScalarField(3, fn, name="product-scaled")
+    return fn
 
 
 def build_instance(n: int) -> CounterexampleInstance:

@@ -15,6 +15,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -24,20 +25,13 @@ from .counterexample import (
     build_instance,
     closed_form_ratio,
     eta,
+    eta_deriv,
     eta_field,
     growth_ratio,
     triangular_coeffs,
 )
 from .hermitian import HermitianMatrix, schatten_norm
-from .opint import (
-    ScalarField,
-    doi,
-    func_calc_triple,
-    grid_eval,
-    polynomial_field,
-    product_field,
-    s2_contraction_check,
-)
+from .opint import doi, func_calc_triple, grid_eval, product_field, s2_contraction_check
 from .perturbation import (
     perturbation_identity_residual,
     psi_difference,
@@ -108,28 +102,38 @@ class ExperimentConfig:
             raise ValueError(f"besov max size must be an integer >= 0, got {m!r}")
 
 
-def _check_writable(path) -> None:
-    """Raise ``ValueError`` unless an output file can be created at ``path``
-    (``None`` means no output).  Called before any computation, so a bad
-    path fails fast instead of after the whole run."""
-    if path is None:
-        return
-    if not path:
-        raise ValueError("output path is empty")
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise ValueError(f"output directory {parent!r} does not exist")
-    if os.path.isdir(path):
-        raise ValueError(f"output path {path!r} is a directory")
-    if not os.access(parent, os.W_OK):
-        raise ValueError(f"output directory {parent!r} is not writable")
+def _check_outputs(*paths) -> None:
+    """Raise ``ValueError`` unless an output file can be created at each
+    path (``None`` means no output) and no two paths name the same file.
+    Called before any computation, so a bad path fails fast instead of
+    after the whole run."""
+    for path in paths:
+        if path is None:
+            continue
+        if not path:
+            raise ValueError("output path is empty")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ValueError(f"output directory {parent!r} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path!r} is a directory")
+        if not os.access(parent, os.W_OK):
+            raise ValueError(f"output directory {parent!r} is not writable")
+    real = [os.path.realpath(p) for p in paths if p is not None]
+    if len(set(real)) < len(real):
+        raise ValueError(f"output paths {paths!r} name the same file; each report needs its own")
 
 
 @dataclass(frozen=True)
 class SizeRow:
     """``s1_diff_norm``, ``perturbation_s1`` and ``sup_norm`` are those of
     ``g = eps f(./eps)`` on the ``eps``-scaled operators; the ratios are the
-    unscaled ``eps * s1_diff_norm / (sup_norm * perturbation_s1)``."""
+    unscaled ``eps * s1_diff_norm / (sup_norm * perturbation_s1)``.
+
+    ``besov_estimate`` (``None`` above ``besov_max_size``) estimates the
+    ``B^1_{inf,1}`` norm of ``g`` on a periodized grid: each piece is a grid
+    maximum of a periodized sample, so it is neither an upper nor a lower
+    bound."""
 
     n: int
     s1_diff_norm: float
@@ -236,8 +240,7 @@ def cmd_growth(config: ExperimentConfig, csv_path=None, json_path=None) -> Exper
     runs.
     """
     config.validate()
-    _check_writable(csv_path)
-    _check_writable(json_path)
+    _check_outputs(csv_path, json_path)
     rows = [_grow_one(int(n), config) for n in config.sizes]
     a, b, r2 = log_fit([r.n for r in rows], [r.ratio for r in rows])
     report = ExperimentReport(rows=tuple(rows), fit_a=a, fit_b=b, fit_r2=r2, config=config)
@@ -292,19 +295,23 @@ def _random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _test_fields(rng) -> list[tuple[ScalarField, object]]:
-    """Five random polynomials of degree <= 5 plus eta and its shift."""
+def _test_fields(rng) -> list[tuple[Callable, Callable]]:
+    """Five random polynomials of degree <= 5 plus eta and its shift, each
+    with its derivative."""
     fields = []
     for _ in range(5):
         deg = int(rng.integers(1, 6))
-        coeffs = rng.standard_normal(deg + 1)
-        poly = polynomial_field(coeffs)
-        dpoly = polynomial_field(np.polynomial.Polynomial(coeffs).deriv().coef)
-        fields.append((poly, dpoly))
+        poly = np.polynomial.Polynomial(rng.standard_normal(deg + 1))
+        fields.append((poly, poly.deriv()))
     for shift in (0.0, TWO_PI):
-        f = eta_field(shift)
-        fields.append((f, f.derivative()))
+        fields.append((eta_field(shift), lambda x, s=shift: eta_deriv(x - s)))
     return fields
+
+
+def _worst(*residuals) -> float:
+    """Largest residual, or NaN if any residual is NaN (``max(0.0, nan)``
+    is ``0.0``, which would let a NaN residual pass)."""
+    return float(np.max(residuals))
 
 
 def _suite_perturbation(rng, trials: int) -> SuiteResult:
@@ -316,7 +323,7 @@ def _suite_perturbation(rng, trials: int) -> SuiteResult:
         b = _random_hermitian(rng, n, 2.0)
         bound = 1.0 + schatten_norm(a.mat, math.inf) + schatten_norm(b.mat, math.inf)
         for f, df in fields:
-            worst = max(worst, perturbation_identity_residual(f, df, a, b) / bound)
+            worst = _worst(worst, perturbation_identity_residual(f, df, a, b) / bound)
     return SuiteResult("perturbation identity (trace norm)", worst, 1e-9)
 
 
@@ -329,11 +336,11 @@ def _suite_psi_difference(rng, trials: int) -> SuiteResult:
         b2 = _random_hermitian(rng, n, 2.0)
         q = psi_difference(psi, b1, b2)
         ref = apply_scalar(from_hermitian(b1), psi) - apply_scalar(from_hermitian(b2), psi)
-        worst = max(worst, schatten_norm(q - ref, 1))
+        worst = _worst(worst, schatten_norm(q - ref, 1))
     return SuiteResult("rank-difference identity", worst, 1e-9)
 
 
-def _random_bivariate(rng) -> ScalarField:
+def _random_bivariate(rng) -> Callable:
     coeffs = rng.standard_normal((3, 3))
 
     def fn(x, y):
@@ -345,7 +352,7 @@ def _random_bivariate(rng) -> ScalarField:
                 acc = acc + coeffs[i, j] * xa**i * ya**j
         return acc
 
-    return ScalarField(2, fn, name="random-bivariate")
+    return fn
 
 
 def _suite_separated(rng, trials: int) -> SuiteResult:
@@ -361,7 +368,7 @@ def _suite_separated(rng, trials: int) -> SuiteResult:
         lhs = separated_difference(phi, psi, a, b1, b2, c)
         f3 = product_field(phi, psi)
         rhs = func_calc_triple(f3, a, b1, c) - func_calc_triple(f3, a, b2, c)
-        worst = max(worst, schatten_norm(lhs - rhs, 1))
+        worst = _worst(worst, schatten_norm(lhs - rhs, 1))
     return SuiteResult("separated triple difference", worst, 1e-9)
 
 
@@ -374,7 +381,7 @@ def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
         t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         phi = _random_bivariate(rng)
         lhs, rhs = s2_contraction_check(phi, e1, e2, t)
-        worst = max(worst, lhs - rhs)
+        worst = _worst(worst, lhs - rhs)
         # equality at the maximizing matrix unit over coordinate measures
         ec = coordinate_measure(n)
         grid = np.abs(grid_eval(phi, ec.values, ec.values))
@@ -382,8 +389,8 @@ def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
         unit = np.zeros((n, n), dtype=np.complex128)
         unit[jstar, kstar] = 1.0
         lhs_u, rhs_u = s2_contraction_check(phi, ec, ec, unit)
-        worst = max(worst, abs(lhs_u - rhs_u))
-    return SuiteResult("Hilbert-Schmidt contraction", max(worst, 0.0), 1e-10)
+        worst = _worst(worst, abs(lhs_u - rhs_u))
+    return SuiteResult("Hilbert-Schmidt contraction", worst, 1e-10)
 
 
 def _suite_hadamard(rng, trials: int) -> SuiteResult:
@@ -393,11 +400,9 @@ def _suite_hadamard(rng, trials: int) -> SuiteResult:
             e = coordinate_measure(n)
             t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             symbol = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            phi = ScalarField(2, lambda x, y, s=symbol: s[
-                np.asarray(x, dtype=int), np.asarray(y, dtype=int)
-            ])
+            phi = lambda x, y, s=symbol: s[np.asarray(x, dtype=int), np.asarray(y, dtype=int)]
             got = doi(phi, e, t, e)
-            worst = max(worst, float(np.abs(got - symbol * t).max()))
+            worst = _worst(worst, float(np.abs(got - symbol * t).max()))
     return SuiteResult("coordinate-atom Hadamard product", worst, 1e-12)
 
 
@@ -415,7 +420,7 @@ def _suite_eta(rng, trials: int) -> SuiteResult:
     vals = eta(TWO_PI * ks.astype(np.float64))
     worst = float(np.abs(np.where(ks == 0, vals - 1.0, vals)).max())
     xs = np.linspace(-300.0, 300.0, 20001)
-    worst = max(worst, float(np.max(np.abs(eta(xs)) - 1.0)), 0.0)
+    worst = _worst(worst, float(np.max(np.abs(eta(xs)) - 1.0)))
     return SuiteResult("eta lattice certificate", worst, 1e-12)
 
 
@@ -427,12 +432,12 @@ def _suite_schatten(rng, trials: int) -> SuiteResult:
         u = _random_unitary(rng, n)
         v = _random_unitary(rng, n)
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-            worst = max(worst, abs(schatten_norm(u @ m @ v, p) - schatten_norm(m, p)))
+            worst = _worst(worst, abs(schatten_norm(u @ m @ v, p) - schatten_norm(m, p)))
         ps = [1.0, 1.3, 2.0, 4.0, math.inf]
         norms = [schatten_norm(m, p) for p in ps]
         for lo, hi in zip(norms[:-1], norms[1:]):
-            worst = max(worst, hi - lo)  # p-monotone: larger p, smaller norm
-    return SuiteResult("Schatten norm invariances", max(worst, 0.0), 1e-10)
+            worst = _worst(worst, hi - lo)  # p-monotone: larger p, smaller norm
+    return SuiteResult("Schatten norm invariances", worst, 1e-10)
 
 
 _SUITES = (
@@ -464,6 +469,11 @@ def cmd_verify(seed: int = 42, trials: int = 100) -> VerifySummary:
 
 @dataclass(frozen=True)
 class BesovScalarReport:
+    """Besov report of a named function.  ``estimate`` (``besov_estimate``
+    in the JSON) is an estimate on a periodized grid, the sum of the
+    ``2^n``-weighted grid maxima of the Littlewood-Paley pieces plus
+    ``tail_bound``; it is neither an upper nor a lower bound on the norm."""
+
     function: str
     estimate: float
     tail_bound: float

@@ -82,9 +82,6 @@ class HermitianMatrix:
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return HermitianMatrix(self._mat - HermitianMatrix.wrap(other)._mat)
 
-    def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(-self._mat)
-
     def __mul__(self, scalar) -> "HermitianMatrix":
         s = complex(scalar)
         if s.imag != 0.0:

@@ -11,12 +11,16 @@ With measures ``E1, E2, E3`` whose atoms are ``(a_j, P_j)``, ``(b_k, Q_k)``,
 Both are evaluated in the concatenated eigenbases of the measures, where
 the atom sums become Hadamard products; this is algebraically identical to
 the literal sum over atoms and costs O(dim^3) regardless of atom count.
+
+A field (a symbol ``Phi`` or a function ``f`` of one, two or three real
+variables) is any callable that takes numpy arrays and broadcasts them.
+Every evaluation is one call on whole arrays, never a loop over points;
+the caller knows how many variables it passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +28,6 @@ from .hermitian import HermitianMatrix, as_matrix, schatten_norm
 from .spectral import SpectralMeasure, from_hermitian
 
 __all__ = [
-    "ScalarField",
-    "as_field",
-    "polynomial_field",
     "product_field",
     "grid_eval",
     "doi",
@@ -37,68 +38,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Evaluatable function of 1, 2 or 3 real variables.
-
-    ``fn`` must accept numpy arrays and broadcast them: every evaluation
-    is one call on whole arrays, never a loop over points.
-    """
-
-    arity: int
-    fn: Callable[..., Any]
-    name: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.arity not in (1, 2, 3):
-            raise ValueError(f"arity must be 1, 2 or 3, got {self.arity}")
-
-    def __call__(self, *args):
-        if len(args) != self.arity:
-            raise TypeError(f"field {self.name or ''!r} takes {self.arity} arguments, got {len(args)}")
-        return self.fn(*args)
-
-
-def as_field(obj, arity: int) -> ScalarField:
-    """Coerce a callable to a :class:`ScalarField` of the given arity."""
-    if isinstance(obj, ScalarField):
-        if obj.arity != arity:
-            raise ValueError(f"expected a field of {arity} variables, got {obj.arity}")
-        return obj
-    if callable(obj):
-        return ScalarField(arity, obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a scalar field")
-
-
-def polynomial_field(coeffs) -> ScalarField:
-    """One-variable polynomial ``sum coeffs[k] x^k``.
-
-    For its derivative, use :func:`polynomial_field` of
-    ``np.polynomial.Polynomial(coeffs).deriv().coef``.
-    """
-    poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=np.complex128))
-    return ScalarField(1, poly, name=f"poly(deg={poly.degree()})")
-
-
-def product_field(phi: ScalarField, psi: ScalarField) -> ScalarField:
+def product_field(phi: Callable, psi: Callable) -> Callable:
     """Three-variable field ``f(x, y, z) = phi(x, z) * psi(y)``."""
-    phi = as_field(phi, 2)
-    psi = as_field(psi, 1)
 
     def fn(x, y, z):
         return phi(x, z) * psi(y)
 
-    return ScalarField(3, fn, name="product")
+    return fn
 
 
-def grid_eval(field_obj, *axes) -> np.ndarray:
+def grid_eval(f: Callable, *axes) -> np.ndarray:
     """Evaluate a field on the Cartesian grid of the given 1-D axes.
 
     Makes one broadcast call on a sparse mesh; any exception raised by the
     field propagates.  Result is a complex array of shape
     ``(len(axes[0]), ..., len(axes[-1]))``.
     """
-    f = as_field(field_obj, len(axes))
     axes = [np.asarray(a, dtype=np.float64) for a in axes]
     shape = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -116,7 +71,7 @@ def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
     tmat = as_matrix(t)
     _check_dim("T", tmat.shape[0], e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
-    fgrid = grid_eval(as_field(phi, 2), e1.values, e2.values)
+    fgrid = grid_eval(phi, e1.values, e2.values)
     fcols = fgrid[np.ix_(e1.column_atom_index(), e2.column_atom_index())]
     tt = e1.basis.conj().T @ tmat @ e2.basis
     return e1.basis @ (fcols * tt) @ e2.basis.conj().T
@@ -129,7 +84,7 @@ def toi(phi, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasu
     _check_dim("E2", e2.dim, e1.dim)
     _check_dim("T2", t2m.shape[0], e1.dim)
     _check_dim("E3", e3.dim, e1.dim)
-    fgrid = grid_eval(as_field(phi, 3), e1.values, e2.values, e3.values)
+    fgrid = grid_eval(phi, e1.values, e2.values, e3.values)
     ci1 = e1.column_atom_index()
     ci3 = e3.column_atom_index()
     a1 = e1.basis.conj().T @ t1m @ e2.basis
@@ -154,7 +109,7 @@ def func_calc_pair(f, A, B) -> np.ndarray:
     ea = _measure_of(A)
     eb = _measure_of(B)
     eye = np.eye(ea.dim, dtype=np.complex128)
-    return doi(as_field(f, 2), ea, eye, eb)
+    return doi(f, ea, eye, eb)
 
 
 def func_calc_triple(f, A, B, C) -> np.ndarray:
@@ -164,7 +119,7 @@ def func_calc_triple(f, A, B, C) -> np.ndarray:
     eb = _measure_of(B)
     ec = _measure_of(C)
     eye = np.eye(ea.dim, dtype=np.complex128)
-    return toi(as_field(f, 3), ea, eye, eb, eye, ec)
+    return toi(f, ea, eye, eb, eye, ec)
 
 
 def s2_contraction_check(phi, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tuple[float, float]:
@@ -176,7 +131,7 @@ def s2_contraction_check(phi, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tu
     """
     tmat = as_matrix(t)
     lhs = schatten_norm(doi(phi, e1, tmat, e2), 2)
-    fgrid = grid_eval(as_field(phi, 2), e1.values, e2.values)
+    fgrid = grid_eval(phi, e1.values, e2.values)
     rhs = float(np.abs(fgrid).max()) * schatten_norm(tmat, 2)
     if lhs > rhs + 1e-10:
         raise AssertionError(

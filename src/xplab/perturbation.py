@@ -12,10 +12,12 @@ diagonal never matters, because ``E_A({v}) (A - B) E_B({v}) = 0`` whenever
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .hermitian import HermitianMatrix, schatten_norm
-from .opint import ScalarField, as_field, doi
+from .opint import doi
 from .spectral import apply_scalar, from_hermitian
 
 __all__ = [
@@ -27,15 +29,13 @@ __all__ = [
 ]
 
 
-def divided_difference(phi, phi_prime) -> ScalarField:
+def divided_difference(phi: Callable, phi_prime: Callable) -> Callable:
     """Two-variable field ``(phi(x) - phi(y)) / (x - y)``, with the value
     ``phi_prime(x)`` on the diagonal ``x == y`` (exact float equality).
 
     ``phi_prime`` is typically the derivative in closed form; any map works,
     since diagonal values never affect the perturbation identities.
     """
-    base = as_field(phi, 1)
-    diag = phi_prime
 
     def fn(x, y):
         xa = np.asarray(x, dtype=np.float64)
@@ -44,13 +44,13 @@ def divided_difference(phi, phi_prime) -> ScalarField:
         xb, yb = np.broadcast_arrays(xa, ya)
         same = xb == yb
         denom = np.where(same, 1.0, xb - yb)
-        vals = (np.asarray(base(xb), dtype=np.complex128)
-                - np.asarray(base(yb), dtype=np.complex128)) / denom
+        vals = (np.asarray(phi(xb), dtype=np.complex128)
+                - np.asarray(phi(yb), dtype=np.complex128)) / denom
         if same.any():
-            vals = np.where(same, np.asarray(diag(xb), dtype=np.complex128), vals)
+            vals = np.where(same, np.asarray(phi_prime(xb), dtype=np.complex128), vals)
         return vals[()] if scalar else vals
 
-    return ScalarField(2, fn, name="divided-difference")
+    return fn
 
 
 def perturbation_identity_residual(f, f_prime, A, B) -> float:
@@ -63,9 +63,8 @@ def perturbation_identity_residual(f, f_prime, A, B) -> float:
     B = HermitianMatrix.wrap(B)
     ea = from_hermitian(A)
     eb = from_hermitian(B)
-    f1 = as_field(f, 1)
-    lhs = apply_scalar(ea, f1) - apply_scalar(eb, f1)
-    rhs = doi(divided_difference(f1, f_prime), ea, (A - B).mat, eb)
+    lhs = apply_scalar(ea, f) - apply_scalar(eb, f)
+    rhs = doi(divided_difference(f, f_prime), ea, (A - B).mat, eb)
     return schatten_norm(lhs - rhs, 1)
 
 
@@ -81,9 +80,8 @@ def diagonal_irrelevance_check(f, A, B, g1, g2) -> float:
     ea = from_hermitian(A)
     eb = from_hermitian(B)
     diff = (A - B).mat
-    f1 = as_field(f, 1)
-    d1 = doi(divided_difference(f1, g1), ea, diff, eb)
-    d2 = doi(divided_difference(f1, g2), ea, diff, eb)
+    d1 = doi(divided_difference(f, g1), ea, diff, eb)
+    d2 = doi(divided_difference(f, g2), ea, diff, eb)
     return schatten_norm(d1 - d2, 1)
 
 
@@ -99,7 +97,7 @@ def psi_difference(psi, B1, B2) -> np.ndarray:
     B2 = HermitianMatrix.wrap(B2)
     e1 = from_hermitian(B1)
     e2 = from_hermitian(B2)
-    dd = divided_difference(as_field(psi, 1), np.zeros_like)
+    dd = divided_difference(psi, np.zeros_like)
     return doi(dd, e1, (B1 - B2).mat, e2)
 
 
@@ -112,6 +110,5 @@ def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:
     ec = from_hermitian(HermitianMatrix.wrap(C))
     e1 = from_hermitian(HermitianMatrix.wrap(B1))
     e2 = from_hermitian(HermitianMatrix.wrap(B2))
-    psi1 = as_field(psi, 1)
-    q = apply_scalar(e1, psi1) - apply_scalar(e2, psi1)
-    return doi(as_field(phi, 2), ea, q, ec)
+    q = apply_scalar(e1, psi) - apply_scalar(e2, psi)
+    return doi(phi, ea, q, ec)

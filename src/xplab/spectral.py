@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _eigh_checked, as_matrix
+from .hermitian import HermitianMatrix, _eigh_checked
 
-MEASURE_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 
 __all__ = [
-    "MEASURE_TOL",
     "CLUSTER_TOL",
     "SpectralMeasure",
     "from_hermitian",
@@ -29,12 +27,10 @@ __all__ = [
 class SpectralMeasure:
     """Atomic spectral measure with finitely many atoms.
 
-    Invariants (checked by :meth:`validate` to ``MEASURE_TOL``):
-
-    * each projection is Hermitian and idempotent;
-    * distinct atoms are mutually orthogonal;
-    * the projections sum to the identity;
-    * atom values are strictly increasing.
+    Invariants: ``basis`` is unitary, so the atom projections are
+    orthogonal and sum to the identity; every atom has positive rank; atom
+    values are strictly increasing.  The constructor checks the last two;
+    ``basis`` comes from ``eigh`` or is the identity.
     """
 
     __slots__ = ("values", "basis", "starts")
@@ -79,59 +75,6 @@ class SpectralMeasure:
     def atoms(self) -> list[tuple[float, np.ndarray]]:
         """Materialized ``(value, projection)`` pairs."""
         return [(float(self.values[j]), self.projection(j)) for j in range(self.atom_count)]
-
-    def validate(self) -> None:
-        """Check the measure invariants; raise ``ValueError`` on violation."""
-        eye = np.eye(self.dim)
-        gram = self.basis.conj().T @ self.basis
-        if np.abs(gram - eye).max() > MEASURE_TOL:
-            raise ValueError("atom basis is not orthonormal within tolerance")
-        total = self.basis @ self.basis.conj().T
-        if np.abs(total - eye).max() > MEASURE_TOL:
-            raise ValueError("projections do not sum to the identity within tolerance")
-        for j in range(self.atom_count):
-            p = self.projection(j)
-            if np.abs(p - p.conj().T).max() > MEASURE_TOL:
-                raise ValueError(f"projection of atom {j} is not Hermitian")
-            if np.abs(p @ p - p).max() > MEASURE_TOL:
-                raise ValueError(f"projection of atom {j} is not idempotent")
-        for j in range(self.atom_count):
-            pj = self.projection(j)
-            for k in range(j + 1, self.atom_count):
-                if np.abs(pj @ self.projection(k)).max() > MEASURE_TOL:
-                    raise ValueError(f"atoms {j} and {k} are not orthogonal")
-
-    @classmethod
-    def from_atoms(cls, atoms) -> "SpectralMeasure":
-        """Build and validate a measure from explicit ``(value, projection)``
-        pairs.
-
-        Pairs may be given in any order; values must be distinct.  Each
-        projection is factored through its eigen-range (eigenvalues > 1/2).
-        """
-        pairs = sorted(((float(v), as_matrix(p)) for v, p in atoms), key=lambda t: t[0])
-        if not pairs:
-            raise ValueError("a spectral measure needs at least one atom")
-        dim = pairs[0][1].shape[0]
-        values, blocks, starts = [], [], [0]
-        for v, p in pairs:
-            if p.shape[0] != dim:
-                raise ValueError("all projections must share one dimension")
-            w, vecs = _eigh_checked(p)
-            keep = vecs[:, w > 0.5]
-            if keep.shape[1] == 0:
-                raise ValueError(f"projection for atom value {v} has rank zero")
-            values.append(v)
-            blocks.append(keep)
-            starts.append(starts[-1] + keep.shape[1])
-        if starts[-1] != dim:
-            raise ValueError(
-                f"atom ranks sum to {starts[-1]}, expected {dim}; "
-                "projections do not resolve the identity"
-            )
-        measure = cls(values, np.hstack(blocks), starts)
-        measure.validate()
-        return measure
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralMeasure(dim={self.dim}, atoms={self.atom_count})"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import xplab
-from xplab import cli, counterexample, experiment
+from xplab import besov, cli, counterexample, experiment
 from xplab.cli import main
 from xplab.experiment import SuiteResult
 
@@ -115,6 +115,14 @@ class TestVerify:
         assert "[PASS] eta lattice certificate" in out
         assert "[FAIL] forced failure" in out
 
+    def test_nan_residual_fails(self, monkeypatch, capsys):
+        # max(0.0, nan) is 0.0: a NaN residual must not be dropped on the way
+        monkeypatch.setattr(experiment, "schatten_norm", lambda *args: math.nan)
+        assert main(["verify", "--trials", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] rank-difference identity: max residual nan" in out
+        assert "all suites passed" not in out
+
     def test_internal_error_propagates(self, monkeypatch):
         # a ValueError raised inside a suite is a bug, not a configuration error
         def broken(rng, trials):
@@ -140,6 +148,19 @@ class TestBesov:
         monkeypatch.setattr(experiment, "sample_phi_2d", _no_computation)
         assert main(["besov", "--fn", fn, *option]) == 2
         assert "takes neither" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, code", [(249, 0), (250, 2)])
+    def test_slice_budget_checked_before_pieces(self, monkeypatch, capsys, n, code):
+        # from n = 250 the plane is 4096^2 and 15 middle-frequency slices
+        # need 4.0 GB; at n = 249 it is 2048^2 and they fit in 1.0 GB
+        reached = []
+        monkeypatch.setattr(besov, "_separable_piece_sup", lambda *args: reached.append(args[-1]) or 0.0)
+        assert main(["besov", "--fn", f"f3:{n}"]) == code
+        if code == 2:
+            assert not reached
+            assert "over the 1.4 GB budget" in capsys.readouterr().err
+        else:
+            assert reached
 
 
 def _no_computation(*args, **kwargs):
@@ -177,6 +198,14 @@ class TestConfigErrors:
         assert main(["growth", "--sizes", "4,8", "--besov-max-size", "-1"]) == 2
         assert "besov max size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("json_name", ["same.out", "sub/../same.out", "link.out"])
+    def test_growth_outputs_name_one_file(self, tmp_path, capsys, json_name):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.out").symlink_to(tmp_path / "same.out")
+        assert main(["growth", "--sizes", "4,8", "--out", str(tmp_path / "same.out"),
+                     "--json", str(tmp_path / json_name)]) == 2
+        assert "name the same file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["growth", "--sizes", "4,8", "--out"],
         ["growth", "--sizes", "4,8", "--json"],
@@ -205,6 +234,14 @@ def test_library_growth_checks_paths_first(tmp_path, monkeypatch, target):
     config = experiment.ExperimentConfig(sizes=(4, 8), besov_max_size=0)
     with pytest.raises(ValueError, match="does not exist"):
         experiment.cmd_growth(config, **{target: str(tmp_path / "missing" / "out")})
+
+
+def test_library_growth_rejects_one_path_for_both(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
+    config = experiment.ExperimentConfig(sizes=(4, 8), besov_max_size=0)
+    path = str(tmp_path / "report")
+    with pytest.raises(ValueError, match="name the same file"):
+        experiment.cmd_growth(config, csv_path=path, json_path=path)
 
 
 def test_no_environment_knobs():

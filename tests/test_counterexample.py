@@ -68,7 +68,7 @@ class TestEta:
         assert f(shift) == 1.0
         for k in (-2, -1, 1, 2, 5):
             assert abs(f(shift + TWO_PI * k)) < 1e-12
-        assert f.shift == shift
+        assert f(shift + 0.5) == eta(0.5)
 
 
 class TestEtaPeriodized:

@@ -3,12 +3,10 @@ import pytest
 
 from xplab.hermitian import HermitianMatrix, schatten_norm
 from xplab.opint import (
-    ScalarField,
     doi,
     func_calc_pair,
     func_calc_triple,
     grid_eval,
-    polynomial_field,
     product_field,
     s2_contraction_check,
     toi,
@@ -56,7 +54,7 @@ class TestDoi:
             e = coordinate_measure(n)
             t = random_complex(rng, n)
             symbol = random_complex(rng, n)
-            phi = ScalarField(2, lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)])
+            phi = lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)]
             assert np.abs(doi(phi, e, t, e) - symbol * t).max() < 1e-12
 
     def test_matches_naive_sum(self, rng):
@@ -131,7 +129,7 @@ class TestFuncCalc:
     def test_one_variable_collapse(self, rng):
         a = random_hermitian(rng, 5)
         b = random_hermitian(rng, 5)
-        g = polynomial_field([0.0, 1.0, 0.5])
+        g = np.polynomial.Polynomial([0.0, 1.0, 0.5])
         got = func_calc_pair(lambda x, y: g(x), a, b)
         assert np.abs(got - apply_scalar(from_hermitian(a), g)).max() < 1e-10
 
@@ -169,7 +167,7 @@ class TestFuncCalc:
         a, b, c = (random_hermitian(rng, 5) for _ in range(3))
         phi = lambda x, z: np.exp(1j * x) + z
         psi = lambda y: y**2
-        f3 = product_field(ScalarField(2, phi), ScalarField(1, psi))
+        f3 = product_field(phi, psi)
         got = func_calc_triple(f3, a, b, c)
         want = doi(phi, from_hermitian(a), apply_scalar(from_hermitian(b), psi), from_hermitian(c))
         assert np.abs(got - want).max() < 1e-10
@@ -204,7 +202,7 @@ class TestS2Contraction:
         n = 6
         e = coordinate_measure(n)
         symbol = random_complex(rng, n)
-        phi = ScalarField(2, lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)])
+        phi = lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)]
         jstar, kstar = np.unravel_index(int(np.abs(symbol).argmax()), symbol.shape)
         unit = np.zeros((n, n), dtype=complex)
         unit[jstar, kstar] = 1.0

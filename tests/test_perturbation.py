@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
-from xplab.counterexample import TWO_PI, eta, eta_field
+from xplab.counterexample import TWO_PI, eta, eta_deriv, eta_field
 from xplab.hermitian import HermitianMatrix, schatten_norm
-from xplab.opint import polynomial_field, product_field
-from xplab.opint import ScalarField, func_calc_triple
+from xplab.opint import func_calc_triple, product_field
 from xplab.perturbation import (
     diagonal_irrelevance_check,
     divided_difference,
@@ -16,8 +16,8 @@ from xplab.spectral import apply_scalar, from_hermitian
 
 from conftest import random_hermitian
 
-SQUARE = polynomial_field([0.0, 0.0, 1.0])
-SQUARE_PRIME = polynomial_field([0.0, 2.0])
+SQUARE = Polynomial([0.0, 0.0, 1.0])
+SQUARE_PRIME = SQUARE.deriv()
 
 
 class TestDividedDifference:
@@ -30,8 +30,7 @@ class TestDividedDifference:
         assert complex(dd(2.0, 2.0)) == pytest.approx(4.0)
 
     def test_eta_lattice_slope(self):
-        f = eta_field(0.0)
-        dd = divided_difference(f, f.derivative())
+        dd = divided_difference(eta_field(0.0), eta_deriv)
         assert complex(dd(0.0, TWO_PI)) == pytest.approx(-1.0 / TWO_PI, abs=1e-14)
 
     def test_vectorized_mixed_cells(self):
@@ -45,28 +44,26 @@ class TestPerturbationIdentity:
     def test_identity_function_exact(self, rng):
         a = random_hermitian(rng, 5)
         b = random_hermitian(rng, 5)
-        ident = polynomial_field([0.0, 1.0])
-        res = perturbation_identity_residual(ident, polynomial_field([1.0]), a, b)
+        ident = Polynomial([0.0, 1.0])
+        res = perturbation_identity_residual(ident, Polynomial([1.0]), a, b)
         assert res < 1e-12
 
     def test_equal_operators_exact(self, rng):
         a = random_hermitian(rng, 5)
-        f = eta_field(0.0)
-        assert perturbation_identity_residual(f, f.derivative(), a, a) < 1e-12
+        assert perturbation_identity_residual(eta_field(0.0), eta_deriv, a, a) < 1e-12
 
     def test_random_pair_eta(self, rng):
         a = random_hermitian(rng, 6, 2.0)
         b = random_hermitian(rng, 6, 2.0)
-        f = eta_field(0.0)
-        res = perturbation_identity_residual(f, f.derivative(), a, b)
+        res = perturbation_identity_residual(eta_field(0.0), eta_deriv, a, b)
         assert res < 1e-9
 
     def test_many_fields_and_dims(self, rng):
         fields = [
-            (polynomial_field([1.0, -2.0, 0.5, 0.0, 0.25, 1.0]),
-             polynomial_field([-2.0, 1.0, 0.0, 1.0, 5.0])),
-            (eta_field(0.0), eta_field(0.0).derivative()),
-            (eta_field(TWO_PI), eta_field(TWO_PI).derivative()),
+            (Polynomial([1.0, -2.0, 0.5, 0.0, 0.25, 1.0]),
+             Polynomial([-2.0, 1.0, 0.0, 1.0, 5.0])),
+            (eta_field(0.0), eta_deriv),
+            (eta_field(TWO_PI), lambda x: eta_deriv(x - TWO_PI)),
         ]
         for _ in range(25):
             n = int(rng.integers(2, 17))
@@ -81,7 +78,7 @@ class TestDiagonalIrrelevance:
     def test_disjoint_spectra_exactly_zero(self):
         a = HermitianMatrix.diag([0.0, 1.0])
         b = HermitianMatrix.diag([2.0, 5.0])
-        f = polynomial_field([0.0, 0.0, 1.0])
+        f = Polynomial([0.0, 0.0, 1.0])
         diff = diagonal_irrelevance_check(f, a, b, lambda x: 0.0, lambda x: 1e6)
         assert diff == 0.0
 
@@ -105,7 +102,7 @@ class TestDiagonalIrrelevance:
         f = eta_field(0.0)
         diff = diagonal_irrelevance_check(f, a, b, lambda x: 0.0, lambda x: 10.0)
         assert diff < 1e-12
-        res = perturbation_identity_residual(f, f.derivative(), a, b)
+        res = perturbation_identity_residual(f, eta_deriv, a, b)
         assert res < 1e-11
 
 
@@ -139,7 +136,7 @@ class TestSeparatedDifference:
     def test_zero_when_psi_values_agree(self, rng):
         a, c = random_hermitian(rng, 4), random_hermitian(rng, 4)
         b = random_hermitian(rng, 4)
-        phi = ScalarField(2, lambda x, z: x + z)
+        phi = lambda x, z: x + z
         out = separated_difference(phi, eta_field(TWO_PI), a, b, b, c)
         assert np.abs(out).max() < 1e-12
 
@@ -153,7 +150,7 @@ class TestSeparatedDifference:
 
     def test_matches_triple_calculus(self, rng):
         psi = eta_field(TWO_PI)
-        phi = ScalarField(2, lambda x, z: np.cos(x) + np.sin(z))
+        phi = lambda x, z: np.cos(x) + np.sin(z)
         f3 = product_field(phi, psi)
         for _ in range(10):
             a, c = random_hermitian(rng, 4, 2.0), random_hermitian(rng, 4, 2.0)
@@ -164,7 +161,7 @@ class TestSeparatedDifference:
 
     def test_antisymmetric_in_b_pair(self, rng):
         psi = eta_field(TWO_PI)
-        phi = ScalarField(2, lambda x, z: x * z)
+        phi = lambda x, z: x * z
         a, c = random_hermitian(rng, 4), random_hermitian(rng, 4)
         b1, b2 = random_hermitian(rng, 4), random_hermitian(rng, 4)
         fwd = separated_difference(phi, psi, a, b1, b2, c)
@@ -173,12 +170,12 @@ class TestSeparatedDifference:
 
     def test_linear_in_phi(self, rng):
         psi = eta_field(TWO_PI)
-        p1 = ScalarField(2, lambda x, z: x)
-        p2 = ScalarField(2, lambda x, z: np.sin(z))
+        p1 = lambda x, z: x
+        p2 = lambda x, z: np.sin(z)
         a, c = random_hermitian(rng, 4), random_hermitian(rng, 4)
         b1, b2 = random_hermitian(rng, 4), random_hermitian(rng, 4)
         combo = separated_difference(
-            ScalarField(2, lambda x, z: p1(x, z) + 2.0 * p2(x, z)), psi, a, b1, b2, c)
+            lambda x, z: p1(x, z) + 2.0 * p2(x, z), psi, a, b1, b2, c)
         split = (separated_difference(p1, psi, a, b1, b2, c)
                  + 2.0 * separated_difference(p2, psi, a, b1, b2, c))
         assert np.abs(combo - split).max() < 1e-10

@@ -3,7 +3,7 @@ import pytest
 
 from xplab.counterexample import TWO_PI, eta_field
 from xplab.hermitian import HermitianMatrix
-from xplab.spectral import SpectralMeasure, apply_scalar, coordinate_measure, from_hermitian
+from xplab.spectral import apply_scalar, coordinate_measure, from_hermitian
 
 from conftest import random_hermitian
 
@@ -35,27 +35,10 @@ class TestFromHermitian:
 
     def test_invariants_hold(self, rng):
         e = from_hermitian(random_hermitian(rng, 7))
-        e.validate()
+        eye = np.eye(e.dim)
+        assert np.abs(e.basis.conj().T @ e.basis - eye).max() < 1e-10
+        assert np.abs(sum(p for _, p in e.atoms) - eye).max() < 1e-10
         assert np.all(np.diff(e.values) > 0)
-
-
-class TestFromAtoms:
-    def test_round_trip(self, rng):
-        e = from_hermitian(random_hermitian(rng, 6))
-        rebuilt = SpectralMeasure.from_atoms(e.atoms)
-        assert rebuilt.atom_count == e.atom_count
-        for j in range(e.atom_count):
-            assert np.abs(rebuilt.projection(j) - e.projection(j)).max() < 1e-10
-
-    def test_rejects_incomplete_atoms(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValueError, match="resolve the identity"):
-            SpectralMeasure.from_atoms([(1.0, p)])
-
-    def test_rejects_non_orthogonal(self):
-        p = np.full((2, 2), 0.5, dtype=complex)
-        with pytest.raises(ValueError):
-            SpectralMeasure.from_atoms([(0.0, p), (1.0, p)])
 
 
 class TestApplyScalar:
