@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, schatten_norm
+from .hermitian import HermitianMatrix, _real_or_complex, schatten_norm
 from .opint import func_calc_triple, grid_eval
 from .spectral import from_hermitian
 
@@ -124,13 +124,14 @@ def eta_field(shift: float = 0.0) -> Callable:
 
 @dataclass(frozen=True)
 class CoeffMatrix:
-    """Finite complex coefficient family ``{c_jk}`` with its sup norm."""
+    """Finite coefficient family ``{c_jk}`` with its sup norm; the entries
+    are float64, or complex128 when the input is complex."""
 
     entries: np.ndarray
     sup_abs: float = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.complex128)
+        arr = np.array(_real_or_complex(self.entries))
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("coefficient matrix must be 2-D and nonempty")
         arr.setflags(write=False)
@@ -174,13 +175,12 @@ def phi_from_coeffs(c: CoeffMatrix) -> Callable:
         ya = np.asarray(y, dtype=np.float64)
         bx = eta(xa[..., None] - lat_x)
         by = eta(ya[..., None] - lat_y)
-        t = bx @ entries
         shape = np.broadcast_shapes(xa.shape, ya.shape)
         if _outer_pattern(xa.shape, ya.shape):
             # scalars and sparse meshes of any rank reduce to one bilinear product
-            out = t.reshape(-1, c.cols) @ by.reshape(-1, c.cols).T
+            out = (bx.reshape(-1, c.rows) @ entries) @ by.reshape(-1, c.cols).T
             return out.reshape(shape)[()]
-        tb = np.broadcast_to(t, shape + (c.cols,))
+        tb = np.broadcast_to(bx @ entries, shape + (c.cols,))
         byb = np.broadcast_to(by, shape + (c.cols,))
         return np.einsum("...k,...k->...", tb, byb)
 
@@ -219,7 +219,7 @@ def sup_norm_estimate(phi, grid_radius: float, grid_step: float) -> float:
 
 
 def upper_triangular_ones(n: int) -> np.ndarray:
-    return np.triu(np.ones((n, n), dtype=np.complex128))
+    return np.triu(np.ones((n, n)))
 
 
 @dataclass
@@ -264,7 +264,7 @@ def build_instance(n: int) -> CounterexampleInstance:
     if n < 2:
         raise ValueError("instance size must be at least 2")
     diag = HermitianMatrix.diag(TWO_PI * np.arange(n))
-    proj = np.full((n, n), 1.0 / n, dtype=np.complex128)
+    proj = np.full((n, n), 1.0 / n)
     b1 = HermitianMatrix(TWO_PI * proj)
     b2 = HermitianMatrix.zeros(n)
     coeffs = triangular_coeffs(n)

@@ -1,9 +1,13 @@
-"""Dense complex-matrix numerics: Hermitian eigendecompositions, singular
-values and Schatten norms.
+"""Dense matrix numerics: Hermitian eigendecompositions, singular values
+and Schatten norms.
 
 Everything here is a pure function of its inputs.  Matrices are plain
 ``numpy`` arrays except for :class:`HermitianMatrix`, a thin immutable
 wrapper that guarantees exact Hermitian symmetry.
+
+The dtype rule, real in, real out: an array with a complex input dtype is
+kept as complex128, any other becomes float64.  Matrices, field values on
+grids and coefficient families follow it, so real data gets real linear algebra.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ __all__ = [
 
 
 class HermitianMatrix:
-    """Square complex matrix with Hermitian symmetry.
+    """Square Hermitian matrix, float64 or complex128 by the dtype rule.
 
     The input must satisfy ``entries[j][k] == conj(entries[k][j])`` within
     ``1e-12`` (max-entry deviation); the stored matrix is the exactly
@@ -37,9 +41,7 @@ class HermitianMatrix:
     __slots__ = ("_mat",)
 
     def __init__(self, entries) -> None:
-        mat = np.array(entries, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        mat = as_matrix(entries)
         deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if deviation > HERMITIAN_TOL:
             raise ValueError(
@@ -52,7 +54,7 @@ class HermitianMatrix:
 
     @property
     def mat(self) -> np.ndarray:
-        """The underlying (read-only) complex array."""
+        """The underlying (read-only) float64 or complex128 array."""
         return self._mat
 
     @property
@@ -62,12 +64,11 @@ class HermitianMatrix:
     @classmethod
     def diag(cls, values) -> "HermitianMatrix":
         """Diagonal Hermitian matrix from a sequence of real values."""
-        vals = np.asarray(values, dtype=np.float64)
-        return cls(np.diag(vals.astype(np.complex128)))
+        return cls(np.diag(np.asarray(values, dtype=np.float64)))
 
     @classmethod
     def zeros(cls, dim: int) -> "HermitianMatrix":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
+        return cls(np.zeros((dim, dim)))
 
     @classmethod
     def wrap(cls, obj) -> "HermitianMatrix":
@@ -94,11 +95,18 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
+def _real_or_complex(obj) -> np.ndarray:
+    """``obj`` as an array, float64 or complex128 by the dtype rule."""
+    arr = np.asarray(obj)
+    return arr.astype(np.result_type(arr.dtype, np.float64), copy=False)
+
+
 def as_matrix(obj) -> np.ndarray:
-    """Return a complex 2-D array view of ``obj`` (HermitianMatrix or array)."""
+    """Return a square float64 or complex128 array view of ``obj``
+    (HermitianMatrix or array), by the dtype rule."""
     if isinstance(obj, HermitianMatrix):
         return obj.mat
-    mat = np.asarray(obj, dtype=np.complex128)
+    mat = _real_or_complex(obj)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat
@@ -115,7 +123,7 @@ def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(M) -> np.ndarray:
-    """Singular values of a square complex matrix, descending.
+    """Singular values of a square real or complex matrix, descending.
 
     Equal to the square roots of the eigenvalues of ``M* M``; computed by a
     direct SVD, which keeps the small singular values accurate to machine

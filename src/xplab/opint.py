@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, as_matrix, schatten_norm
+from .hermitian import HermitianMatrix, _real_or_complex, as_matrix, schatten_norm
 from .spectral import SpectralMeasure, from_hermitian
 
 __all__ = [
@@ -51,13 +51,13 @@ def grid_eval(f: Callable, *axes) -> np.ndarray:
     """Evaluate a field on the Cartesian grid of the given 1-D axes.
 
     Makes one broadcast call on a sparse mesh; any exception raised by the
-    field propagates.  Result is a complex array of shape
-    ``(len(axes[0]), ..., len(axes[-1]))``.
+    field propagates.  Result has shape ``(len(axes[0]), ..., len(axes[-1]))``
+    and is complex128 when the field's value is complex, float64 otherwise.
     """
     axes = [np.asarray(a, dtype=np.float64) for a in axes]
     shape = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    out = np.asarray(f(*mesh), dtype=np.complex128)
+    out = _real_or_complex(f(*mesh))
     return np.ascontiguousarray(np.broadcast_to(out, shape))
 
 
@@ -89,7 +89,7 @@ def toi(phi, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasu
     ci3 = e3.column_atom_index()
     a1 = e1.basis.conj().T @ t1m @ e2.basis
     a2 = e2.basis.conj().T @ t2m @ e3.basis
-    acc = np.zeros((e1.dim, e3.dim), dtype=np.complex128)
+    acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, a1, a2))
     for k in range(e2.atom_count):
         cols = slice(e2.starts[k], e2.starts[k + 1])
         slab = fgrid[:, k, :][np.ix_(ci1, ci3)]
@@ -108,7 +108,7 @@ def func_calc_pair(f, A, B) -> np.ndarray:
     matrices (or prebuilt spectral measures)."""
     ea = _measure_of(A)
     eb = _measure_of(B)
-    eye = np.eye(ea.dim, dtype=np.complex128)
+    eye = np.eye(ea.dim)
     return doi(f, ea, eye, eb)
 
 
@@ -118,7 +118,7 @@ def func_calc_triple(f, A, B, C) -> np.ndarray:
     ea = _measure_of(A)
     eb = _measure_of(B)
     ec = _measure_of(C)
-    eye = np.eye(ea.dim, dtype=np.complex128)
+    eye = np.eye(ea.dim)
     return toi(f, ea, eye, eb, eye, ec)
 
 

@@ -69,8 +69,7 @@ def sample_phi_2d(c: CoeffMatrix, step: float = math.pi / 4, margin: float = 8 *
     bz = np.empty((c.cols, nz))
     for k in range(c.cols):
         bz[k] = eta_periodized(z - TWO_PI * k, nz * step)
-    entries = c.entries.real if np.all(c.entries.imag == 0.0) else c.entries
-    samples = bx.T @ entries @ bz
+    samples = bx.T @ c.entries @ bz
     return SampledField((x0, z0), (step, step), samples)
 
 

@@ -27,17 +27,18 @@ __all__ = [
 class SpectralMeasure:
     """Atomic spectral measure with finitely many atoms.
 
-    Invariants: ``basis`` is unitary, so the atom projections are
-    orthogonal and sum to the identity; every atom has positive rank; atom
-    values are strictly increasing.  The constructor checks the last two;
-    ``basis`` comes from ``eigh`` or is the identity.
+    Invariants: ``basis`` is unitary (real orthogonal for real data), so
+    the atom projections are orthogonal and sum to the identity; every atom
+    has positive rank; atom values are strictly increasing.  The constructor
+    checks the last two; ``basis`` comes from ``eigh``, or is a permutation
+    when ``H`` is diagonal (see :func:`from_hermitian`).
     """
 
     __slots__ = ("values", "basis", "starts")
 
     def __init__(self, values, basis, starts) -> None:
         self.values = np.asarray(values, dtype=np.float64)
-        self.basis = np.asarray(basis, dtype=np.complex128)
+        self.basis = np.asarray(basis)
         self.starts = np.asarray(starts, dtype=np.intp)
         if self.basis.ndim != 2 or self.basis.shape[0] != self.basis.shape[1]:
             raise ValueError("basis must be a square matrix")
@@ -85,14 +86,21 @@ def from_hermitian(H) -> SpectralMeasure:
 
     Sorted eigenvalues whose gap is at most ``CLUSTER_TOL`` are merged into
     one atom whose value is the cluster mean and whose projection sums the
-    corresponding rank-one projectors.
+    corresponding rank-one projectors.  A diagonal ``H`` needs no ``eigh``:
+    its eigenvalues are the stably sorted diagonal and its basis is the
+    matching permutation matrix.
     """
     mat = HermitianMatrix.wrap(H).mat
-    w, v = _eigh_checked(mat)
-    if len(w) == 0:
+    if len(mat) == 0:
         raise ValueError("empty matrix has no spectral measure")
+    if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
+        d = mat.diagonal().real
+        order = np.argsort(d, kind="stable")
+        w, v = d[order], np.eye(len(d))[:, order]
+    else:
+        w, v = _eigh_checked(mat)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1, [len(w)]))
-    values = [np.mean(w[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    values = np.add.reduceat(w, starts[:-1]) / np.diff(starts)
     return SpectralMeasure(values, v, starts)
 
 
@@ -124,4 +132,4 @@ def coordinate_measure(values) -> SpectralMeasure:
     n = len(vals)
     if n == 0:
         raise ValueError("coordinate measure needs at least one atom")
-    return SpectralMeasure(vals, np.eye(n, dtype=np.complex128), np.arange(n + 1))
+    return SpectralMeasure(vals, np.eye(n), np.arange(n + 1))

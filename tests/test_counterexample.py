@@ -157,6 +157,23 @@ class TestCoeffsAndInterpolant:
         assert np.abs(reversed_axes - element.T).max() < 1e-13
 
 
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_sparse_mesh_matches_elementwise(self, rng, n, dtype):
+        raw = rng.standard_normal((n, n))
+        if dtype == np.complex128:
+            raw = raw + 1j * rng.standard_normal((n, n))
+        phi = phi_from_coeffs(CoeffMatrix(raw))
+        x = rng.uniform(-5.0, TWO_PI * n + 5.0, size=7)
+        z = rng.uniform(-5.0, TWO_PI * n + 5.0, size=6)
+        # full (7, 6) arrays are no outer product, so they take the elementwise path
+        element = phi(*np.meshgrid(x, z, indexing="ij"))
+        mesh = phi(x[:, None, None], z[None, None, :])
+        assert mesh.shape == (7, 1, 6)
+        assert np.abs(mesh[:, 0, :] - element).max() < 1e-13
+        assert mesh.dtype == element.dtype == dtype
+
+
 class TestSupNorm:
     def test_zero_field(self):
         phi = phi_from_coeffs(CoeffMatrix(np.zeros((2, 2))))
@@ -260,6 +277,16 @@ class TestRatios:
     def test_strictly_increasing_small_sizes(self):
         ratios = [growth_ratio(build_instance(n))[2] for n in (4, 8, 16, 32)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+
+    def test_matrix_path_at_512(self):
+        inst = build_instance(512)
+        assert growth_ratio(inst)[2] == pytest.approx(closed_form_ratio(inst), rel=1e-9)
+
+    def test_difference_stays_real(self):
+        # real data runs real eigh, GEMMs and SVD; a complex upcast would show here
+        for n in (2, 5, 64):
+            assert difference_matrix(build_instance(n)).dtype == np.float64
 
 
 class TestScaleInstance:

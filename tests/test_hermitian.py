@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
+from xplab.hermitian import HermitianMatrix, as_matrix, schatten_norm, singular_values
 
 from conftest import random_complex, random_hermitian, random_unitary
 
@@ -30,6 +30,17 @@ class TestHermitianMatrix:
         h = HermitianMatrix.diag([1.0, 2.0])
         with pytest.raises(ValueError):
             h.mat[0, 0] = 5.0
+
+    def test_dtype_rule_real_in_real_out(self):
+        # a real input stays float64 through construction, arithmetic and
+        # as_matrix; a complex input stays complex128, even with zero imaginary part
+        assert HermitianMatrix([[1, 2], [2, 3]]).mat.dtype == np.float64
+        assert HermitianMatrix.diag([1.0, 2.0]).mat.dtype == np.float64
+        assert HermitianMatrix.zeros(3).mat.dtype == np.float64
+        assert (0.5 * HermitianMatrix.diag([1.0, 2.0])).mat.dtype == np.float64
+        assert as_matrix(np.eye(2, dtype=int)).dtype == np.float64
+        assert HermitianMatrix(np.eye(2, dtype=complex)).mat.dtype == np.complex128
+        assert as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
 
     def test_real_scalar_arithmetic(self):
         h = HermitianMatrix.diag([1.0, -2.0])

@@ -41,6 +41,57 @@ class TestFromHermitian:
         assert np.all(np.diff(e.values) > 0)
 
 
+@pytest.fixture
+def no_eigh(monkeypatch):
+    """Make any eigendecomposition fail, to show a path does not need one."""
+
+    def fail(mat):
+        raise AssertionError("eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+
+
+def _is_permutation(basis):
+    return (basis.dtype == np.float64 and set(np.unique(basis)) <= {0.0, 1.0}
+            and np.all(basis.sum(axis=0) == 1.0) and np.all(basis.sum(axis=1) == 1.0))
+
+
+class TestDiagonalPath:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_unsorted_repeated_entries(self, no_eigh, dtype):
+        d = np.array([3.0, -1.0, 3.0, 0.5, -1.0 + 1e-12])
+        e = from_hermitian(np.diag(d).astype(dtype))
+        assert np.allclose(e.values, [-1.0, 0.5, 3.0], rtol=0.0, atol=1e-12)
+        assert list(e.ranks) == [2, 1, 2]
+        assert _is_permutation(e.basis)
+        # stable sort: equal entries keep their order, so column 0 is e_1
+        assert list(e.basis.argmax(axis=0)) == [1, 4, 3, 0, 2]
+        assert np.array_equal(sum(p for _, p in e.atoms), np.eye(5))
+        assert np.abs(sum(v * p for v, p in e.atoms) - np.diag(d)).max() < 1e-12
+
+    def test_zero_matrix_is_one_atom(self, no_eigh):
+        e = from_hermitian(HermitianMatrix.zeros(6))
+        assert list(e.values) == [0.0]
+        assert list(e.ranks) == [6]
+        assert np.array_equal(e.basis, np.eye(6))
+        assert np.array_equal(e.projection(0), np.eye(6))
+
+    def test_real_symmetric_gives_real_basis(self, rng):
+        raw = rng.standard_normal((6, 6))
+        h = HermitianMatrix(raw + raw.T)
+        e = from_hermitian(h)
+        assert e.basis.dtype == np.float64
+        assert np.abs(sum(v * p for v, p in e.atoms) - h.mat).max() < 1e-12
+
+    def test_complex_hermitian_unchanged(self, rng):
+        h = random_hermitian(rng, 6)
+        w, v = np.linalg.eigh(h.mat)
+        e = from_hermitian(h)
+        assert e.basis.dtype == np.complex128
+        assert np.array_equal(e.basis, v)
+        assert np.array_equal(e.values, w)
+
+
 class TestApplyScalar:
     def test_identity_map_reconstructs(self, rng):
         h = random_hermitian(rng, 5, 2.0)
