@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, schatten_norm
+from .hermitian import HermitianMatrix, _real_or_complex, schatten_norm
 from .opint import doi
 from .spectral import apply_scalar, from_hermitian
 
@@ -34,7 +34,9 @@ def divided_difference(phi: Callable, phi_prime: Callable) -> Callable:
     ``phi_prime(x)`` on the diagonal ``x == y`` (exact float equality).
 
     ``phi_prime`` is typically the derivative in closed form; any map works,
-    since diagonal values never affect the perturbation identities.
+    since diagonal values never affect the perturbation identities.  Real
+    values of ``phi`` and ``phi_prime`` give a float64 field, complex ones
+    a complex128 field (the dtype rule of :mod:`xplab.hermitian`).
     """
 
     def fn(x, y):
@@ -44,10 +46,11 @@ def divided_difference(phi: Callable, phi_prime: Callable) -> Callable:
         xb, yb = np.broadcast_arrays(xa, ya)
         same = xb == yb
         denom = np.where(same, 1.0, xb - yb)
-        vals = (np.asarray(phi(xb), dtype=np.complex128)
-                - np.asarray(phi(yb), dtype=np.complex128)) / denom
+        # a product with the reciprocal rounds as numpy's complex-by-real
+        # division does, so real and complex phi values agree bit for bit
+        vals = (_real_or_complex(phi(xb)) - _real_or_complex(phi(yb))) * (1.0 / denom)
         if same.any():
-            vals = np.where(same, np.asarray(phi_prime(xb), dtype=np.complex128), vals)
+            vals = np.where(same, _real_or_complex(phi_prime(xb)), vals)
         return vals[()] if scalar else vals
 
     return fn

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _eigh_checked
+from .hermitian import HermitianMatrix, _eigh_checked, _real_or_complex
 
 CLUSTER_TOL = 1e-8
 
@@ -110,9 +110,11 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     ``g`` is called once, on the array of atom values, and must broadcast;
     a scalar result (a constant function) applies to every atom.  Errors
     raised by ``g`` propagate unchanged.  The result is exactly Hermitian
-    whenever ``g`` is real on the atom values.
+    whenever ``g`` is real on the atom values.  It is float64 when the
+    values of ``g`` and the basis are real, complex128 otherwise (the
+    dtype rule of :mod:`xplab.hermitian`).
     """
-    gvals = np.broadcast_to(np.asarray(g(E.values), dtype=np.complex128), (E.atom_count,))
+    gvals = np.broadcast_to(_real_or_complex(g(E.values)), (E.atom_count,))
     out = (E.basis * gvals[E.column_atom_index()]) @ E.basis.conj().T
     if np.all(gvals.imag == 0.0):
         out = (out + out.conj().T) / 2

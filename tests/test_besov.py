@@ -6,6 +6,7 @@ import pytest
 from xplab.besov import (
     NyquistError,
     SampledField,
+    SeparableField3,
     besov_breakdown,
     bandlimit_check,
     lp_piece,
@@ -13,6 +14,7 @@ from xplab.besov import (
     sample_field,
 )
 from xplab.counterexample import build_instance, eta, triangular_coeffs
+from xplab.experiment import cmd_besov
 from xplab.sampling import default_piece_range, sample_eta_1d, sample_instance, sample_phi_2d
 
 
@@ -163,10 +165,33 @@ def small_instance_field():
     return sample_instance(inst, step=math.pi / 4, margin=4 * math.pi, yspan=8 * math.pi)
 
 
+def _random_separable(complex_samples: bool) -> SeparableField3:
+    # white noise makes every middle-frequency bin active, the lone DC and
+    # Nyquist bins included
+    rng = np.random.default_rng(8)
+    plane = rng.standard_normal((16, 16))
+    line = rng.standard_normal(8)
+    if complex_samples:
+        plane = plane.astype(np.complex128)
+        line = line + 1j * rng.standard_normal(8)
+    step = math.pi / 4
+    return SeparableField3(
+        plane=SampledField((0.0, 0.0), (step, step), plane),
+        line=SampledField((0.0,), (step,), line),
+    )
+
+
+@pytest.fixture(params=["instance", "random-real", "random-complex"])
+def separable_field(request, small_instance_field):
+    if request.param == "instance":
+        return small_instance_field
+    return _random_separable(request.param == "random-complex")
+
+
 class TestSeparable:
 
-    def test_matches_dense_pipeline(self, window, small_instance_field):
-        sep = small_instance_field
+    def test_matches_dense_pipeline(self, window, separable_field):
+        sep = separable_field
         dense = sep.dense()
         lo, hi = default_piece_range(sep, -8, 5)
         got = besov_breakdown(sep, window, lo, hi)
@@ -200,3 +225,8 @@ class TestSeparable:
             totals.append(besov_breakdown(f3, window, lo, hi).total)
         spread = (max(totals) - min(totals)) / min(totals)
         assert spread < 0.10
+
+    def test_headline_estimates(self):
+        # the f3 references of the benchmark oracle
+        assert cmd_besov("f3:32").estimate == 0.6922923982526068
+        assert cmd_besov("f3:8").estimate == pytest.approx(0.6892781146586121, rel=1e-14)

@@ -39,6 +39,15 @@ class TestDividedDifference:
         out = np.asarray(dd(x[:, None], x[None, :]))
         assert np.allclose(out, [[2.0, 3.0], [3.0, 4.0]])
 
+    def test_real_in_real_out(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        real = divided_difference(np.cos, np.sin)(x[:, None], x[None, :])
+        cplx = divided_difference(lambda t: np.cos(t) + 0j, lambda t: np.sin(t) + 0j)(
+            x[:, None], x[None, :])
+        assert real.dtype == np.float64
+        assert cplx.dtype == np.complex128
+        assert np.array_equal(cplx, real)
+
 
 class TestPerturbationIdentity:
     def test_identity_function_exact(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xplab.counterexample import TWO_PI, eta_field
+from xplab.counterexample import TWO_PI, build_instance, eta_field
 from xplab.hermitian import HermitianMatrix
 from xplab.spectral import apply_scalar, coordinate_measure, from_hermitian
 
@@ -122,6 +122,13 @@ class TestApplyScalar:
         e = from_hermitian(random_hermitian(rng, 5))
         out = apply_scalar(e, np.exp)
         assert np.abs(out - out.conj().T).max() == 0.0
+
+    def test_real_in_real_out(self, rng):
+        e = from_hermitian(build_instance(8).B1)
+        assert apply_scalar(e, np.cos).dtype == np.float64
+        assert apply_scalar(e, lambda x: np.exp(1j * x)).dtype == np.complex128
+        complex_basis = from_hermitian(random_hermitian(rng, 5))
+        assert apply_scalar(complex_basis, np.cos).dtype == np.complex128
 
     def test_one_call_on_atom_values(self):
         e = from_hermitian(HermitianMatrix.diag([1.0, 4.0, 4.0]))
