@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .hermitian import _real_or_complex
+
 __all__ = [
     "NyquistError",
     "Window",
@@ -158,13 +160,17 @@ class SeparableField3:
 
 
 def sample_field(fn, starts, steps, counts) -> SampledField:
-    """Sample a callable of ``len(counts)`` real variables on a uniform grid."""
+    """Sample a callable of ``len(counts)`` real variables on a uniform grid.
+
+    The samples are float64 for a real callable and complex128 for a
+    complex one (the dtype rule of :mod:`xplab.hermitian`).
+    """
     starts = tuple(float(s) for s in starts)
     steps = tuple(float(s) for s in steps)
     counts = tuple(int(c) for c in counts)
     axes = [s0 + st * np.arange(c) for s0, st, c in zip(starts, steps, counts)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    samples = np.asarray(fn(*mesh), dtype=np.complex128)
+    samples = _real_or_complex(fn(*mesh))
     samples = np.ascontiguousarray(np.broadcast_to(samples, counts))
     return SampledField(starts, steps, samples)
 

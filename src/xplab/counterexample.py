@@ -331,7 +331,7 @@ def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
     ``ratio = s1_diff / (sup |f| * pert)``."""
     s1_diff = schatten_norm(difference_matrix(inst), 1)
     # B1 - B2 is Hermitian, so its trace norm is the sum of |eigenvalues|
-    pert = float(np.abs(np.linalg.eigvalsh((inst.B1 - inst.B2).mat)).sum())
+    pert = float(np.abs(np.linalg.eigvalsh(inst.B1.mat - inst.B2.mat)).sum())
     return s1_diff, pert, s1_diff / (certified_sup_norm(inst) * pert)
 
 

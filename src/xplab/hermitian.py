@@ -32,13 +32,16 @@ class HermitianMatrix:
 
     The input must satisfy ``entries[j][k] == conj(entries[k][j])`` within
     ``1e-12`` (max-entry deviation); the stored matrix is the exactly
-    symmetrized ``(H + H*) / 2`` and is read-only.
+    symmetrized ``(H + H*) / 2`` and is read-only.  Multiplication by a
+    *real* scalar stays inside the class.  There is no addition or
+    subtraction: the difference ``A.mat - B.mat`` of two instances is
+    already exactly Hermitian, bit for bit what a wrapper would store.
 
-    Addition, subtraction and multiplication by a *real* scalar are
-    supported and stay inside the class.
+    The private ``_measure`` slot holds the spectral measure once
+    :func:`xplab.spectral.from_hermitian` has computed it.
     """
 
-    __slots__ = ("_mat",)
+    __slots__ = ("_mat", "_measure")
 
     def __init__(self, entries) -> None:
         mat = as_matrix(entries)
@@ -51,6 +54,7 @@ class HermitianMatrix:
         mat = (mat + mat.conj().T) / 2
         mat.setflags(write=False)
         self._mat = mat
+        self._measure = None
 
     @property
     def mat(self) -> np.ndarray:
@@ -76,12 +80,6 @@ class HermitianMatrix:
         if isinstance(obj, cls):
             return obj
         return cls(obj)
-
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self._mat + HermitianMatrix.wrap(other)._mat)
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self._mat - HermitianMatrix.wrap(other)._mat)
 
     def __mul__(self, scalar) -> "HermitianMatrix":
         s = complex(scalar)

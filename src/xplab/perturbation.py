@@ -67,7 +67,7 @@ def perturbation_identity_residual(f, f_prime, A, B) -> float:
     ea = from_hermitian(A)
     eb = from_hermitian(B)
     lhs = apply_scalar(ea, f) - apply_scalar(eb, f)
-    rhs = doi(divided_difference(f, f_prime), ea, (A - B).mat, eb)
+    rhs = doi(divided_difference(f, f_prime), ea, A.mat - B.mat, eb)
     return schatten_norm(lhs - rhs, 1)
 
 
@@ -82,7 +82,7 @@ def diagonal_irrelevance_check(f, A, B, g1, g2) -> float:
     B = HermitianMatrix.wrap(B)
     ea = from_hermitian(A)
     eb = from_hermitian(B)
-    diff = (A - B).mat
+    diff = A.mat - B.mat
     d1 = doi(divided_difference(f, g1), ea, diff, eb)
     d2 = doi(divided_difference(f, g2), ea, diff, eb)
     return schatten_norm(d1 - d2, 1)
@@ -101,7 +101,7 @@ def psi_difference(psi, B1, B2) -> np.ndarray:
     e1 = from_hermitian(B1)
     e2 = from_hermitian(B2)
     dd = divided_difference(psi, np.zeros_like)
-    return doi(dd, e1, (B1 - B2).mat, e2)
+    return doi(dd, e1, B1.mat - B2.mat, e2)
 
 
 def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:

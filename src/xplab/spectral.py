@@ -24,6 +24,13 @@ __all__ = [
 ]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    # a view, so the caller's own array stays writable
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 class SpectralMeasure:
     """Atomic spectral measure with finitely many atoms.
 
@@ -31,15 +38,17 @@ class SpectralMeasure:
     the atom projections are orthogonal and sum to the identity; every atom
     has positive rank; atom values are strictly increasing.  The constructor
     checks the last two; ``basis`` comes from ``eigh``, or is a permutation
-    when ``H`` is diagonal (see :func:`from_hermitian`).
+    when ``H`` is diagonal (see :func:`from_hermitian`).  ``values``,
+    ``basis`` and ``starts`` are read-only views, so a measure can be shared,
+    and the column -> atom map is computed once, here.
     """
 
-    __slots__ = ("values", "basis", "starts")
+    __slots__ = ("values", "basis", "starts", "_col_atom")
 
     def __init__(self, values, basis, starts) -> None:
-        self.values = np.asarray(values, dtype=np.float64)
-        self.basis = np.asarray(basis)
-        self.starts = np.asarray(starts, dtype=np.intp)
+        self.values = _read_only(np.asarray(values, dtype=np.float64))
+        self.basis = _read_only(np.asarray(basis))
+        self.starts = _read_only(np.asarray(starts, dtype=np.intp))
         if self.basis.ndim != 2 or self.basis.shape[0] != self.basis.shape[1]:
             raise ValueError("basis must be a square matrix")
         if len(self.starts) != len(self.values) + 1:
@@ -50,6 +59,7 @@ class SpectralMeasure:
             raise ValueError("every atom must have positive rank")
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("atom values must be strictly increasing")
+        self._col_atom = _read_only(np.repeat(np.arange(self.atom_count), self.ranks))
 
     @property
     def dim(self) -> int:
@@ -64,8 +74,8 @@ class SpectralMeasure:
         return np.diff(self.starts)
 
     def column_atom_index(self) -> np.ndarray:
-        """Map basis column -> index of the atom owning it."""
-        return np.repeat(np.arange(self.atom_count), self.ranks)
+        """Map basis column -> index of the atom owning it (read-only)."""
+        return self._col_atom
 
     def projection(self, j: int) -> np.ndarray:
         """Dense orthogonal projection of atom ``j``."""
@@ -89,8 +99,16 @@ def from_hermitian(H) -> SpectralMeasure:
     corresponding rank-one projectors.  A diagonal ``H`` needs no ``eigh``:
     its eigenvalues are the stably sorted diagonal and its basis is the
     matching permutation matrix.
+
+    There is one measure per :class:`HermitianMatrix`: the first call
+    stores it on the matrix and later calls return that same, read-only
+    object.  An array argument is wrapped afresh, so it is diagonalised on
+    every call.
     """
-    mat = HermitianMatrix.wrap(H).mat
+    h = HermitianMatrix.wrap(H)
+    if h._measure is not None:
+        return h._measure
+    mat = h.mat
     if len(mat) == 0:
         raise ValueError("empty matrix has no spectral measure")
     if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
@@ -101,7 +119,8 @@ def from_hermitian(H) -> SpectralMeasure:
         w, v = _eigh_checked(mat)
     starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1, [len(w)]))
     values = np.add.reduceat(w, starts[:-1]) / np.diff(starts)
-    return SpectralMeasure(values, v, starts)
+    h._measure = SpectralMeasure(values, v, starts)
+    return h._measure
 
 
 def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:

@@ -70,6 +70,11 @@ class TestSampledField:
         with pytest.raises(ValueError, match="power-of-two"):
             lp_piece(f, 0, window)
 
+    def test_sample_dtype_follows_callable(self):
+        grid = ((0.0,), (0.5,), (8,))
+        assert sample_field(np.cos, *grid).samples.dtype == np.float64
+        assert sample_field(lambda x: np.exp(1j * x), *grid).samples.dtype == np.complex128
+
 
 class TestLpPiece:
     def test_constant_field_has_no_pieces(self, window):

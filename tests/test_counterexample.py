@@ -226,7 +226,7 @@ class TestInstance:
         inst = build_instance(6)
         assert np.allclose(np.diag(inst.A.mat).real, TWO_PI * np.arange(6))
         assert inst.C is inst.A
-        delta = (inst.B1 - inst.B2).mat
+        delta = inst.B1.mat - inst.B2.mat
         s = singular_values(delta)
         assert abs(s[0] - TWO_PI) < 1e-10
         assert np.all(s[1:] < 1e-10)  # rank one
@@ -302,7 +302,7 @@ class TestScaleInstance:
         scaled = scale_instance(inst, 0.5)
         got = schatten_norm(difference_matrix(scaled), 1)
         assert abs(got - 0.5 * base) < 1e-10
-        assert abs(schatten_norm((scaled.B1 - scaled.B2).mat, 1) - TWO_PI * 0.5) < 1e-10
+        assert abs(schatten_norm(scaled.B1.mat - scaled.B2.mat, 1) - TWO_PI * 0.5) < 1e-10
 
     def test_eighth_scale_and_composition(self):
         inst = build_instance(4)
@@ -328,7 +328,7 @@ class TestScaleInstance:
         for n in (4, 8, 16):
             inst = build_instance(n)
             scaled = scale_instance(inst, 1.0 / n)
-            pert = schatten_norm((scaled.B1 - scaled.B2).mat, 1)
+            pert = schatten_norm(scaled.B1.mat - scaled.B2.mat, 1)
             assert pert == pytest.approx(TWO_PI / n, abs=1e-12)
             diff = schatten_norm(difference_matrix(scaled), 1)
             want = schatten_norm(upper_triangular_ones(n), 1) / n**2

@@ -31,6 +31,16 @@ class TestHermitianMatrix:
         with pytest.raises(ValueError):
             h.mat[0, 0] = 5.0
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_difference_exactly_hermitian(self, rng, kind):
+        # A.mat - B.mat is what a HermitianMatrix of the difference stores
+        for n in (1, 2, 5, 16):
+            a, b = (random_complex(rng, n) for _ in range(2))
+            if kind == "real":
+                a, b = a.real, b.real
+            d = HermitianMatrix(a + a.conj().T).mat - HermitianMatrix(b + b.conj().T).mat
+            assert d.tobytes() == HermitianMatrix(d).mat.tobytes()
+
     def test_dtype_rule_real_in_real_out(self):
         # a real input stays float64 through construction, arithmetic and
         # as_matrix; a complex input stays complex128, even with zero imaginary part
@@ -44,7 +54,7 @@ class TestHermitianMatrix:
 
     def test_real_scalar_arithmetic(self):
         h = HermitianMatrix.diag([1.0, -2.0])
-        assert np.allclose((2.0 * h - h).mat, h.mat)
+        assert np.allclose((2.0 * h).mat - h.mat, h.mat)
         with pytest.raises(ValueError):
             1j * h
 

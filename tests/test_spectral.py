@@ -2,10 +2,24 @@ import numpy as np
 import pytest
 
 from xplab.counterexample import TWO_PI, build_instance, eta_field
+from xplab.experiment import _suite_perturbation
 from xplab.hermitian import HermitianMatrix
 from xplab.spectral import apply_scalar, coordinate_measure, from_hermitian
 
 from conftest import random_hermitian
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
 
 
 class TestFromHermitian:
@@ -32,6 +46,31 @@ class TestFromHermitian:
         e = from_hermitian(h)
         rebuilt = sum(v * p for v, p in e.atoms)
         assert np.abs(rebuilt - h.mat).max() < 1e-9
+
+    def test_one_measure_per_matrix(self, rng, eigh_calls):
+        h = random_hermitian(rng, 5)
+        e = from_hermitian(h)
+        assert from_hermitian(h) is e
+        assert len(eigh_calls) == 1
+
+    def test_measure_read_only(self, rng):
+        e = from_hermitian(random_hermitian(rng, 4))
+        with pytest.raises(ValueError):
+            e.basis[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            e.values[0] = 0.0
+        with pytest.raises(ValueError):
+            e.column_atom_index()[0] = 1
+
+    def test_caller_arrays_stay_writable(self):
+        values = np.array([0.0, 1.0])
+        coordinate_measure(values)
+        values[0] = -1.0
+
+    def test_perturbation_suite_diagonalises_each_matrix_once(self, eigh_calls):
+        # 3 trials, 2 matrices each, 7 fields per pair
+        _suite_perturbation(np.random.default_rng(1), 3)
+        assert len(eigh_calls) == 6
 
     def test_invariants_hold(self, rng):
         e = from_hermitian(random_hermitian(rng, 7))
