@@ -5,7 +5,11 @@ pieces of sampled functions, and the weighted-sup-norm estimate
 
 where ``F W_n = w(||xi|| / 2^n)`` and ``w`` is a smooth bump on ``[1/2, 2]``
 satisfying ``w(s) = 1 - w(s/2)`` on ``[1, 2]``, so the dilates form a
-partition of unity on the punctured frequency space.
+partition of unity on the punctured frequency space.  The window is the
+fixed function :func:`window`.  The estimate sums the pieces
+``-20 <= n <= min(5, floor(log2(nyquist)) - 1)``, that is every piece up to
+``n = 5`` whose band ``[2^(n-1), 2^(n+1)]`` the grid resolves, and adds the
+low-frequency tail term ``2^-20 * sup |f|``.
 
 Sampled functions live on uniform power-of-two grids; pieces are computed
 with FFTs.  Three-variable product functions ``f(x, y, z) = phi(x, z) psi(y)``
@@ -19,8 +23,8 @@ axis); complex samples take the same steps in complex arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,8 +32,7 @@ from .hermitian import _real_or_complex
 
 __all__ = [
     "NyquistError",
-    "Window",
-    "make_window",
+    "window",
     "SampledField",
     "SeparableField3",
     "sample_field",
@@ -53,32 +56,21 @@ def _glue(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Dyadic frequency window built on a smooth increasing profile ``h``.
-
-    ``w(s) = h(s)`` on ``[1/2, 1]``, ``1 - h(s/2)`` on ``(1, 2]``, zero
-    elsewhere, which makes ``w(s) + w(s/2) = 1`` on ``[1, 2]`` exact by
-    construction.
+def window(s):
+    """Dyadic frequency window ``w``: ``h(s)`` on ``[1/2, 1]``,
+    ``1 - h(s/2)`` on ``(1, 2]`` and zero elsewhere, for the smooth
+    increasing ``exp(-1/t)`` glue profile ``h(s) = _glue(2s - 1)``.  This
+    makes ``w(s) + w(s/2) = 1`` on ``[1, 2]`` exact by construction.
     """
-
-    h: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, s):
-        sa = np.asarray(s, dtype=np.float64)
-        scalar = sa.ndim == 0
-        sa = np.atleast_1d(sa)
-        out = np.zeros_like(sa)
-        rising = (sa >= 0.5) & (sa <= 1.0)
-        falling = (sa > 1.0) & (sa <= 2.0)
-        out[rising] = self.h(sa[rising])
-        out[falling] = 1.0 - self.h(sa[falling] / 2.0)
-        return out[0] if scalar else out
-
-
-def make_window() -> Window:
-    """The standard ``exp(-1/t)`` glue window."""
-    return Window(h=lambda s: _glue(2.0 * (np.asarray(s, dtype=np.float64) - 0.5)))
+    sa = np.asarray(s, dtype=np.float64)
+    scalar = sa.ndim == 0
+    sa = np.atleast_1d(sa)
+    out = np.zeros_like(sa)
+    rising = (sa >= 0.5) & (sa <= 1.0)
+    falling = (sa > 1.0) & (sa <= 2.0)
+    out[rising] = _glue(2.0 * (sa[rising] - 0.5))
+    out[falling] = 1.0 - _glue(2.0 * (sa[falling] / 2.0 - 0.5))
+    return out[0] if scalar else out
 
 
 def _is_pow2(n: int) -> bool:
@@ -122,6 +114,9 @@ class SampledField:
     def nyquist(self) -> float:
         return min(np.pi / s for s in self.steps)
 
+    def sup_abs(self) -> float:
+        return float(np.abs(self.samples).max())
+
     def require_transformable(self) -> None:
         if not all(_is_pow2(n) for n in self.samples.shape):
             raise ValueError(
@@ -155,6 +150,13 @@ class SeparableField3:
             samples,
         )
 
+    def nyquist(self) -> float:
+        return min(self.plane.nyquist(), self.line.nyquist())
+
+    def require_transformable(self) -> None:
+        self.plane.require_transformable()
+        self.line.require_transformable()
+
     def sup_abs(self) -> float:
         return float(np.abs(self.plane.samples).max() * np.abs(self.line.samples).max())
 
@@ -175,37 +177,38 @@ def sample_field(fn, starts, steps, counts) -> SampledField:
     return SampledField(starts, steps, samples)
 
 
-def _band_guard(f_nyquist: float, n: int) -> None:
-    hi = 2.0 ** (n + 1)
-    if hi > f_nyquist * (1.0 + 1e-12):
-        lo = 2.0 ** (n - 1)
-        raise NyquistError(
-            f"grid too coarse for the band [{lo:g}, {hi:g}] of piece n={n}: "
-            f"Nyquist frequency is {f_nyquist:g}"
-        )
-
-
-def _radial_multiplier(f: SampledField, w: Window, n: int) -> np.ndarray:
+def _radial_multiplier(f: SampledField, n: int) -> np.ndarray:
     axes = [f.freq_axis(i) for i in range(f.d)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     rr = sum(m * m for m in mesh)
-    return w(np.sqrt(rr) / 2.0**n)
+    return window(np.sqrt(rr) / 2.0**n)
 
 
-def lp_piece(f: SampledField, n: int, w: Window) -> SampledField:
+def lp_piece(f: SampledField, n: int) -> SampledField:
     """Littlewood-Paley piece: inverse transform of ``F f`` times
-    ``w(||xi|| / 2^n)`` on the grid frequencies."""
+    ``window(||xi|| / 2^n)`` on the grid frequencies."""
     f.require_transformable()
-    _band_guard(f.nyquist(), n)
-    mult = _radial_multiplier(f, w, n)
+    lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
+    if hi > f.nyquist() * (1.0 + 1e-12):
+        raise NyquistError(
+            f"grid too coarse for the band [{lo:g}, {hi:g}] of piece n={n}: "
+            f"Nyquist frequency is {f.nyquist():g}"
+        )
+    mult = _radial_multiplier(f, n)
     fhat = np.fft.fftn(f.samples)
     piece = np.fft.ifftn(fhat * mult)
     return SampledField(f.starts, f.steps, piece)
 
 
+# the piece range of every estimate; the tail term is 2^_N_MIN * sup |f|
+_N_MIN = -20
+_N_MAX = 5
+
+
 @dataclass(frozen=True)
 class BesovBreakdown:
-    """Weighted piece suprema, the truncation tail bound, and their total."""
+    """Suprema of the pieces ``-20 <= n <= min(5, floor(log2(nyquist)) - 1)``,
+    the tail bound ``2^-20 * sup |f|``, and their ``2^n``-weighted total."""
 
     piece_sup: dict
     tail_bound: float
@@ -216,23 +219,13 @@ class BesovBreakdown:
         return float(sum(2.0**n * s for n, s in self.piece_sup.items()) + self.tail_bound)
 
 
-def _dense_breakdown(f: SampledField, w: Window, n_min: int, n_max: int) -> BesovBreakdown:
-    f.require_transformable()
-    nyq = f.nyquist()
-    for n in range(n_min, n_max + 1):
-        _band_guard(nyq, n)
+def _dense_breakdown(f: SampledField, pieces: range) -> dict:
     fhat = np.fft.fftn(f.samples)
     sups = {}
-    for n in range(n_min, n_max + 1):
-        mult = _radial_multiplier(f, w, n)
-        if not mult.any():
-            sups[n] = 0.0
-            continue
-        piece = np.fft.ifftn(fhat * mult)
-        sups[n] = float(np.abs(piece).max())
-    sup_abs = float(np.abs(f.samples).max())
-    tail = 2.0**n_min * sup_abs
-    return BesovBreakdown(piece_sup=sups, tail_bound=tail, sup_abs=sup_abs)
+    for n in pieces:
+        mult = _radial_multiplier(f, n)
+        sups[n] = float(np.abs(np.fft.ifftn(fhat * mult)).max()) if mult.any() else 0.0
+    return sups
 
 
 _SLICE_FLOOR = 1e-13
@@ -248,16 +241,15 @@ def _separable_piece_sup(
     spans: np.ndarray,
     g: np.ndarray,
     shape: tuple,
-    w: Window,
     n: int,
 ) -> float:
     """Sup of one 3-D piece of a product field, one ``|xi_2|`` shell at a time.
 
     Shell ``j`` gathers the active middle frequencies with one value of
-    ``|xi_2|``; they share the radial multiplier ``w(radii[j] / 2^n)``,
+    ``|xi_2|``; they share the radial multiplier ``window(radii[j] / 2^n)``,
     ``radii[j] = sqrt(rr + xi_2^2)``.  The piece is
     ``sum_j S_j(x, z) g[y, j]``, where ``S_j`` is the 2-D inverse transform
-    of ``phat * w(radii[j] / 2^n)`` and column ``j`` of ``g`` is the inverse
+    of ``phat * window(radii[j] / 2^n)`` and column ``j`` of ``g`` is the inverse
     DFT of the line spectrum restricted to the shell.  A shell whose radius
     range ``spans[j]`` misses the window's support ``[2^(n-1), 2^(n+1)]`` is
     skipped unevaluated.  A real ``g`` means real samples: ``phat`` is then
@@ -272,7 +264,7 @@ def _separable_piece_sup(
     for j, (rmin, rmax) in enumerate(spans):
         if rmax < scale / 2.0 or rmin > 2.0 * scale:
             continue
-        mult = w(radii[j] / scale)
+        mult = window(radii[j] / scale)
         if not mult.any():
             continue
         spec = phat * mult
@@ -289,12 +281,7 @@ def _separable_piece_sup(
     return best
 
 
-def _separable_breakdown(f: SeparableField3, w: Window, n_min: int, n_max: int) -> BesovBreakdown:
-    f.plane.require_transformable()
-    f.line.require_transformable()
-    nyq = min(f.plane.nyquist(), f.line.nyquist())
-    for n in range(n_min, n_max + 1):
-        _band_guard(nyq, n)
+def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
     lhat = np.fft.fft(f.line.samples)
     # middle frequencies with nonneglible weight; each piece transforms a subset
     active = np.flatnonzero(np.abs(lhat) > _SLICE_FLOOR * max(np.abs(lhat).max(), 1e-300))
@@ -327,27 +314,27 @@ def _separable_breakdown(f: SeparableField3, w: Window, n_min: int, n_max: int) 
     g = terms @ (which[:, None] == np.arange(len(shells)))
     if real:
         g = g.real
-    sups = {}
-    for n in range(n_min, n_max + 1):
-        sups[n] = _separable_piece_sup(phat, radii, spans, g, shape, w, n)
-    sup_abs = f.sup_abs()
-    tail = 2.0**n_min * sup_abs
-    return BesovBreakdown(piece_sup=sups, tail_bound=tail, sup_abs=sup_abs)
+    return {n: _separable_piece_sup(phat, radii, spans, g, shape, n) for n in pieces}
 
 
-def besov_breakdown(f, w: Window, n_min: int, n_max: int) -> BesovBreakdown:
-    """Per-piece suprema of ``2^n``-weighted Littlewood-Paley pieces for
-    ``n_min <= n <= n_max`` plus the low-frequency tail bound
-    ``2^(n_min) * max |f|``; ``.total`` is the Besov estimate.
+def besov_breakdown(f) -> BesovBreakdown:
+    """Besov estimate of a :class:`SampledField` or :class:`SeparableField3`.
 
+    Takes the grid maxima of the Littlewood-Paley pieces
+    ``-20 <= n <= min(5, floor(log2(nyquist)) - 1)``, every piece up to
+    ``n = 5`` whose band ``[2^(n-1), 2^(n+1)]`` the grid resolves, and the
+    low-frequency tail bound ``2^-20 * sup |f|``; ``.total`` is the estimate.
     For ``f`` band-limited inside ``||xi|| <= sigma`` every piece with
-    ``2^(n-1) > sigma`` vanishes identically, so ``n_max`` may be chosen
-    just above ``log2(sigma) + 1`` without loss."""
-    if n_min > n_max:
-        raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
+    ``2^(n-1) > sigma`` vanishes identically, so the cap ``n = 5`` loses
+    nothing for ``sigma < 16``."""
+    f.require_transformable()
+    pieces = range(_N_MIN, min(_N_MAX, math.floor(math.log2(f.nyquist())) - 1) + 1)
     if isinstance(f, SeparableField3):
-        return _separable_breakdown(f, w, n_min, n_max)
-    return _dense_breakdown(f, w, n_min, n_max)
+        sups = _separable_breakdown(f, pieces)
+    else:
+        sups = _dense_breakdown(f, pieces)
+    sup_abs = f.sup_abs()
+    return BesovBreakdown(piece_sup=sups, tail_bound=2.0**_N_MIN * sup_abs, sup_abs=sup_abs)
 
 
 def _threshold(f, sigma: float) -> float:
@@ -374,27 +361,27 @@ def bandlimit_check(f, sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    f.require_transformable()
     radius2 = _threshold(f, sigma) ** 2
     if isinstance(f, SeparableField3):
-        f.plane.require_transformable()
-        f.line.require_transformable()
         phat2 = np.abs(np.fft.fft2(f.plane.samples)) ** 2
         lhat2 = np.abs(np.fft.fft(f.line.samples)) ** 2
         xi1 = f.plane.freq_axis(0)
         xi3 = f.plane.freq_axis(1)
         rr = xi1[:, None] ** 2 + xi3[None, :] ** 2
         xi2 = f.line.freq_axis(0)
-        total = float(phat2.sum() * lhat2.sum())
+        plane_total = float(phat2.sum())
+        total = plane_total * float(lhat2.sum())
         if total == 0.0:
             return 0.0
-        inside = 0.0
+        outside = 0.0
         for i2 in range(len(xi2)):
-            room = radius2 - xi2[i2] ** 2
-            if room < 0 or lhat2[i2] == 0.0:
+            if lhat2[i2] == 0.0:
                 continue
-            inside += lhat2[i2] * float(phat2[rr <= room].sum())
-        return 1.0 - inside / total
-    f.require_transformable()
+            room = radius2 - xi2[i2] ** 2
+            plane_out = plane_total if room < 0 else float(phat2[rr > room].sum())
+            outside += lhat2[i2] * plane_out
+        return outside / total
     fhat2 = np.abs(np.fft.fftn(f.samples)) ** 2
     axes = [f.freq_axis(i) for i in range(f.d)]
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .besov import bandlimit_check, besov_breakdown, make_window
+from .besov import bandlimit_check, besov_breakdown, window
 from .counterexample import (
     TWO_PI,
     build_instance,
@@ -37,7 +37,7 @@ from .perturbation import (
     psi_difference,
     separated_difference,
 )
-from .sampling import default_piece_range, sample_eta_1d, sample_instance, sample_phi_2d
+from .sampling import sample_eta_1d, sample_instance, sample_phi_2d
 from .spectral import apply_scalar, coordinate_measure, from_hermitian
 
 __all__ = [
@@ -74,8 +74,8 @@ class ExperimentConfig:
     ``sizes`` must be ascending; ``epsilon_schedule`` is one of
     ``constant | one_over_size | one_over_loglog``; Besov estimates are
     computed for sizes up to ``besov_max_size`` (larger grids would not fit
-    the run budget) and reported as missing beyond it; their sampling grid
-    and piece range are the defaults of :mod:`xplab.sampling`.
+    the run budget) and reported as missing beyond it; they use the default
+    grid of :mod:`xplab.sampling` and :func:`~xplab.besov.besov_breakdown`.
     """
 
     sizes: tuple
@@ -211,9 +211,7 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     s1_diff, pert, sup = eps * s1_diff, eps * pert, eps * inst.sup_bound
 
     if n <= config.besov_max_size:
-        f3 = sample_instance(inst)
-        n_min, n_max = default_piece_range(f3)
-        besov = besov_breakdown(f3, make_window(), n_min, n_max).total
+        besov = besov_breakdown(sample_instance(inst)).total
     else:
         besov = None
 
@@ -407,11 +405,10 @@ def _suite_hadamard(rng, trials: int) -> SuiteResult:
 
 
 def _suite_window(rng, trials: int) -> SuiteResult:
-    w = make_window()
     s = np.logspace(-3, 3, 1001)
     acc = np.zeros_like(s)
     for n in range(-20, 21):
-        acc += w(s / 2.0**n)
+        acc += window(s / 2.0**n)
     return SuiteResult("window partition of unity", float(np.abs(acc - 1.0).max()), 1e-9)
 
 
@@ -522,9 +519,12 @@ def cmd_besov(function_name: str, extent: float | None = None,
               points: int | None = None) -> BesovScalarReport:
     """Besov estimate, tail bound and band-limit mass for a named function.
 
-    Known names: ``eta``, ``psi``, ``phi_tri:<n>`` (2-D interpolant of the
-    triangular pattern), ``f3:<n>`` (the 3-D instance function).  ``extent``
-    and ``points`` set the grid of the 1-D functions (default: those of
+    The estimate is :func:`~xplab.besov.besov_breakdown` with its fixed
+    window and pieces ``-20 <= n <= min(5, floor(log2(nyquist)) - 1)``; the
+    tail bound is ``2^-20 * sup |f|``.  Known names: ``eta``, ``psi``,
+    ``phi_tri:<n>`` (2-D interpolant of the triangular pattern), ``f3:<n>``
+    (the 3-D instance function).  ``extent`` and ``points`` set the grid of
+    the 1-D functions (default: those of
     :func:`~xplab.sampling.sample_eta_1d`); the others reject them.
     """
     name = function_name.strip()
@@ -547,8 +547,7 @@ def cmd_besov(function_name: str, extent: float | None = None,
             f"unknown function name {function_name!r}; "
             "expected eta, psi, phi_tri:<n> or f3:<n>"
         )
-    lo, hi = default_piece_range(f)
-    breakdown = besov_breakdown(f, make_window(), lo, hi)
+    breakdown = besov_breakdown(f)
     mass = bandlimit_check(f, sigma)
     return BesovScalarReport(
         function=name,

@@ -36,22 +36,22 @@ def divided_difference(phi: Callable, phi_prime: Callable) -> Callable:
     ``phi_prime`` is typically the derivative in closed form; any map works,
     since diagonal values never affect the perturbation identities.  Real
     values of ``phi`` and ``phi_prime`` give a float64 field, complex ones
-    a complex128 field (the dtype rule of :mod:`xplab.hermitian`).
+    a complex128 field (the dtype rule of :mod:`xplab.hermitian`).  ``phi``
+    is called on ``x`` and on ``y`` as given, so on an ``n x m`` sparse
+    mesh it makes ``n + m`` evaluations, not ``2nm``.
     """
 
     def fn(x, y):
         xa = np.asarray(x, dtype=np.float64)
         ya = np.asarray(y, dtype=np.float64)
-        scalar = xa.ndim == 0 and ya.ndim == 0
-        xb, yb = np.broadcast_arrays(xa, ya)
-        same = xb == yb
-        denom = np.where(same, 1.0, xb - yb)
+        same = xa == ya
+        denom = np.where(same, 1.0, xa - ya)
         # a product with the reciprocal rounds as numpy's complex-by-real
         # division does, so real and complex phi values agree bit for bit
-        vals = (_real_or_complex(phi(xb)) - _real_or_complex(phi(yb))) * (1.0 / denom)
+        vals = (_real_or_complex(phi(xa)) - _real_or_complex(phi(ya))) * (1.0 / denom)
         if same.any():
-            vals = np.where(same, _real_or_complex(phi_prime(xb)), vals)
-        return vals[()] if scalar else vals
+            vals = np.where(same, _real_or_complex(phi_prime(xa)), vals)
+        return vals
 
     return fn
 

@@ -25,7 +25,6 @@ __all__ = [
     "sample_eta_1d",
     "sample_phi_2d",
     "sample_instance",
-    "default_piece_range",
 ]
 
 
@@ -63,12 +62,8 @@ def sample_phi_2d(c: CoeffMatrix, step: float = math.pi / 4, margin: float = 8 *
     _check_span(nz * step, "z axis")
     x = x0 + step * np.arange(nx)
     z = z0 + step * np.arange(nz)
-    bx = np.empty((c.rows, nx))
-    for j in range(c.rows):
-        bx[j] = eta_periodized(x - TWO_PI * j, nx * step)
-    bz = np.empty((c.cols, nz))
-    for k in range(c.cols):
-        bz[k] = eta_periodized(z - TWO_PI * k, nz * step)
+    bx = eta_periodized(x - TWO_PI * np.arange(c.rows)[:, None], nx * step)
+    bz = eta_periodized(z - TWO_PI * np.arange(c.cols)[:, None], nz * step)
     samples = bx.T @ c.entries @ bz
     return SampledField((x0, z0), (step, step), samples)
 
@@ -104,10 +99,3 @@ def sample_instance(
         ),
         line=SampledField((e * y0,), (e * step,), line),
     )
-
-
-def default_piece_range(f, n_min: int = -20, n_max: int = 5) -> tuple[int, int]:
-    """Clamp ``n_max`` so every requested piece passes the Nyquist guard."""
-    nyq = min(f.plane.nyquist(), f.line.nyquist()) if isinstance(f, SeparableField3) else f.nyquist()
-    highest = int(math.floor(math.log2(nyq))) - 1
-    return n_min, min(n_max, highest)

@@ -10,49 +10,44 @@ from xplab.besov import (
     besov_breakdown,
     bandlimit_check,
     lp_piece,
-    make_window,
     sample_field,
+    window,
 )
-from xplab.counterexample import build_instance, eta, triangular_coeffs
+from xplab.counterexample import TWO_PI, build_instance, eta, eta_periodized, triangular_coeffs
 from xplab.experiment import cmd_besov
-from xplab.sampling import default_piece_range, sample_eta_1d, sample_instance, sample_phi_2d
-
-
-@pytest.fixture(scope="module")
-def window():
-    return make_window()
+from xplab.sampling import sample_eta_1d, sample_instance, sample_phi_2d
 
 
 class TestWindow:
-    def test_endpoint_values(self, window):
+    def test_endpoint_values(self):
         assert window(0.5) == 0.0
         assert window(1.0) == pytest.approx(1.0, abs=1e-15)
         assert window(2.0) == pytest.approx(0.0, abs=1e-15)
         assert window(3.0) == 0.0
         assert window(0.1) == 0.0
 
-    def test_two_scale_identity(self, window):
+    def test_two_scale_identity(self):
         s = np.linspace(1.0, 2.0, 1000)
         assert np.abs(window(s) + window(s / 2.0) - 1.0).max() < 1e-10
 
-    def test_spot_pair(self, window):
+    def test_spot_pair(self):
         assert window(1.3) + window(0.65) == pytest.approx(1.0, abs=1e-12)
 
-    def test_partition_of_unity(self, window):
+    def test_partition_of_unity(self):
         s = np.logspace(-3, 3, 2000)
         total = sum(window(s / 2.0**n) for n in range(-20, 21))
         assert np.abs(total - 1.0).max() < 1e-9
 
-    def test_nonnegative_and_bounded(self, window):
+    def test_nonnegative_and_bounded(self):
         s = np.linspace(0.0, 3.0, 4000)
         vals = window(s)
         assert np.all(vals >= 0.0)
         assert np.all(vals <= 1.0 + 1e-15)
 
-    def test_profile_monotone(self, window):
+    def test_profile_monotone(self):
+        # the rising half of the window is the glue profile itself
         t = np.linspace(0.5, 1.0, 200)
-        h = window.h(t)
-        assert np.all(np.diff(h) >= -1e-15)
+        assert np.all(np.diff(window(t)) >= -1e-15)
 
 
 class TestSampledField:
@@ -65,10 +60,10 @@ class TestSampledField:
         with pytest.raises(ValueError):
             SampledField((0.0,), (1.0, 1.0), np.zeros((4, 4)))
 
-    def test_pow2_required_for_transforms(self, window):
+    def test_pow2_required_for_transforms(self):
         f = SampledField((0.0,), (0.1,), np.zeros(12))
         with pytest.raises(ValueError, match="power-of-two"):
-            lp_piece(f, 0, window)
+            lp_piece(f, 0)
 
     def test_sample_dtype_follows_callable(self):
         grid = ((0.0,), (0.5,), (8,))
@@ -77,72 +72,90 @@ class TestSampledField:
 
 
 class TestLpPiece:
-    def test_constant_field_has_no_pieces(self, window):
+    def test_constant_field_has_no_pieces(self):
         f = sample_field(lambda x: 0.0 * x + 3.7, (-16 * math.pi,), (math.pi / 8,), (256,))
         for n in range(-6, 3):
-            assert np.abs(lp_piece(f, n, window).samples).max() < 1e-12
+            assert np.abs(lp_piece(f, n).samples).max() < 1e-12
 
-    def test_pure_sine_survives_only_at_unit_scale(self, window):
+    def test_pure_sine_survives_only_at_unit_scale(self):
         f = sample_field(np.sin, (-32 * math.pi,), (math.pi / 16,), (1024,))
-        assert np.abs(lp_piece(f, 0, window).samples - f.samples).max() < 1e-10
+        assert np.abs(lp_piece(f, 0).samples - f.samples).max() < 1e-10
         for n in (-2, -1, 1, 2, 3):
-            assert np.abs(lp_piece(f, n, window).samples).max() < 1e-12
+            assert np.abs(lp_piece(f, n).samples).max() < 1e-12
 
-    def test_band_limited_reconstruction(self, window):
+    def test_band_limited_reconstruction(self):
         f = sample_eta_1d(extent=64 * math.pi, points=2**13)
         total = np.zeros_like(f.samples, dtype=complex)
         for n in range(-20, 6):
-            total += lp_piece(f, n, window).samples
+            total += lp_piece(f, n).samples
         mean = f.samples.mean()
         assert np.abs(total - (f.samples - mean)).max() < 1e-6
 
-    def test_piece_spectrum_confined_to_annulus(self, window):
+    def test_piece_spectrum_confined_to_annulus(self):
         f = sample_eta_1d(extent=32 * math.pi, points=2**12)
         n = -1
-        piece = lp_piece(f, n, window)
+        piece = lp_piece(f, n)
         spec = np.abs(np.fft.fft(piece.samples))
         xi = np.abs(piece.freq_axis(0))
         outside = (xi < 2.0 ** (n - 1)) | (xi > 2.0 ** (n + 1))
         assert spec[outside].max() < 1e-12 * spec.max()
 
-    def test_nyquist_guard_names_band(self, window):
+    def test_nyquist_guard_names_band(self):
         f = sample_field(np.sin, (-8 * math.pi,), (math.pi / 2,), (32,))
         with pytest.raises(NyquistError, match=r"\[2, 8\]"):
-            lp_piece(f, 2, window)
+            lp_piece(f, 2)
 
 
 class TestBesovEstimate:
-    def test_zero_field(self, window):
+    def test_zero_field(self):
         f = SampledField((0.0,), (0.5,), np.zeros(64))
-        assert besov_breakdown(f, window, -10, 1).total == 0.0
+        assert besov_breakdown(f).total == 0.0
 
-    def test_eta_upper_pieces_negligible(self, window):
+    def test_eta_upper_pieces_negligible(self):
         f = sample_eta_1d(extent=64 * math.pi, points=2**14)
-        breakdown = besov_breakdown(f, window, -20, 5)
+        breakdown = besov_breakdown(f)
         assert 0.2 < breakdown.total < 1.0
         for n in range(2, 6):
             assert breakdown.piece_sup[n] < 1e-8
 
-    def test_tail_bound_reported(self, window):
+    def test_tail_bound_reported(self):
         f = sample_eta_1d(extent=32 * math.pi, points=2**12)
-        breakdown = besov_breakdown(f, window, -5, 3)
-        assert breakdown.tail_bound == pytest.approx(2.0**-5 * breakdown.sup_abs)
+        breakdown = besov_breakdown(f)
+        assert min(breakdown.piece_sup) == -20
+        assert breakdown.tail_bound == 2.0**-20 * breakdown.sup_abs
         assert breakdown.total >= sum(
             2.0**n * s for n, s in breakdown.piece_sup.items())
 
-    def test_scaling_covariance(self, window):
+    def test_scaling_covariance(self):
         base = sample_eta_1d(extent=64 * math.pi, points=2**13)
-        ref = besov_breakdown(base, window, -14, 5).total
+        ref = besov_breakdown(base).total
         for eps in (0.5, 0.25):
             scaled = SampledField(
                 (eps * base.starts[0],), (eps * base.steps[0],), eps * base.samples)
-            got = besov_breakdown(scaled, window, -14, 5).total
+            got = besov_breakdown(scaled).total
             assert abs(got - ref) / ref < 0.02
 
-    def test_range_validation(self, window):
+    def test_piece_range_stops_below_nyquist(self):
+        # Nyquist 16: piece 3 has the band [4, 16], piece 4 would need 32
         f = sample_eta_1d(extent=8 * math.pi, points=256)
-        with pytest.raises(ValueError):
-            besov_breakdown(f, window, 3, -3)
+        assert f.nyquist() == 16.0
+        assert list(besov_breakdown(f).piece_sup) == list(range(-20, 4))
+        with pytest.raises(NyquistError):
+            lp_piece(f, 4)
+
+    def test_piece_range_capped_at_five(self):
+        f = sample_eta_1d(extent=8 * math.pi, points=2**12)
+        assert f.nyquist() == 256.0
+        assert list(besov_breakdown(f).piece_sup) == list(range(-20, 6))
+
+    @pytest.mark.parametrize("name, estimate", [
+        ("eta", 0.32523373202780687),
+        ("psi", 0.3252337320274435),
+        ("phi_tri:8", 0.5746335218434089),
+    ])
+    def test_dense_estimates_pinned(self, name, estimate):
+        # the 1-D and 2-D dense path through the fixed window and piece range
+        assert cmd_besov(name).estimate == estimate
 
 
 class TestBandlimit:
@@ -195,16 +208,34 @@ def separable_field(request, small_instance_field):
 
 class TestSeparable:
 
-    def test_matches_dense_pipeline(self, window, separable_field):
+    def test_matches_dense_pipeline(self, separable_field):
         sep = separable_field
         dense = sep.dense()
-        lo, hi = default_piece_range(sep, -8, 5)
-        got = besov_breakdown(sep, window, lo, hi)
-        want = besov_breakdown(dense, window, lo, hi)
+        got = besov_breakdown(sep)
+        want = besov_breakdown(dense)
         assert got.sup_abs == pytest.approx(want.sup_abs, rel=1e-12)
-        for n in range(lo, hi + 1):
+        assert got.piece_sup.keys() == want.piece_sup.keys()
+        for n in want.piece_sup:
             assert got.piece_sup[n] == pytest.approx(want.piece_sup[n], abs=1e-12)
         assert got.total == pytest.approx(want.total, rel=1e-10)
+
+    def test_nyquist_is_the_lower_factor(self, small_instance_field):
+        sep = small_instance_field
+        assert sep.nyquist() == min(sep.plane.nyquist(), sep.line.nyquist())
+        coarse_line = SampledField((0.0,), (math.pi / 2,), np.ones(8))
+        assert SeparableField3(sep.plane, coarse_line).nyquist() == 2.0
+
+    def test_bandlimit_mass_nonnegative(self, small_instance_field):
+        # the outside energy is summed directly, not taken as 1 - inside
+        mass = bandlimit_check(small_instance_field, math.sqrt(3.0))
+        assert 0.0 <= mass < 1e-25
+
+    @pytest.mark.parametrize("complex_samples", [False, True])
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_bandlimit_random_matches_dense(self, complex_samples, sigma):
+        sep = _random_separable(complex_samples)
+        assert bandlimit_check(sep, sigma) == pytest.approx(
+            bandlimit_check(sep.dense(), sigma), rel=1e-12)
 
     def test_bandlimit_matches_dense(self, small_instance_field):
         sep = small_instance_field
@@ -222,16 +253,25 @@ class TestSeparable:
         f = sample_phi_2d(triangular_coeffs(4))
         assert bandlimit_check(f, math.sqrt(2.0)) < 1e-9
 
-    def test_estimates_stable_across_small_sizes(self, window):
+    def test_phi_2d_is_the_lattice_sum(self):
+        c = triangular_coeffs(5)
+        f = sample_phi_2d(c)
+        x, z = f.axis(0), f.axis(1)
+        bx = np.stack([eta_periodized(x - TWO_PI * j, len(x) * f.steps[0]) for j in range(c.rows)])
+        bz = np.stack([eta_periodized(z - TWO_PI * k, len(z) * f.steps[1]) for k in range(c.cols)])
+        assert np.array_equal(f.samples, bx.T @ c.entries @ bz)
+
+    def test_estimates_stable_across_small_sizes(self):
         totals = []
         for n in (4, 8):
             f3 = sample_instance(build_instance(n))
-            lo, hi = default_piece_range(f3, -10, 5)
-            totals.append(besov_breakdown(f3, window, lo, hi).total)
+            totals.append(besov_breakdown(f3).total)
         spread = (max(totals) - min(totals)) / min(totals)
         assert spread < 0.10
 
     def test_headline_estimates(self):
         # the f3 references of the benchmark oracle
-        assert cmd_besov("f3:32").estimate == 0.6922923982526068
+        report = cmd_besov("f3:32")
+        assert report.estimate == 0.6922923982526068
+        assert 0.0 <= report.bandlimit_mass < 1e-25
         assert cmd_besov("f3:8").estimate == pytest.approx(0.6892781146586121, rel=1e-14)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import json
 import math
 import os
@@ -89,6 +90,17 @@ class TestGrowth:
             assert row["ratio"] == pytest.approx(
                 e * row["s1_diff_norm"] / (row["sup_norm"] * row["perturbation_s1"]), rel=1e-12)
             assert abs(row["ratio"] - u_n_ratio(n)) <= 1e-9
+
+    def test_besov_column(self, tmp_path, capsys):
+        # the column is the f3 Besov report of each size up to --besov-max-size
+        csv_rows, report = run_growth(tmp_path, "besov", "--besov-max-size", "8", sizes="4,8,16")
+        rows = report["rows"]
+        for row in rows[:2]:
+            assert row["besov_estimate"] == experiment.cmd_besov(f"f3:{row['n']}").estimate
+        assert rows[2]["n"] == 16 and rows[2]["besov_estimate"] is None
+        assert csv_rows[2]["besov_estimate"] == ""
+        out = capsys.readouterr().out.splitlines()
+        assert [line.startswith("n=16") and "besov=-" in line for line in out[:3]] == [False, False, True]
 
     def test_single_size_writes_null_fit(self, tmp_path, capsys):
         json_path = tmp_path / "one.json"
@@ -278,6 +290,16 @@ def test_no_unused_imports():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{module.name} never uses {sorted(imported - used)}"
+
+
+def test_all_entries_defined():
+    """Every ``__all__`` entry is defined in its module, so a star import works."""
+    src = Path(xplab.__file__).parent
+    for module in sorted(src.glob("*.py")):
+        name = "xplab" if module.stem == "__init__" else f"xplab.{module.stem}"
+        mod = importlib.import_module(name)
+        missing = [entry for entry in getattr(mod, "__all__", ()) if not hasattr(mod, entry)]
+        assert not missing, f"{module.name} lists undefined {missing}"
 
 
 def test_no_catch_all_handlers():

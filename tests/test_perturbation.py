@@ -4,7 +4,7 @@ from numpy.polynomial import Polynomial
 
 from xplab.counterexample import TWO_PI, eta, eta_deriv, eta_field
 from xplab.hermitian import HermitianMatrix, schatten_norm
-from xplab.opint import func_calc_triple, product_field
+from xplab.opint import doi, func_calc_triple, product_field
 from xplab.perturbation import (
     diagonal_irrelevance_check,
     divided_difference,
@@ -47,6 +47,20 @@ class TestDividedDifference:
         assert real.dtype == np.float64
         assert cplx.dtype == np.complex128
         assert np.array_equal(cplx, real)
+
+    def test_one_evaluation_per_axis_point(self, rng):
+        # doi evaluates the field on an n x m sparse mesh of atom values
+        sizes = []
+
+        def counted(t):
+            sizes.append(np.size(t))
+            return np.cos(t)
+
+        ea = from_hermitian(random_hermitian(rng, 5))
+        eb = from_hermitian(HermitianMatrix(np.diag([0.5, 0.5, 1.5, 1.5, 2.5])))
+        assert (ea.atom_count, eb.atom_count) == (5, 3)
+        doi(divided_difference(counted, np.sin), ea, rng.standard_normal((5, 5)), eb)
+        assert sum(sizes) == 5 + 3
 
 
 class TestPerturbationIdentity:
