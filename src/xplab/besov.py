@@ -77,12 +77,36 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class SampledField:
-    """Samples of a function on a uniform Cartesian grid.
+class _Grid:
+    """Uniform Cartesian grid: axis ``i`` holds ``shape[i]`` points
+    ``starts[i] + k * steps[i]``."""
 
-    Axis ``i`` holds ``samples.shape[i]`` points ``starts[i] + k * steps[i]``.
-    """
+    @property
+    def d(self) -> int:
+        return len(self.shape)
+
+    def axis(self, i: int) -> np.ndarray:
+        return self.starts[i] + self.steps[i] * np.arange(self.shape[i])
+
+    def freq_axis(self, i: int) -> np.ndarray:
+        """Angular frequencies of the DFT along axis ``i``."""
+        return 2.0 * np.pi * np.fft.fftfreq(self.shape[i], d=self.steps[i])
+
+    def nyquist(self) -> float:
+        return min(np.pi / s for s in self.steps)
+
+    def require_transformable(self) -> None:
+        if not all(_is_pow2(n) for n in self.shape):
+            raise ValueError(
+                f"grid admits a discrete transform only for power-of-two "
+                f"sample counts, got shape {self.shape}"
+            )
+
+
+@dataclass(frozen=True)
+class SampledField(_Grid):
+    """Samples of a function on a uniform Cartesian grid of shape
+    ``samples.shape``."""
 
     starts: tuple
     steps: tuple
@@ -101,36 +125,20 @@ class SampledField:
             raise ValueError("grid steps must be positive")
 
     @property
-    def d(self) -> int:
-        return self.samples.ndim
-
-    def axis(self, i: int) -> np.ndarray:
-        return self.starts[i] + self.steps[i] * np.arange(self.samples.shape[i])
-
-    def freq_axis(self, i: int) -> np.ndarray:
-        """Angular frequencies of the DFT along axis ``i``."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.samples.shape[i], d=self.steps[i])
-
-    def nyquist(self) -> float:
-        return min(np.pi / s for s in self.steps)
+    def shape(self) -> tuple:
+        return self.samples.shape
 
     def sup_abs(self) -> float:
         return float(np.abs(self.samples).max())
 
-    def require_transformable(self) -> None:
-        if not all(_is_pow2(n) for n in self.samples.shape):
-            raise ValueError(
-                f"grid admits a discrete transform only for power-of-two "
-                f"sample counts, got shape {self.samples.shape}"
-            )
-
 
 @dataclass(frozen=True)
-class SeparableField3:
+class SeparableField3(_Grid):
     """Implicit 3-D product ``f[ix, iy, iz] = plane[ix, iz] * line[iy]``.
 
     ``plane`` is a 2-D sampled field on the (x, z) axes and ``line`` a 1-D
-    field on the middle (y) axis.
+    field on the middle (y) axis; ``starts``, ``steps`` and ``shape`` are
+    those of the (x, y, z) grid.
     """
 
     plane: SampledField
@@ -139,23 +147,14 @@ class SeparableField3:
     def __post_init__(self) -> None:
         if self.plane.d != 2 or self.line.d != 1:
             raise ValueError("need a 2-D plane factor and a 1-D line factor")
+        for name in ("starts", "steps", "shape"):
+            p, l = getattr(self.plane, name), getattr(self.line, name)
+            object.__setattr__(self, name, (p[0], l[0], p[1]))
 
     def dense(self) -> SampledField:
         """Materialize the product tensor (small grids only)."""
-        p, l = self.plane, self.line
-        samples = p.samples[:, None, :] * l.samples[None, :, None]
-        return SampledField(
-            (p.starts[0], l.starts[0], p.starts[1]),
-            (p.steps[0], l.steps[0], p.steps[1]),
-            samples,
-        )
-
-    def nyquist(self) -> float:
-        return min(self.plane.nyquist(), self.line.nyquist())
-
-    def require_transformable(self) -> None:
-        self.plane.require_transformable()
-        self.line.require_transformable()
+        samples = self.plane.samples[:, None, :] * self.line.samples[None, :, None]
+        return SampledField(self.starts, self.steps, samples)
 
     def sup_abs(self) -> float:
         return float(np.abs(self.plane.samples).max() * np.abs(self.line.samples).max())
@@ -177,11 +176,14 @@ def sample_field(fn, starts, steps, counts) -> SampledField:
     return SampledField(starts, steps, samples)
 
 
+def _radius2(f: SampledField) -> np.ndarray:
+    """Squared norm ``||xi||^2`` of the grid frequencies, as a sparse mesh sum."""
+    mesh = np.meshgrid(*(f.freq_axis(i) for i in range(f.d)), indexing="ij", sparse=True)
+    return sum(m * m for m in mesh)
+
+
 def _radial_multiplier(f: SampledField, n: int) -> np.ndarray:
-    axes = [f.freq_axis(i) for i in range(f.d)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    rr = sum(m * m for m in mesh)
-    return window(np.sqrt(rr) / 2.0**n)
+    return window(np.sqrt(_radius2(f)) / 2.0**n)
 
 
 def lp_piece(f: SampledField, n: int) -> SampledField:
@@ -338,18 +340,7 @@ def besov_breakdown(f) -> BesovBreakdown:
 
 
 def _threshold(f, sigma: float) -> float:
-    if isinstance(f, SeparableField3):
-        res = [
-            2.0 * np.pi / (n * s)
-            for n, s in [
-                (f.plane.samples.shape[0], f.plane.steps[0]),
-                (f.plane.samples.shape[1], f.plane.steps[1]),
-                (f.line.samples.shape[0], f.line.steps[0]),
-            ]
-        ]
-    else:
-        res = [2.0 * np.pi / (n * s) for n, s in zip(f.samples.shape, f.steps)]
-    return sigma * (1.0 + 2.0 * max(res))
+    return sigma * (1.0 + 2.0 * max(2.0 * np.pi / (n * s) for n, s in zip(f.shape, f.steps)))
 
 
 def bandlimit_check(f, sigma: float) -> float:
@@ -366,10 +357,8 @@ def bandlimit_check(f, sigma: float) -> float:
     if isinstance(f, SeparableField3):
         phat2 = np.abs(np.fft.fft2(f.plane.samples)) ** 2
         lhat2 = np.abs(np.fft.fft(f.line.samples)) ** 2
-        xi1 = f.plane.freq_axis(0)
-        xi3 = f.plane.freq_axis(1)
-        rr = xi1[:, None] ** 2 + xi3[None, :] ** 2
-        xi2 = f.line.freq_axis(0)
+        rr = _radius2(f.plane)
+        xi2 = f.freq_axis(1)
         plane_total = float(phat2.sum())
         total = plane_total * float(lhat2.sum())
         if total == 0.0:
@@ -383,9 +372,7 @@ def bandlimit_check(f, sigma: float) -> float:
             outside += lhat2[i2] * plane_out
         return outside / total
     fhat2 = np.abs(np.fft.fftn(f.samples)) ** 2
-    axes = [f.freq_axis(i) for i in range(f.d)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    rr = sum(m * m for m in mesh)
+    rr = _radius2(f)
     total = float(fhat2.sum())
     if total == 0.0:
         return 0.0

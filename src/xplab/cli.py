@@ -2,7 +2,7 @@
 
     xplab growth --sizes 4,8,16,32 --eps constant --out report.csv [--json report.json]
     xplab verify --seed 42 --trials 100
-    xplab besov --fn eta --extent 64pi --points 16384 [--json out.json]
+    xplab besov --fn f3:32 [--json out.json]
 
 Exit codes: 0 success, 1 suite failure, 2 configuration error (including
 an output path whose directory is missing or not writable, or two outputs
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .experiment import (
@@ -52,17 +51,6 @@ def _int_at_least(name: str, low: int):
     return parse
 
 
-def _parse_extent(text: str) -> float:
-    token = text.strip().lower()
-    try:
-        value = float(token[:-2] or "1") * math.pi if token.endswith("pi") else float(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad extent {text!r}; use e.g. 64pi or 201.06")
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"extent must be positive and finite, got {text!r}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xplab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -77,21 +65,18 @@ def _build_parser() -> argparse.ArgumentParser:
     growth.add_argument("--json", dest="json_path", default=None, help="JSON output path")
     growth.add_argument("--besov-max-size", type=int, default=64,
                         help="largest size for which besov_estimate is computed: an estimate "
-                             "on a periodized grid, neither an upper nor a lower bound")
+                             "of the unscaled f on a periodized grid, the same under every "
+                             "--eps, neither an upper nor a lower bound")
 
     verify = sub.add_parser("verify", help="run the randomized identity suites")
     verify.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
     verify.add_argument("--trials", type=_int_at_least("trials", 1), default=100)
 
-    besov_help = ("Besov estimate of a named function: an estimate on a periodized grid, "
+    besov_help = ("Besov estimate of a named function on its default periodized grid: "
                   "neither an upper nor a lower bound")
     besov = sub.add_parser("besov", help=besov_help, description=besov_help)
     besov.add_argument("--fn", required=True,
                        help="eta | psi | phi_tri:<n> | f3:<n>")
-    besov.add_argument("--extent", type=_parse_extent, default=None,
-                       help="eta and psi only: half-width of the sampling grid (default 64pi)")
-    besov.add_argument("--points", type=int, default=None,
-                       help="eta and psi only: sample count, a power of two (default 16384)")
     besov.add_argument("--json", dest="json_path", default=None, help="JSON output path")
     return parser
 
@@ -136,7 +121,7 @@ def _run_verify(args) -> int:
 def _run_besov(args) -> int:
     try:
         _check_outputs(args.json_path)
-        report = cmd_besov(args.fn, extent=args.extent, points=args.points)
+        report = cmd_besov(args.fn)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

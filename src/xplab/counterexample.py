@@ -41,7 +41,6 @@ __all__ = [
     "triangular_coeffs",
     "phi_from_coeffs",
     "sup_norm_estimate",
-    "upper_triangular_ones",
     "CounterexampleInstance",
     "build_instance",
     "difference_matrix",
@@ -216,10 +215,6 @@ def sup_norm_estimate(phi, grid_radius: float, grid_step: float) -> float:
         block = grid_eval(phi, axis[lo : lo + _SUP_CHUNK], axis)
         best = max(best, float(np.abs(block).max()))
     return best
-
-
-def upper_triangular_ones(n: int) -> np.ndarray:
-    return np.triu(np.ones((n, n)))
 
 
 @dataclass

@@ -54,17 +54,12 @@ __all__ = [
     "cmd_besov",
 ]
 
-EPSILON_SCHEDULES = ("constant", "one_over_size", "one_over_loglog")
-
-
-def _schedule_value(name: str, n: int) -> float:
-    if name == "constant":
-        return 1.0
-    if name == "one_over_size":
-        return 1.0 / n
-    if name == "one_over_loglog":
-        return 1.0 / math.log(math.log(n))
-    raise ValueError(f"unknown epsilon schedule {name!r}")
+# epsilon of each schedule as a function of the size n
+EPSILON_SCHEDULES = {
+    "constant": lambda n: 1.0,
+    "one_over_size": lambda n: 1.0 / n,
+    "one_over_loglog": lambda n: 1.0 / math.log(math.log(n)),
+}
 
 
 @dataclass(frozen=True)
@@ -131,9 +126,9 @@ class SizeRow:
     unscaled ``eps * s1_diff_norm / (sup_norm * perturbation_s1)``.
 
     ``besov_estimate`` (``None`` above ``besov_max_size``) estimates the
-    ``B^1_{inf,1}`` norm of ``g`` on a periodized grid: each piece is a grid
-    maximum of a periodized sample, so it is neither an upper nor a lower
-    bound."""
+    ``B^1_{inf,1}`` norm of the unscaled ``f`` on a periodized grid, so it is
+    the same under every ``eps`` schedule; each piece is a grid maximum of a
+    periodized sample, so it is neither an upper nor a lower bound."""
 
     n: int
     s1_diff_norm: float
@@ -207,7 +202,7 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     s1_diff, pert, ratio = growth_ratio(inst)
     closed = closed_form_ratio(inst)
     # exact homogeneity in eps; scale_instance is the reference in the tests
-    eps = _schedule_value(config.epsilon_schedule, n)
+    eps = EPSILON_SCHEDULES[config.epsilon_schedule](n)
     s1_diff, pert, sup = eps * s1_diff, eps * pert, eps * inst.sup_bound
 
     if n <= config.besov_max_size:
@@ -510,43 +505,31 @@ def _parse_size(token: str, name: str) -> int:
     return n
 
 
-def _no_grid_options(name: str, extent, points) -> None:
-    if extent is not None or points is not None:
-        raise ValueError(f"extent and points set the 1-D grid of eta and psi; {name!r} takes neither")
-
-
-def cmd_besov(function_name: str, extent: float | None = None,
-              points: int | None = None) -> BesovScalarReport:
+def cmd_besov(function_name: str) -> BesovScalarReport:
     """Besov estimate, tail bound and band-limit mass for a named function.
 
     The estimate is :func:`~xplab.besov.besov_breakdown` with its fixed
     window and pieces ``-20 <= n <= min(5, floor(log2(nyquist)) - 1)``; the
     tail bound is ``2^-20 * sup |f|``.  Known names: ``eta``, ``psi``,
     ``phi_tri:<n>`` (2-D interpolant of the triangular pattern), ``f3:<n>``
-    (the 3-D instance function).  ``extent`` and ``points`` set the grid of
-    the 1-D functions (default: those of
-    :func:`~xplab.sampling.sample_eta_1d`); the others reject them.
+    (the 3-D instance function), each on the default grid of its
+    :mod:`xplab.sampling` sampler.  Each has its spectrum in the cube
+    ``[-1, 1]^d``, so the band-limit mass is the energy outside the ball of
+    radius ``sqrt(d)``.
     """
     name = function_name.strip()
     if name in ("eta", "psi"):
-        grid = {k: v for k, v in (("extent", extent), ("points", points)) if v is not None}
-        f = sample_eta_1d(0.0 if name == "eta" else TWO_PI, **grid)
-        sigma = 1.0
+        f = sample_eta_1d(0.0 if name == "eta" else TWO_PI)
     elif name.startswith("phi_tri:"):
-        n = _parse_size(name.split(":", 1)[1], name)
-        _no_grid_options(name, extent, points)
-        f = sample_phi_2d(triangular_coeffs(n))
-        sigma = math.sqrt(2.0)
+        f = sample_phi_2d(triangular_coeffs(_parse_size(name.split(":", 1)[1], name)))
     elif name.startswith("f3:"):
-        n = _parse_size(name.split(":", 1)[1], name)
-        _no_grid_options(name, extent, points)
-        f = sample_instance(build_instance(n))
-        sigma = math.sqrt(3.0)
+        f = sample_instance(build_instance(_parse_size(name.split(":", 1)[1], name)))
     else:
         raise ValueError(
             f"unknown function name {function_name!r}; "
             "expected eta, psi, phi_tri:<n> or f3:<n>"
         )
+    sigma = math.sqrt(f.d)
     breakdown = besov_breakdown(f)
     mass = bandlimit_check(f, sigma)
     return BesovScalarReport(

@@ -219,6 +219,15 @@ class TestSeparable:
             assert got.piece_sup[n] == pytest.approx(want.piece_sup[n], abs=1e-12)
         assert got.total == pytest.approx(want.total, rel=1e-10)
 
+    def test_grid_is_that_of_dense(self, separable_field):
+        sep = separable_field
+        dense = sep.dense()
+        assert (sep.starts, sep.steps, sep.shape) == (dense.starts, dense.steps, dense.shape)
+        assert sep.d == dense.d == 3
+        assert sep.nyquist() == dense.nyquist()
+        for i in range(3):
+            assert np.array_equal(sep.freq_axis(i), dense.freq_axis(i))
+
     def test_nyquist_is_the_lower_factor(self, small_instance_field):
         sep = small_instance_field
         assert sep.nyquist() == min(sep.plane.nyquist(), sep.line.nyquist())
@@ -252,6 +261,14 @@ class TestSeparable:
     def test_phi_2d_band_limited(self):
         f = sample_phi_2d(triangular_coeffs(4))
         assert bandlimit_check(f, math.sqrt(2.0)) < 1e-9
+
+    @pytest.mark.parametrize("sample", [
+        lambda: sample_eta_1d(extent=1.0, points=8),
+        lambda: sample_phi_2d(triangular_coeffs(2), step=0.3),
+    ], ids=["eta_1d", "phi_2d"])
+    def test_span_must_be_multiple_of_two_pi(self, sample):
+        with pytest.raises(ValueError, match="multiple of 2\\*pi"):
+            sample()
 
     def test_phi_2d_is_the_lattice_sum(self):
         c = triangular_coeffs(5)

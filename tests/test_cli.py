@@ -102,12 +102,30 @@ class TestGrowth:
         out = capsys.readouterr().out.splitlines()
         assert [line.startswith("n=16") and "besov=-" in line for line in out[:3]] == [False, False, True]
 
+    def test_besov_column_independent_of_schedule(self, tmp_path):
+        # the column estimates the unscaled f, so eps does not reach it
+        columns = []
+        for schedule in ("constant", "1/n", "1/loglog"):
+            _, report = run_growth(tmp_path, "sched", "--eps", schedule,
+                                   "--besov-max-size", "8", sizes="4,8")
+            columns.append([row["besov_estimate"] for row in report["rows"]])
+        assert columns == [[0.687561787328343, 0.689278114658612]] * 3
+
     def test_single_size_writes_null_fit(self, tmp_path, capsys):
         json_path = tmp_path / "one.json"
         code = main(["growth", "--sizes", "8", "--besov-max-size", "0", "--json", str(json_path)])
         assert code == 0
         assert load_json(json_path)["fit"] == {"a": None, "b": None, "r_squared": None}
         assert "fit: needs at least two sizes" in capsys.readouterr().out
+
+
+def test_docstring_usage_lines_parse():
+    # every usage line of the module docstring, optional [groups] included
+    usage = [line.replace("[", "").replace("]", "").split()[1:]
+             for line in cli.__doc__.splitlines() if line.strip().startswith("xplab ")]
+    assert [argv[0] for argv in usage] == ["growth", "verify", "besov"]
+    for argv in usage:
+        cli._build_parser().parse_args(argv)
 
 
 class TestVerify:
@@ -165,14 +183,6 @@ class TestBesov:
         assert written == experiment.cmd_besov("eta").to_dict()
         assert f"besov_estimate  {written['besov_estimate']!r}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("fn", ["f3:8", "phi_tri:8"])
-    @pytest.mark.parametrize("option", [["--points", "1024"], ["--extent", "64pi"]])
-    def test_grid_options_rejected_beyond_1d(self, monkeypatch, capsys, fn, option):
-        monkeypatch.setattr(experiment, "sample_instance", _no_computation)
-        monkeypatch.setattr(experiment, "sample_phi_2d", _no_computation)
-        assert main(["besov", "--fn", fn, *option]) == 2
-        assert "takes neither" in capsys.readouterr().err
-
     @pytest.mark.parametrize("n, code", [(249, 0), (250, 2)])
     def test_slice_budget_checked_before_pieces(self, monkeypatch, capsys, n, code):
         # from n = 250 the plane is 4096^2 and 15 middle-frequency slices
@@ -210,13 +220,6 @@ class TestConfigErrors:
             main(["verify", "--seed=-1"])
         assert exc.value.code == 2
         assert "argument --seed: seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("extent", ["inf", "nan", "0", "-64pi"])
-    def test_bad_extent(self, capsys, extent):
-        with pytest.raises(SystemExit) as exc:
-            main(["besov", "--fn", "eta", f"--extent={extent}"])
-        assert exc.value.code == 2
-        assert f"argument --extent: extent must be positive and finite, got {extent!r}" in capsys.readouterr().err
 
     def test_negative_besov_max_size(self, capsys):
         assert main(["growth", "--sizes", "4,8", "--besov-max-size", "-1"]) == 2

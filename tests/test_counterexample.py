@@ -22,7 +22,6 @@ from xplab.counterexample import (
     scale_instance,
     sup_norm_estimate,
     triangular_coeffs,
-    upper_triangular_ones,
 )
 from xplab.hermitian import schatten_norm, singular_values
 from xplab.opint import doi
@@ -240,7 +239,7 @@ class TestInstance:
         for n in (2, 3, 5, 8):
             inst = build_instance(n)
             diff = difference_matrix(inst)
-            want = upper_triangular_ones(n) / n
+            want = np.triu(np.ones((n, n))) / n
             assert np.abs(diff - want).max() < 1e-10
 
     def test_difference_norm_n2(self):
@@ -331,7 +330,7 @@ class TestScaleInstance:
             pert = schatten_norm(scaled.B1.mat - scaled.B2.mat, 1)
             assert pert == pytest.approx(TWO_PI / n, abs=1e-12)
             diff = schatten_norm(difference_matrix(scaled), 1)
-            want = schatten_norm(upper_triangular_ones(n), 1) / n**2
+            want = schatten_norm(np.triu(np.ones((n, n))), 1) / n**2
             assert diff == pytest.approx(want, rel=1e-9)
 
 
@@ -340,7 +339,7 @@ class TestTriangularTraceNorm:
         # singular values of the ones-triangle have the closed form
         # 1 / (2 sin((2k+1) pi / (2(2n+1))))
         for n in (3, 5, 8, 13):
-            s = singular_values(upper_triangular_ones(n))
+            s = singular_values(np.triu(np.ones((n, n))))
             k = np.arange(n)
             want = 1.0 / (2.0 * np.sin((2 * k + 1) * np.pi / (2.0 * (2 * n + 1))))
             assert np.allclose(np.sort(s), np.sort(want), rtol=1e-12)
