@@ -232,41 +232,41 @@ def _dense_breakdown(f: SampledField, pieces: range) -> dict:
 
 _SLICE_FLOOR = 1e-13
 _SLICE_BYTES_BUDGET = 1_400_000_000
-# rows per middle-axis product: one row's output (ny x Nz) stays in cache;
-# at f3:32 and f3:64 one row ran faster than 2, 4, 8 or 64
-_X_CHUNK = 1
 
 
 def _separable_piece_sup(
     phat: np.ndarray,
-    radii: np.ndarray,
-    spans: np.ndarray,
+    rr: np.ndarray,
+    xi2: np.ndarray,
     g: np.ndarray,
     shape: tuple,
     n: int,
 ) -> float:
     """Sup of one 3-D piece of a product field, one ``|xi_2|`` shell at a time.
 
-    Shell ``j`` gathers the active middle frequencies with one value of
-    ``|xi_2|``; they share the radial multiplier ``window(radii[j] / 2^n)``,
-    ``radii[j] = sqrt(rr + xi_2^2)``.  The piece is
-    ``sum_j S_j(x, z) g[y, j]``, where ``S_j`` is the 2-D inverse transform
-    of ``phat * window(radii[j] / 2^n)`` and column ``j`` of ``g`` is the inverse
-    DFT of the line spectrum restricted to the shell.  A shell whose radius
-    range ``spans[j]`` misses the window's support ``[2^(n-1), 2^(n+1)]`` is
-    skipped unevaluated.  A real ``g`` means real samples: ``phat`` is then
-    the ``rfft2`` half spectrum, ``S_j`` comes from ``irfft2`` and the final
-    product along the middle axis is real.  That product runs in chunks of
-    ``_X_CHUNK`` rows of the plane.
+    Shell ``j`` gathers the active middle frequencies with ``|xi_2| =
+    |xi2[j]|``; they share the radial multiplier ``window(sqrt(rr + xi2[j]^2)
+    / 2^n)``, where ``rr`` holds ``xi_1^2 + xi_3^2`` on the plane's spectrum.
+    The piece is ``sum_j S_j(x, z) g[y, j]``, where ``S_j`` is the 2-D
+    inverse transform of ``phat`` times that multiplier and column ``j`` of
+    ``g`` is the inverse DFT of the line spectrum restricted to the shell.
+    ``rr`` runs from 0 (the origin) to ``rr.max()``, so the shell's radii
+    run from ``|xi2[j]|`` to ``sqrt(rr.max() + xi2[j]^2)``; a shell whose
+    range misses the window's support ``[2^(n-1), 2^(n+1)]`` is skipped
+    unevaluated.  A real ``g`` means real samples: ``phat`` is then the
+    ``rfft2`` half spectrum, ``S_j`` comes from ``irfft2`` and the final
+    product along the middle axis is real.  That product runs one plane
+    row ``x`` at a time.
     """
     real = not np.iscomplexobj(g)
     scale = 2.0**n
-    stack = np.empty((len(spans),) + shape, dtype=g.dtype)
+    rr_max = rr.max()
+    stack = np.empty((len(xi2),) + shape, dtype=g.dtype)
     cols = []
-    for j, (rmin, rmax) in enumerate(spans):
-        if rmax < scale / 2.0 or rmin > 2.0 * scale:
+    for j, x2 in enumerate(xi2):
+        if np.sqrt(rr_max + x2 * x2) < scale / 2.0 or abs(x2) > 2.0 * scale:
             continue
-        mult = window(radii[j] / scale)
+        mult = window(np.sqrt(rr + x2 * x2) / scale)
         if not mult.any():
             continue
         spec = phat * mult
@@ -274,13 +274,8 @@ def _separable_piece_sup(
         cols.append(j)
     if not cols:
         return 0.0
-    flat = stack[: len(cols)].reshape(len(cols), -1)  # (S, Nx * Nz)
     gs = g[:, cols]
-    step = _X_CHUNK * shape[1]
-    best = 0.0
-    for lo in range(0, flat.shape[1], step):
-        best = max(best, float(np.abs(gs @ flat[:, lo : lo + step]).max()))
-    return best
+    return max(float(np.abs(gs @ stack[: len(cols), x, :]).max()) for x in range(shape[0]))
 
 
 def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
@@ -309,14 +304,12 @@ def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
     ny = len(lhat)
     shells, which = np.unique(np.minimum(active, ny - active), return_inverse=True)
     xi2 = f.line.freq_axis(0)[shells]
-    radii = np.sqrt(rr[None, :, :] + (xi2**2)[:, None, None])
-    spans = np.stack([radii.min(axis=(1, 2)), radii.max(axis=(1, 2))], axis=1)
     # column j of g: inverse DFT of lhat restricted to the bins of shell j
     terms = np.exp(2j * np.pi * np.outer(np.arange(ny), active) / ny) / ny * lhat[active]
     g = terms @ (which[:, None] == np.arange(len(shells)))
     if real:
         g = g.real
-    return {n: _separable_piece_sup(phat, radii, spans, g, shape, n) for n in pieces}
+    return {n: _separable_piece_sup(phat, rr, xi2, g, shape, n) for n in pieces}
 
 
 def besov_breakdown(f) -> BesovBreakdown:
@@ -350,7 +343,7 @@ def bandlimit_check(f, sigma: float) -> float:
     Near zero for genuinely band-limited samples; near one for samples whose
     content lives entirely outside the ball.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     f.require_transformable()
     radius2 = _threshold(f, sigma) ** 2

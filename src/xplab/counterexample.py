@@ -26,7 +26,6 @@ import numpy as np
 
 from .hermitian import HermitianMatrix, _real_or_complex, schatten_norm
 from .opint import func_calc_triple, grid_eval
-from .spectral import from_hermitian
 
 TWO_PI = 2.0 * math.pi
 _ETA_SERIES_CUTOFF = 1e-3
@@ -274,11 +273,7 @@ def build_instance(n: int) -> CounterexampleInstance:
 
 def difference_matrix(inst: CounterexampleInstance) -> np.ndarray:
     """``f(A, B1, C) - f(A, B2, C)`` through the triple operator integral."""
-    ea = from_hermitian(inst.A)
-    ec = ea if inst.C is inst.A else from_hermitian(inst.C)
-    eb1 = from_hermitian(inst.B1)
-    eb2 = from_hermitian(inst.B2)
-    return func_calc_triple(inst.f, ea, eb1, ec) - func_calc_triple(inst.f, ea, eb2, ec)
+    return func_calc_triple(inst.f, inst.A, inst.B1, inst.C) - func_calc_triple(inst.f, inst.A, inst.B2, inst.C)
 
 
 def certified_sup_norm(inst: CounterexampleInstance) -> float:

@@ -38,7 +38,7 @@ from .perturbation import (
     separated_difference,
 )
 from .sampling import sample_eta_1d, sample_instance, sample_phi_2d
-from .spectral import apply_scalar, coordinate_measure, from_hermitian
+from .spectral import apply_scalar, from_hermitian
 
 __all__ = [
     "EPSILON_SCHEDULES",
@@ -376,7 +376,7 @@ def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
         lhs, rhs = s2_contraction_check(phi, e1, e2, t)
         worst = _worst(worst, lhs - rhs)
         # equality at the maximizing matrix unit over coordinate measures
-        ec = coordinate_measure(n)
+        ec = from_hermitian(HermitianMatrix.diag(np.arange(n)))
         grid = np.abs(grid_eval(phi, ec.values, ec.values))
         jstar, kstar = np.unravel_index(int(grid.argmax()), grid.shape)
         unit = np.zeros((n, n), dtype=np.complex128)
@@ -389,8 +389,8 @@ def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
 def _suite_hadamard(rng, trials: int) -> SuiteResult:
     worst = 0.0
     for n in range(1, 9):
+        e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
         for _ in range(max(1, trials // 8)):
-            e = coordinate_measure(n)
             t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             symbol = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             phi = lambda x, y, s=symbol: s[np.asarray(x, dtype=int), np.asarray(y, dtype=int)]

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _real_or_complex, as_matrix, schatten_norm
+from .hermitian import _real_or_complex, as_matrix, schatten_norm
 from .spectral import SpectralMeasure, from_hermitian
 
 __all__ = [
@@ -97,27 +97,21 @@ def toi(phi, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasu
     return e1.basis @ acc @ e3.basis.conj().T
 
 
-def _measure_of(x) -> SpectralMeasure:
-    if isinstance(x, SpectralMeasure):
-        return x
-    return from_hermitian(HermitianMatrix.wrap(x))
-
-
 def func_calc_pair(f, A, B) -> np.ndarray:
     """``f(A, B) = sum f(lam_j, mu_k) P_j Q_k`` for a pair of Hermitian
-    matrices (or prebuilt spectral measures)."""
-    ea = _measure_of(A)
-    eb = _measure_of(B)
+    matrices."""
+    ea = from_hermitian(A)
+    eb = from_hermitian(B)
     eye = np.eye(ea.dim)
     return doi(f, ea, eye, eb)
 
 
 def func_calc_triple(f, A, B, C) -> np.ndarray:
     """``f(A, B, C) = sum f(lam, mu, nu) E_A E_B E_C`` for a Hermitian
-    triple (or prebuilt spectral measures)."""
-    ea = _measure_of(A)
-    eb = _measure_of(B)
-    ec = _measure_of(C)
+    triple."""
+    ea = from_hermitian(A)
+    eb = from_hermitian(B)
+    ec = from_hermitian(C)
     eye = np.eye(ea.dim)
     return toi(f, ea, eye, eb, eye, ec)
 
@@ -126,15 +120,11 @@ def s2_contraction_check(phi, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tu
     """Hilbert-Schmidt contraction of the double integral.
 
     Returns ``(lhs, rhs)`` with ``lhs = ||doi(Phi, E1, T, E2)||_S2`` and
-    ``rhs = max |Phi(a_j, b_k)| * ||T||_S2`` and asserts ``lhs <= rhs`` up
-    to ``1e-10`` (a violation means a bug, not bad data).
+    ``rhs = max |Phi(a_j, b_k)| * ||T||_S2``.  The contraction says
+    ``lhs <= rhs``; the caller judges the pair against its own tolerance.
     """
     tmat = as_matrix(t)
     lhs = schatten_norm(doi(phi, e1, tmat, e2), 2)
     fgrid = grid_eval(phi, e1.values, e2.values)
     rhs = float(np.abs(fgrid).max()) * schatten_norm(tmat, 2)
-    if lhs > rhs + 1e-10:
-        raise AssertionError(
-            f"Hilbert-Schmidt contraction violated: lhs={lhs!r} > rhs={rhs!r}"
-        )
     return lhs, rhs

@@ -109,9 +109,9 @@ def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:
 
     Equals ``f(A, B1, C) - f(A, B2, C)`` for ``f(x, y, z) = phi(x, z) psi(y)``.
     """
-    ea = from_hermitian(HermitianMatrix.wrap(A))
-    ec = from_hermitian(HermitianMatrix.wrap(C))
-    e1 = from_hermitian(HermitianMatrix.wrap(B1))
-    e2 = from_hermitian(HermitianMatrix.wrap(B2))
+    ea = from_hermitian(A)
+    ec = from_hermitian(C)
+    e1 = from_hermitian(B1)
+    e2 = from_hermitian(B2)
     q = apply_scalar(e1, psi) - apply_scalar(e2, psi)
     return doi(phi, ea, q, ec)

@@ -20,7 +20,6 @@ __all__ = [
     "SpectralMeasure",
     "from_hermitian",
     "apply_scalar",
-    "coordinate_measure",
 ]
 
 
@@ -139,18 +138,3 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
         out = (out + out.conj().T) / 2
     return out
 
-
-def coordinate_measure(values) -> SpectralMeasure:
-    """Standard-basis measure: atom ``j`` is ``e_j e_j*``.
-
-    ``values`` is either an integer ``n`` (atom values ``0..n-1``) or a
-    strictly increasing sequence of atom values, one per coordinate.
-    """
-    if isinstance(values, (int, np.integer)):
-        vals = np.arange(int(values), dtype=np.float64)
-    else:
-        vals = np.asarray(values, dtype=np.float64)
-    n = len(vals)
-    if n == 0:
-        raise ValueError("coordinate measure needs at least one atom")
-    return SpectralMeasure(vals, np.eye(n), np.arange(n + 1))

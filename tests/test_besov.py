@@ -173,8 +173,9 @@ class TestBandlimit:
 
     def test_rejects_bad_sigma(self):
         f = sample_eta_1d(extent=8 * math.pi, points=256)
-        with pytest.raises(ValueError):
-            bandlimit_check(f, 0.0)
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                bandlimit_check(f, sigma)
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +293,17 @@ class TestSeparable:
         assert report.estimate == 0.6922923982526068
         assert 0.0 <= report.bandlimit_mass < 1e-25
         assert cmd_besov("f3:8").estimate == pytest.approx(0.6892781146586121, rel=1e-14)
+
+    def test_f3_8_pieces_pinned(self):
+        # a shell skipped or kept by mistake changes a piece
+        report = cmd_besov("f3:8")
+        assert report.estimate == 0.689278114658612
+        assert report.piece_sup == {
+            **{n: 0.0 for n in range(-20, -4)},
+            -4: 0.07101524098275559,
+            -3: 0.2626046665252505,
+            -2: 0.34356407880948164,
+            -1: 0.470650526526458,
+            0: 0.32707217874330025,
+            1: 0.0018623316991587418,
+        }

@@ -1,15 +1,16 @@
 import ast
 import csv
-import importlib
+import importlib.util
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 import xplab
-from xplab import besov, cli, counterexample, experiment
+from xplab import besov, cli, counterexample, experiment, opint
 from xplab.cli import main
 from xplab.experiment import SuiteResult
 
@@ -165,6 +166,16 @@ class TestVerify:
         assert "[FAIL] rank-difference identity: max residual nan" in out
         assert "all suites passed" not in out
 
+    def test_contraction_violation_fails(self, monkeypatch, capsys):
+        # a violated contraction is a failed suite line, not a traceback
+        doi = opint.doi
+        monkeypatch.setattr(opint, "doi", lambda *args: 2.0 * doi(*args))
+        assert main(["verify", "--trials", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] Hilbert-Schmidt contraction" in out
+        assert "[PASS] coordinate-atom Hadamard product" in out
+        assert "all suites passed" not in out
+
     def test_internal_error_propagates(self, monkeypatch):
         # a ValueError raised inside a suite is a bug, not a configuration error
         def broken(rng, trials):
@@ -277,6 +288,20 @@ def test_no_environment_knobs():
         text = module.read_text(encoding="utf-8")
         assert "os.environ" not in text, module.name
         assert "os.getenv" not in text, module.name
+
+
+def test_traced_layers_resolve(monkeypatch):
+    # every function the benchmark's tracer wraps must exist in xplab
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/tracing.py")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{layer}.{fn}" for layer, names in tracing.LAYERS.items() for fn in names
+               if not callable(getattr(importlib.import_module(f"xplab.{layer}"), fn, None))]
+    assert missing == []
 
 
 def test_no_unused_imports():

@@ -11,7 +11,7 @@ from xplab.opint import (
     s2_contraction_check,
     toi,
 )
-from xplab.spectral import apply_scalar, coordinate_measure, from_hermitian
+from xplab.spectral import apply_scalar, from_hermitian
 
 from conftest import random_complex, random_hermitian
 
@@ -51,7 +51,7 @@ class TestDoi:
 
     def test_coordinate_measures_give_hadamard(self, rng):
         for n in range(1, 7):
-            e = coordinate_measure(n)
+            e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
             t = random_complex(rng, n)
             symbol = random_complex(rng, n)
             phi = lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)]
@@ -184,7 +184,7 @@ class TestS2Contraction:
 
     def test_triangular_mask_contracts(self, rng):
         n = 5
-        e = coordinate_measure(n)
+        e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
         t = random_complex(rng, n)
         lhs, rhs = s2_contraction_check(lambda x, y: 1.0 * (x <= y), e, e, t)
         assert lhs <= rhs + 1e-12
@@ -200,7 +200,7 @@ class TestS2Contraction:
 
     def test_equality_at_matrix_unit(self, rng):
         n = 6
-        e = coordinate_measure(n)
+        e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
         symbol = random_complex(rng, n)
         phi = lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)]
         jstar, kstar = np.unravel_index(int(np.abs(symbol).argmax()), symbol.shape)

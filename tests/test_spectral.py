@@ -4,7 +4,7 @@ import pytest
 from xplab.counterexample import TWO_PI, build_instance, eta_field
 from xplab.experiment import _suite_perturbation
 from xplab.hermitian import HermitianMatrix
-from xplab.spectral import apply_scalar, coordinate_measure, from_hermitian
+from xplab.spectral import SpectralMeasure, apply_scalar, from_hermitian
 
 from conftest import random_hermitian
 
@@ -63,9 +63,11 @@ class TestFromHermitian:
             e.column_atom_index()[0] = 1
 
     def test_caller_arrays_stay_writable(self):
-        values = np.array([0.0, 1.0])
-        coordinate_measure(values)
+        values, basis, starts = np.array([0.0, 1.0]), np.eye(2), np.arange(3)
+        SpectralMeasure(values, basis, starts)
         values[0] = -1.0
+        basis[0, 0] = 2.0
+        starts[0] = 1
 
     def test_perturbation_suite_diagonalises_each_matrix_once(self, eigh_calls):
         # 3 trials, 2 matrices each, 7 fields per pair
@@ -193,9 +195,12 @@ class TestApplyScalar:
 
 class TestCoordinateMeasure:
     def test_integer_form(self):
-        e = coordinate_measure(3)
-        assert np.allclose(e.values, [0.0, 1.0, 2.0])
-        assert np.allclose(e.projection(1), np.diag([0.0, 1.0, 0.0]))
+        # diag(0..n-1) gives atom j = e_j e_j* at value j, exactly
+        for n in range(1, 9):
+            e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
+            assert np.array_equal(e.values, np.arange(n))
+            assert np.array_equal(e.basis, np.eye(n))
+            assert np.array_equal(e.starts, np.arange(n + 1))
 
     def test_column_maps(self):
         e = from_hermitian(HermitianMatrix.diag([0.0, 0.0, 5.0]))
