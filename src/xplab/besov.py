@@ -16,9 +16,9 @@ with FFTs.  Three-variable product functions ``f(x, y, z) = phi(x, z) psi(y)``
 are handled without ever materializing a 3-D sample tensor: the middle
 frequencies are grouped into shells of equal ``|xi_2|``, which share one
 radial multiplier, so each piece takes one 2-D inverse transform per shell
-plus a small dense transform along the middle axis.  Real samples stay real
-(``rfft2``/``irfft2`` on the plane and real products along the middle
-axis); complex samples take the same steps in complex arithmetic.
+plus a small dense transform along the middle axis.  Their factors are
+real, so the plane takes ``rfft2``/``irfft2`` and the products along the
+middle axis are real; dense samples may be real or complex.
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import _real_or_complex
-
 __all__ = [
     "NyquistError",
     "window",
     "SampledField",
     "SeparableField3",
-    "sample_field",
     "lp_piece",
     "BesovBreakdown",
     "besov_breakdown",
@@ -137,8 +134,8 @@ class SeparableField3(_Grid):
     """Implicit 3-D product ``f[ix, iy, iz] = plane[ix, iz] * line[iy]``.
 
     ``plane`` is a 2-D sampled field on the (x, z) axes and ``line`` a 1-D
-    field on the middle (y) axis; ``starts``, ``steps`` and ``shape`` are
-    those of the (x, y, z) grid.
+    field on the middle (y) axis, both real; ``starts``, ``steps`` and
+    ``shape`` are those of the (x, y, z) grid.
     """
 
     plane: SampledField
@@ -147,6 +144,8 @@ class SeparableField3(_Grid):
     def __post_init__(self) -> None:
         if self.plane.d != 2 or self.line.d != 1:
             raise ValueError("need a 2-D plane factor and a 1-D line factor")
+        if np.iscomplexobj(self.plane.samples) or np.iscomplexobj(self.line.samples):
+            raise ValueError("separable factors must be real")
         for name in ("starts", "steps", "shape"):
             p, l = getattr(self.plane, name), getattr(self.line, name)
             object.__setattr__(self, name, (p[0], l[0], p[1]))
@@ -158,22 +157,6 @@ class SeparableField3(_Grid):
 
     def sup_abs(self) -> float:
         return float(np.abs(self.plane.samples).max() * np.abs(self.line.samples).max())
-
-
-def sample_field(fn, starts, steps, counts) -> SampledField:
-    """Sample a callable of ``len(counts)`` real variables on a uniform grid.
-
-    The samples are float64 for a real callable and complex128 for a
-    complex one (the dtype rule of :mod:`xplab.hermitian`).
-    """
-    starts = tuple(float(s) for s in starts)
-    steps = tuple(float(s) for s in steps)
-    counts = tuple(int(c) for c in counts)
-    axes = [s0 + st * np.arange(c) for s0, st, c in zip(starts, steps, counts)]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    samples = _real_or_complex(fn(*mesh))
-    samples = np.ascontiguousarray(np.broadcast_to(samples, counts))
-    return SampledField(starts, steps, samples)
 
 
 def _radius2(f: SampledField) -> np.ndarray:
@@ -253,12 +236,11 @@ def _separable_piece_sup(
     ``rr`` runs from 0 (the origin) to ``rr.max()``, so the shell's radii
     run from ``|xi2[j]|`` to ``sqrt(rr.max() + xi2[j]^2)``; a shell whose
     range misses the window's support ``[2^(n-1), 2^(n+1)]`` is skipped
-    unevaluated.  A real ``g`` means real samples: ``phat`` is then the
-    ``rfft2`` half spectrum, ``S_j`` comes from ``irfft2`` and the final
-    product along the middle axis is real.  That product runs one plane
-    row ``x`` at a time.
+    unevaluated.  The factors are real: ``phat`` is the ``rfft2`` half
+    spectrum, ``S_j`` comes from ``irfft2`` and ``g`` is real, so the final
+    product along the middle axis is real.  That product runs one plane row
+    ``x`` at a time.
     """
-    real = not np.iscomplexobj(g)
     scale = 2.0**n
     rr_max = rr.max()
     stack = np.empty((len(xi2),) + shape, dtype=g.dtype)
@@ -270,7 +252,7 @@ def _separable_piece_sup(
         if not mult.any():
             continue
         spec = phat * mult
-        stack[len(cols)] = np.fft.irfft2(spec, s=shape) if real else np.fft.ifft2(spec)
+        stack[len(cols)] = np.fft.irfft2(spec, s=shape)
         cols.append(j)
     if not cols:
         return 0.0
@@ -290,15 +272,10 @@ def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
             f"middle-frequency slices of the {nx} x {nz} plane, over the "
             f"{_SLICE_BYTES_BUDGET / 1e9:.1f} GB budget"
         )
-    real = not (np.iscomplexobj(f.plane.samples) or np.iscomplexobj(f.line.samples))
     shape = f.plane.samples.shape
+    phat = np.fft.rfft2(f.plane.samples)
     xi1 = f.plane.freq_axis(0)
-    if real:
-        phat = np.fft.rfft2(f.plane.samples)
-        xi3 = 2.0 * np.pi * np.fft.rfftfreq(shape[1], d=f.plane.steps[1])
-    else:
-        phat = np.fft.fft2(f.plane.samples)
-        xi3 = f.plane.freq_axis(1)
+    xi3 = 2.0 * np.pi * np.fft.rfftfreq(shape[1], d=f.plane.steps[1])
     rr = xi1[:, None] ** 2 + xi3[None, :] ** 2
     # +xi_2 and -xi_2 (bins k and ny - k) share a radial multiplier
     ny = len(lhat)
@@ -306,9 +283,7 @@ def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
     xi2 = f.line.freq_axis(0)[shells]
     # column j of g: inverse DFT of lhat restricted to the bins of shell j
     terms = np.exp(2j * np.pi * np.outer(np.arange(ny), active) / ny) / ny * lhat[active]
-    g = terms @ (which[:, None] == np.arange(len(shells)))
-    if real:
-        g = g.real
+    g = (terms @ (which[:, None] == np.arange(len(shells)))).real
     return {n: _separable_piece_sup(phat, rr, xi2, g, shape, n) for n in pieces}
 
 

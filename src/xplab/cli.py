@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
     verify.add_argument("--trials", type=_int_at_least("trials", 1), default=100)
 
-    besov_help = ("Besov estimate of a named function on its default periodized grid: "
+    besov_help = ("Besov estimate of a named function on its fixed periodized grid: "
                   "neither an upper nor a lower bound")
     besov = sub.add_parser("besov", help=besov_help, description=besov_help)
     besov.add_argument("--fn", required=True,

@@ -69,7 +69,7 @@ class ExperimentConfig:
     ``sizes`` must be ascending; ``epsilon_schedule`` is one of
     ``constant | one_over_size | one_over_loglog``; Besov estimates are
     computed for sizes up to ``besov_max_size`` (larger grids would not fit
-    the run budget) and reported as missing beyond it; they use the default
+    the run budget) and reported as missing beyond it; they use the fixed
     grid of :mod:`xplab.sampling` and :func:`~xplab.besov.besov_breakdown`.
     """
 
@@ -80,6 +80,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.sizes:
             raise ValueError("config needs at least one size")
+        # bool is an int subclass, but True is not a size
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (*self.sizes, self.besov_max_size)):
+            raise ValueError(f"sizes and besov max size must be integers, got "
+                             f"{self.sizes!r} and {self.besov_max_size!r}")
         sizes = tuple(int(n) for n in self.sizes)
         if any(n < 2 for n in sizes):
             raise ValueError("instance sizes must be at least 2")
@@ -92,9 +97,8 @@ class ExperimentConfig:
             )
         if self.epsilon_schedule == "one_over_loglog" and min(sizes) < 3:
             raise ValueError("the 1/loglog schedule needs sizes >= 3")
-        m = self.besov_max_size
-        if not (isinstance(m, (int, np.integer)) and m >= 0):
-            raise ValueError(f"besov max size must be an integer >= 0, got {m!r}")
+        if self.besov_max_size < 0:
+            raise ValueError(f"besov max size must be an integer >= 0, got {self.besov_max_size!r}")
 
 
 def _check_outputs(*paths) -> None:
@@ -366,6 +370,7 @@ def _suite_separated(rng, trials: int) -> SuiteResult:
 
 
 def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
+    coords = {n: from_hermitian(HermitianMatrix.diag(np.arange(n))) for n in range(2, 9)}
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 9))
@@ -376,7 +381,7 @@ def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
         lhs, rhs = s2_contraction_check(phi, e1, e2, t)
         worst = _worst(worst, lhs - rhs)
         # equality at the maximizing matrix unit over coordinate measures
-        ec = from_hermitian(HermitianMatrix.diag(np.arange(n)))
+        ec = coords[n]
         grid = np.abs(grid_eval(phi, ec.values, ec.values))
         jstar, kstar = np.unravel_index(int(grid.argmax()), grid.shape)
         unit = np.zeros((n, n), dtype=np.complex128)
@@ -512,8 +517,8 @@ def cmd_besov(function_name: str) -> BesovScalarReport:
     window and pieces ``-20 <= n <= min(5, floor(log2(nyquist)) - 1)``; the
     tail bound is ``2^-20 * sup |f|``.  Known names: ``eta``, ``psi``,
     ``phi_tri:<n>`` (2-D interpolant of the triangular pattern), ``f3:<n>``
-    (the 3-D instance function), each on the default grid of its
-    :mod:`xplab.sampling` sampler.  Each has its spectrum in the cube
+    (the 3-D instance function), each on its fixed grid in
+    :mod:`xplab.sampling`.  Each has its spectrum in the cube
     ``[-1, 1]^d``, so the band-limit mass is the energy outside the ball of
     radius ``sqrt(d)``.
     """

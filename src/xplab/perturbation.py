@@ -23,7 +23,6 @@ from .spectral import apply_scalar, from_hermitian
 __all__ = [
     "divided_difference",
     "perturbation_identity_residual",
-    "diagonal_irrelevance_check",
     "psi_difference",
     "separated_difference",
 ]
@@ -69,23 +68,6 @@ def perturbation_identity_residual(f, f_prime, A, B) -> float:
     lhs = apply_scalar(ea, f) - apply_scalar(eb, f)
     rhs = doi(divided_difference(f, f_prime), ea, A.mat - B.mat, eb)
     return schatten_norm(lhs - rhs, 1)
-
-
-def diagonal_irrelevance_check(f, A, B, g1, g2) -> float:
-    """Trace norm of the difference between the two double integrals built
-    with diagonal assignments ``g1`` and ``g2`` for the divided difference.
-
-    Exactly zero when the spectra of ``A`` and ``B`` are disjoint (the
-    diagonal cells are never sampled); zero to roundoff otherwise.
-    """
-    A = HermitianMatrix.wrap(A)
-    B = HermitianMatrix.wrap(B)
-    ea = from_hermitian(A)
-    eb = from_hermitian(B)
-    diff = A.mat - B.mat
-    d1 = doi(divided_difference(f, g1), ea, diff, eb)
-    d2 = doi(divided_difference(f, g2), ea, diff, eb)
-    return schatten_norm(d1 - d2, 1)
 
 
 def psi_difference(psi, B1, B2) -> np.ndarray:

@@ -3,8 +3,11 @@
 The bump ``eta`` decays like ``1/x^2``, so truncating it on a finite grid
 leaks spectral mass outside its band.  All samplers here use the exact
 periodization (:func:`xplab.counterexample.eta_periodized`), which makes
-the sampled spectra band-limited to machine precision; grid spans must
-therefore be multiples of ``2*pi``, which ``eta_periodized`` enforces.
+the sampled spectra band-limited to machine precision.  Each family has one
+fixed grid, with spans that are multiples of ``2*pi``: ``eta`` takes ``2^14``
+points on ``[-64 pi, 64 pi)``; a coefficient plane takes step ``pi/4`` over
+its lattice plus an ``8 pi`` margin; an instance's middle (y) line takes 64
+points of step ``pi/4`` centred at ``2 pi``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from .besov import SampledField, SeparableField3, _is_pow2
+from .besov import SampledField, SeparableField3
 from .counterexample import (
     TWO_PI,
     CoeffMatrix,
@@ -27,66 +30,52 @@ __all__ = [
     "sample_instance",
 ]
 
-
-def sample_eta_1d(shift: float = 0.0, extent: float = 64 * math.pi, points: int = 2**14) -> SampledField:
-    """Periodized samples of ``eta(. - shift)`` on ``[-extent, extent)``."""
-    if not _is_pow2(points):
-        raise ValueError(f"points must be a power of two, got {points}")
-    span = 2.0 * extent
-    step = span / points
-    x = -extent + step * np.arange(points)
-    return SampledField((-extent,), (step,), eta_periodized(x - shift, span))
+_ETA_EXTENT = 64 * math.pi
+_ETA_POINTS = 2**14
+_STEP = math.pi / 4
+_MARGIN = 8 * math.pi
+_LINE_POINTS = 64
 
 
-def _lattice_axis(count: int, step: float, margin: float) -> tuple[float, int]:
+def sample_eta_1d(shift: float) -> SampledField:
+    """Periodized samples of ``eta(. - shift)`` on the fixed 1-D grid."""
+    span = 2.0 * _ETA_EXTENT
+    step = span / _ETA_POINTS
+    x = -_ETA_EXTENT + step * np.arange(_ETA_POINTS)
+    return SampledField((-_ETA_EXTENT,), (step,), eta_periodized(x - shift, span))
+
+
+def _lattice_axis(count: int) -> tuple[float, int]:
     """Power-of-two axis covering the lattice ``2*pi*(0..count-1)`` plus margin."""
-    needed = TWO_PI * (count - 1) + 2.0 * margin
-    n = 1 << max(3, int(math.ceil(math.log2(needed / step))))
-    span = n * step
+    needed = TWO_PI * (count - 1) + 2.0 * _MARGIN
+    n = 1 << int(math.ceil(math.log2(needed / _STEP)))
+    span = n * _STEP
     start = (TWO_PI * (count - 1) - span) / 2.0
     return start, n
 
 
-def sample_phi_2d(c: CoeffMatrix, step: float = math.pi / 4, margin: float = 8 * math.pi) -> SampledField:
-    """Periodized samples of the lattice interpolant of ``c`` on a square
-    grid centered on its coefficient lattice."""
-    x0, nx = _lattice_axis(c.rows, step, margin)
-    z0, nz = _lattice_axis(c.cols, step, margin)
-    x = x0 + step * np.arange(nx)
-    z = z0 + step * np.arange(nz)
-    bx = eta_periodized(x - TWO_PI * np.arange(c.rows)[:, None], nx * step)
-    bz = eta_periodized(z - TWO_PI * np.arange(c.cols)[:, None], nz * step)
+def sample_phi_2d(c: CoeffMatrix) -> SampledField:
+    """Periodized samples of the lattice interpolant of ``c`` on the fixed
+    square-step grid centered on its coefficient lattice."""
+    x0, nx = _lattice_axis(c.rows)
+    z0, nz = _lattice_axis(c.cols)
+    x = x0 + _STEP * np.arange(nx)
+    z = z0 + _STEP * np.arange(nz)
+    bx = eta_periodized(x - TWO_PI * np.arange(c.rows)[:, None], nx * _STEP)
+    bz = eta_periodized(z - TWO_PI * np.arange(c.cols)[:, None], nz * _STEP)
     samples = bx.T @ c.entries @ bz
-    return SampledField((x0, z0), (step, step), samples)
+    return SampledField((x0, z0), (_STEP, _STEP), samples)
 
 
-def sample_instance(
-    inst: CounterexampleInstance,
-    step: float = math.pi / 4,
-    margin: float = 8 * math.pi,
-    yspan: float = 16 * math.pi,
-) -> SeparableField3:
-    """Separable samples of the instance function ``f = eps phi(./eps) psi(./eps)``.
-
-    The plane factor carries ``eps * phi`` on the scaled (x, z) grid and the
-    line factor ``psi`` on a scaled y grid centered at ``2*pi*eps``; their
-    product reproduces ``f`` exactly on the product grid.
-    """
-    plane = sample_phi_2d(inst.coeffs, step=step, margin=margin)
-    ny = int(round(yspan / step))
-    if not _is_pow2(ny) or abs(ny * step - yspan) > 1e-9 * yspan:
-        raise ValueError(
-            f"y span {yspan:g} over step {step:g} must give a power-of-two count, got {yspan / step:g}"
-        )
+def sample_instance(inst: CounterexampleInstance) -> SeparableField3:
+    """Separable samples of the unscaled instance function ``f = phi psi``:
+    ``phi`` on the plane of :func:`sample_phi_2d`, ``psi`` on the fixed y
+    line.  A scaled instance (``epsilon != 1``) raises ``ValueError``."""
+    if inst.epsilon != 1.0:
+        raise ValueError(f"only unscaled instances are sampled, got epsilon {inst.epsilon!r}")
+    plane = sample_phi_2d(inst.coeffs)
+    yspan = _LINE_POINTS * _STEP
     y0 = TWO_PI - yspan / 2.0
-    y = y0 + step * np.arange(ny)
+    y = y0 + _STEP * np.arange(_LINE_POINTS)
     line = eta_periodized(y - TWO_PI, yspan)
-    e = inst.epsilon
-    return SeparableField3(
-        plane=SampledField(
-            (e * plane.starts[0], e * plane.starts[1]),
-            (e * step, e * step),
-            e * plane.samples,
-        ),
-        line=SampledField((e * y0,), (e * step,), line),
-    )
+    return SeparableField3(plane=plane, line=SampledField((y0,), (_STEP,), line))

@@ -282,6 +282,19 @@ def test_library_growth_rejects_one_path_for_both(tmp_path, monkeypatch):
         experiment.cmd_growth(config, csv_path=path, json_path=path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sizes", (4.5, 8)),
+    ("sizes", ("8",)),
+    ("sizes", (True, 8)),
+    ("besov_max_size", True),
+])
+def test_library_growth_rejects_non_integer_sizes(monkeypatch, field, value):
+    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
+    config = experiment.ExperimentConfig(**{"sizes": (4, 8), "besov_max_size": 0, field: value})
+    with pytest.raises(ValueError, match="integer"):
+        experiment.cmd_growth(config)
+
+
 def test_no_environment_knobs():
     src = Path(xplab.__file__).parent
     for module in sorted(src.glob("*.py")):
