@@ -36,6 +36,7 @@ __all__ = [
     "lp_piece",
     "BesovBreakdown",
     "besov_breakdown",
+    "check_slice_budget",
     "bandlimit_check",
 ]
 
@@ -260,19 +261,35 @@ def _separable_piece_sup(
     return max(float(np.abs(gs @ stack[: len(cols), x, :]).max()) for x in range(shape[0]))
 
 
-def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
-    lhat = np.fft.fft(f.line.samples)
-    # middle frequencies with nonneglible weight; each piece transforms a subset
+def _active_bins(lhat: np.ndarray, plane_shape: tuple) -> np.ndarray:
+    """Middle-frequency bins of the line spectrum ``lhat`` with nonnegligible
+    weight; raises ``ValueError`` when their slices of a plane of
+    ``plane_shape`` exceed the slice budget."""
     active = np.flatnonzero(np.abs(lhat) > _SLICE_FLOOR * max(np.abs(lhat).max(), 1e-300))
-    need = len(active) * f.plane.samples.size * 16
+    need = len(active) * math.prod(plane_shape) * 16
     if need > _SLICE_BYTES_BUDGET:
-        nx, nz = f.plane.samples.shape
+        nx, nz = plane_shape
         raise ValueError(
             f"separable Besov pieces need {need / 1e9:.1f} GB for {len(active)} "
             f"middle-frequency slices of the {nx} x {nz} plane, over the "
             f"{_SLICE_BYTES_BUDGET / 1e9:.1f} GB budget"
         )
+    return active
+
+
+def check_slice_budget(line: SampledField, plane_shape: tuple) -> None:
+    """Raise ``ValueError`` when the Besov pieces of a :class:`SeparableField3`
+    with this middle line and a plane of ``plane_shape`` exceed the slice
+    budget, the check :func:`besov_breakdown` makes first.  It reads the line
+    only, so a caller can make it before sampling the plane."""
+    _active_bins(np.fft.fft(line.samples), plane_shape)
+
+
+def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
+    lhat = np.fft.fft(f.line.samples)
     shape = f.plane.samples.shape
+    # middle frequencies with nonneglible weight; each piece transforms a subset
+    active = _active_bins(lhat, shape)
     phat = np.fft.rfft2(f.plane.samples)
     xi1 = f.plane.freq_axis(0)
     xi3 = 2.0 * np.pi * np.fft.rfftfreq(shape[1], d=f.plane.steps[1])

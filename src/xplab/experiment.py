@@ -37,7 +37,7 @@ from .perturbation import (
     psi_difference,
     separated_difference,
 )
-from .sampling import sample_eta_1d, sample_instance, sample_phi_2d
+from .sampling import check_instance_budget, sample_eta_1d, sample_instance, sample_phi_2d
 from .spectral import apply_scalar, from_hermitian
 
 __all__ = [
@@ -71,6 +71,8 @@ class ExperimentConfig:
     computed for sizes up to ``besov_max_size`` (larger grids would not fit
     the run budget) and reported as missing beyond it; they use the fixed
     grid of :mod:`xplab.sampling` and :func:`~xplab.besov.besov_breakdown`.
+    :meth:`validate` rejects a ``besov_max_size`` that lets a size's grid
+    exceed the Besov slice budget, before any size runs.
     """
 
     sizes: tuple
@@ -99,6 +101,14 @@ class ExperimentConfig:
             raise ValueError("the 1/loglog schedule needs sizes >= 3")
         if self.besov_max_size < 0:
             raise ValueError(f"besov max size must be an integer >= 0, got {self.besov_max_size!r}")
+        besov_sizes = [n for n in sizes if n <= self.besov_max_size]
+        if besov_sizes:
+            # the largest sampled plane decides, so no size runs before a late failure
+            try:
+                check_instance_budget(besov_sizes[-1])
+            except ValueError as exc:
+                raise ValueError(f"besov estimate at size {besov_sizes[-1]} "
+                                 f"(besov max size {self.besov_max_size}): {exc}") from exc
 
 
 def _check_outputs(*paths) -> None:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .besov import SampledField, SeparableField3
+from .besov import SampledField, SeparableField3, check_slice_budget
 from .counterexample import (
     TWO_PI,
     CoeffMatrix,
@@ -28,6 +28,7 @@ __all__ = [
     "sample_eta_1d",
     "sample_phi_2d",
     "sample_instance",
+    "check_instance_budget",
 ]
 
 _ETA_EXTENT = 64 * math.pi
@@ -67,15 +68,26 @@ def sample_phi_2d(c: CoeffMatrix) -> SampledField:
     return SampledField((x0, z0), (_STEP, _STEP), samples)
 
 
+def _instance_line() -> SampledField:
+    """Periodized samples of ``psi = eta(. - 2 pi)`` on the fixed y line."""
+    yspan = _LINE_POINTS * _STEP
+    y0 = TWO_PI - yspan / 2.0
+    y = y0 + _STEP * np.arange(_LINE_POINTS)
+    return SampledField((y0,), (_STEP,), eta_periodized(y - TWO_PI, yspan))
+
+
 def sample_instance(inst: CounterexampleInstance) -> SeparableField3:
     """Separable samples of the unscaled instance function ``f = phi psi``:
     ``phi`` on the plane of :func:`sample_phi_2d`, ``psi`` on the fixed y
     line.  A scaled instance (``epsilon != 1``) raises ``ValueError``."""
     if inst.epsilon != 1.0:
         raise ValueError(f"only unscaled instances are sampled, got epsilon {inst.epsilon!r}")
-    plane = sample_phi_2d(inst.coeffs)
-    yspan = _LINE_POINTS * _STEP
-    y0 = TWO_PI - yspan / 2.0
-    y = y0 + _STEP * np.arange(_LINE_POINTS)
-    line = eta_periodized(y - TWO_PI, yspan)
-    return SeparableField3(plane=plane, line=SampledField((y0,), (_STEP,), line))
+    return SeparableField3(plane=sample_phi_2d(inst.coeffs), line=_instance_line())
+
+
+def check_instance_budget(n: int) -> None:
+    """Raise ``ValueError`` when the Besov pieces of the size-``n`` instance's
+    samples exceed the slice budget of :mod:`xplab.besov`; the plane's shape
+    comes from its lattice axis, so the check samples the y line only."""
+    side = _lattice_axis(n)[1]
+    check_slice_budget(_instance_line(), (side, side))

@@ -40,11 +40,20 @@ class SpectralMeasure:
     when ``H`` is diagonal (see :func:`from_hermitian`).  ``values``,
     ``basis`` and ``starts`` are read-only views, so a measure can be shared,
     and the column -> atom map is computed once, here.
+
+    ``perm`` is ``None`` for a dense basis.  For a permutation basis it is
+    the row of the one in each column, ``basis[perm[j], j] == 1``, and
+    ``perm_inv`` is its inverse, so ``basis^H @ X == X[perm]``,
+    ``X @ basis == X[:, perm]``, ``basis @ Y == Y[perm_inv]`` and
+    ``Y @ basis^H == Y[:, perm_inv]``.  Both are computed once, here, as
+    read-only index arrays, or as ``slice(None)`` when the permutation is
+    the identity, so that gathering by it is a view, not a copy.  The
+    constructor checks that ``basis`` is the permutation matrix of ``perm``.
     """
 
-    __slots__ = ("values", "basis", "starts", "_col_atom")
+    __slots__ = ("values", "basis", "starts", "perm", "perm_inv", "_col_atom")
 
-    def __init__(self, values, basis, starts) -> None:
+    def __init__(self, values, basis, starts, perm=None) -> None:
         self.values = _read_only(np.asarray(values, dtype=np.float64))
         self.basis = _read_only(np.asarray(basis))
         self.starts = _read_only(np.asarray(starts, dtype=np.intp))
@@ -59,6 +68,21 @@ class SpectralMeasure:
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("atom values must be strictly increasing")
         self._col_atom = _read_only(np.repeat(np.arange(self.atom_count), self.ranks))
+        self.perm = self.perm_inv = None
+        if perm is not None:
+            self._set_perm(np.asarray(perm, dtype=np.intp))
+
+    def _set_perm(self, perm: np.ndarray) -> None:
+        cols = np.arange(self.dim)
+        if (perm.shape != (self.dim,) or np.count_nonzero(self.basis) != self.dim
+                or not np.all(self.basis[perm, cols] == 1)):
+            raise ValueError("basis must be the permutation matrix of perm")
+        if np.array_equal(perm, cols):
+            self.perm = self.perm_inv = slice(None)
+            return
+        inv = np.empty_like(perm)
+        inv[perm] = cols
+        self.perm, self.perm_inv = _read_only(perm), _read_only(inv)
 
     @property
     def dim(self) -> int:
@@ -96,8 +120,11 @@ def from_hermitian(H) -> SpectralMeasure:
     Sorted eigenvalues whose gap is at most ``CLUSTER_TOL`` are merged into
     one atom whose value is the cluster mean and whose projection sums the
     corresponding rank-one projectors.  A diagonal ``H`` needs no ``eigh``:
-    its eigenvalues are the stably sorted diagonal and its basis is the
-    matching permutation matrix.
+    its eigenvalues are the stably sorted diagonal, its basis is the
+    matching permutation matrix, and the measure records that sort order as
+    its ``perm`` (``slice(None)`` when the diagonal is already sorted), so
+    operator integrals gather by it instead of multiplying by the basis.
+    A measure from ``eigh`` has ``perm = None``.
 
     There is one measure per :class:`HermitianMatrix`: the first call
     stores it on the matrix and later calls return that same, read-only
@@ -112,13 +139,14 @@ def from_hermitian(H) -> SpectralMeasure:
         raise ValueError("empty matrix has no spectral measure")
     if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
         d = mat.diagonal().real
-        order = np.argsort(d, kind="stable")
-        w, v = d[order], np.eye(len(d))[:, order]
+        perm = np.argsort(d, kind="stable")
+        w, v = d[perm], np.eye(len(d))[:, perm]
     else:
         w, v = _eigh_checked(mat)
+        perm = None
     starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1, [len(w)]))
     values = np.add.reduceat(w, starts[:-1]) / np.diff(starts)
-    h._measure = SpectralMeasure(values, v, starts)
+    h._measure = SpectralMeasure(values, v, starts, perm)
     return h._measure
 
 

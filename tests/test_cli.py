@@ -282,6 +282,18 @@ def test_library_growth_rejects_one_path_for_both(tmp_path, monkeypatch):
         experiment.cmd_growth(config, csv_path=path, json_path=path)
 
 
+def test_growth_besov_budget_checked_before_any_size(monkeypatch, capsys):
+    # the 4096^2 plane of size 250 fails the slice budget of the besov cross-check
+    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
+    assert main(["growth", "--sizes", "8,250", "--besov-max-size", "250"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: besov estimate at size 250" in err
+    assert "over the 1.4 GB budget" in err
+    with pytest.raises(ValueError, match="over the 1.4 GB budget"):
+        experiment.cmd_growth(experiment.ExperimentConfig(sizes=(8, 250), besov_max_size=250))
+    experiment.ExperimentConfig(sizes=(8, 250), besov_max_size=249).validate()
+
+
 @pytest.mark.parametrize("field, value", [
     ("sizes", (4.5, 8)),
     ("sizes", ("8",)),

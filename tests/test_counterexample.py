@@ -24,7 +24,7 @@ from xplab.counterexample import (
     triangular_coeffs,
 )
 from xplab.hermitian import schatten_norm, singular_values
-from xplab.opint import doi
+from xplab.opint import doi, func_calc_triple
 from xplab.spectral import from_hermitian
 
 
@@ -259,6 +259,29 @@ class TestInstance:
             assert np.abs(got - want).max() < 1e-12
 
 
+class TestDifferenceMatrix:
+    def test_one_field_evaluation(self):
+        inst = build_instance(8)
+        calls = []
+
+        def counted(x, y, z):
+            calls.append((np.shape(x), np.shape(y), np.shape(z)))
+            return inst.f(x, y, z)
+
+        difference_matrix(dataclasses.replace(inst, f=counted))
+        # B1 has the atoms 0 and 2 pi, B2 = 0 the atom 0
+        assert calls == [((8, 1, 1), (1, 3, 1), (1, 1, 8))]
+
+    @pytest.mark.parametrize("n, eps", [(2, 1.0), (3, 1.0), (8, 1.0), (64, 1.0), (8, 0.25)])
+    def test_equals_two_functional_calculi(self, n, eps):
+        inst = build_instance(n)
+        if eps != 1.0:
+            inst = scale_instance(inst, eps)
+        want = (func_calc_triple(inst.f, inst.A, inst.B1, inst.C)
+                - func_calc_triple(inst.f, inst.A, inst.B2, inst.C))
+        assert np.array_equal(difference_matrix(inst), want)
+
+
 class TestRatios:
     def test_growth_ratio_n2_composition(self):
         inst = build_instance(2)
@@ -315,6 +338,11 @@ class TestScaleInstance:
         inst = build_instance(4)
         scaled = scale_instance(inst, 0.5)
         assert measured_sup_norm(scaled) == pytest.approx(0.5 * measured_sup_norm(inst), rel=1e-12)
+
+    def test_keeps_the_a_c_alias(self):
+        scaled = scale_instance(build_instance(4), 0.5)
+        assert scaled.C is scaled.A
+        assert from_hermitian(scaled.C) is from_hermitian(scaled.A)
 
     def test_rejects_bad_scale(self):
         inst = build_instance(2)

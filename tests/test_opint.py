@@ -11,7 +11,7 @@ from xplab.opint import (
     s2_contraction_check,
     toi,
 )
-from xplab.spectral import apply_scalar, from_hermitian
+from xplab.spectral import SpectralMeasure, apply_scalar, from_hermitian
 
 from conftest import random_complex, random_hermitian
 
@@ -88,7 +88,8 @@ class TestToi:
     def test_constant_symbol_multiplies(self, rng):
         e = [from_hermitian(random_hermitian(rng, 4)) for _ in range(3)]
         t1, t2 = random_complex(rng, 4), random_complex(rng, 4)
-        got = toi(lambda x, y, z: 1.0, e[0], t1, e[1], t2, e[2])
+        fgrid = grid_eval(lambda x, y, z: 1.0, e[0].values, e[1].values, e[2].values)
+        got = toi(fgrid, e[0], t1, e[1], t2, e[2])
         assert np.abs(got - t1 @ t2).max() < 1e-12
 
     def test_middle_symbol_inserts_operator(self, rng):
@@ -97,14 +98,14 @@ class TestToi:
         eb = from_hermitian(b)
         e3 = from_hermitian(random_hermitian(rng, 4))
         t1, t2 = random_complex(rng, 4), random_complex(rng, 4)
-        got = toi(lambda x, y, z: y, e1, t1, eb, t2, e3)
+        got = toi(grid_eval(lambda x, y, z: y, e1.values, eb.values, e3.values), e1, t1, eb, t2, e3)
         assert np.abs(got - t1 @ b.mat @ t2).max() < 1e-10
 
     def test_matches_naive_triple_sum(self, rng):
         e = [from_hermitian(random_hermitian(rng, 2)) for _ in range(3)]
         t1, t2 = random_complex(rng, 2), random_complex(rng, 2)
         phi = lambda x, y, z: np.exp(1j * x) * y + z**2
-        got = toi(phi, e[0], t1, e[1], t2, e[2])
+        got = toi(grid_eval(phi, e[0].values, e[1].values, e[2].values), e[0], t1, e[1], t2, e[2])
         want = naive_toi(phi, e[0], t1, e[1], t2, e[2])
         assert np.abs(got - want).max() < 1e-12
 
@@ -113,10 +114,77 @@ class TestToi:
         es = [from_hermitian(h) for h in hs]
         t1, t2 = random_complex(rng, 4), random_complex(rng, 4)
         f1, f2, f3 = np.cos, np.sin, lambda x: x**2
-        got = toi(lambda x, y, z: f1(x) * f2(y) * f3(z), es[0], t1, es[1], t2, es[2])
+        fgrid = grid_eval(lambda x, y, z: f1(x) * f2(y) * f3(z), es[0].values, es[1].values, es[2].values)
+        got = toi(fgrid, es[0], t1, es[1], t2, es[2])
         want = (apply_scalar(es[0], f1) @ t1 @ apply_scalar(es[1], f2)
                 @ t2 @ apply_scalar(es[2], f3))
         assert np.abs(got - want).max() < 1e-10
+
+
+def _measures():
+    """Diagonal measures with an identity and a non-identity permutation (with
+    a cluster), and a dense real ``eigh`` measure, all of dimension 5."""
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((5, 5))
+    return {
+        "sorted": from_hermitian(HermitianMatrix.diag([-1.0, 0.0, 0.5, 2.0, 3.0])),
+        "unsorted": from_hermitian(HermitianMatrix.diag([3.0, -1.0, 3.0, 0.5, 2.0])),
+        "dense": from_hermitian(HermitianMatrix(raw + raw.T)),
+    }
+
+
+def _random_matrix(rng, dtype):
+    return random_complex(rng, 5) if dtype == np.complex128 else rng.standard_normal((5, 5))
+
+
+def _without_perm(e):
+    """The same measure with no permutation, so doi and toi multiply by its
+    basis: the reference for the gather path."""
+    return SpectralMeasure(e.values, e.basis, e.starts)
+
+
+class TestPermutationPath:
+    def test_measures_cover_both_kinds(self):
+        e = _measures()
+        assert e["sorted"].perm == slice(None)
+        assert list(e["unsorted"].perm) == [1, 3, 4, 0, 2]
+        assert e["dense"].perm is None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("k1", ["sorted", "unsorted", "dense"])
+    @pytest.mark.parametrize("k2", ["sorted", "unsorted", "dense"])
+    def test_doi_gather_equals_product(self, rng, dtype, k1, k2):
+        e = _measures()
+        t = _random_matrix(rng, dtype)
+        phi = lambda x, y: np.cos(x) + 2.0 * y
+        got = doi(phi, e[k1], t, e[k2])
+        want = doi(phi, _without_perm(e[k1]), t, _without_perm(e[k2]))
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("ks", [
+        ("sorted", "sorted", "sorted"),
+        ("unsorted", "sorted", "unsorted"),
+        ("unsorted", "dense", "sorted"),
+        ("dense", "unsorted", "dense"),
+        ("sorted", "dense", "unsorted"),
+        ("unsorted", "unsorted", "unsorted"),
+    ])
+    def test_toi_gather_equals_product(self, rng, dtype, ks):
+        measures = _measures()
+        e = [measures[k] for k in ks]
+        t1, t2 = _random_matrix(rng, dtype), _random_matrix(rng, dtype)
+        fgrid = grid_eval(lambda x, y, z: np.cos(x - z) * (1.0 + y), *(m.values for m in e))
+        got = toi(fgrid, e[0], t1, e[1], t2, e[2])
+        want = toi(fgrid, _without_perm(e[0]), t1, _without_perm(e[1]), t2, _without_perm(e[2]))
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+
+    def test_toi_rejects_grid_of_wrong_shape(self):
+        e = _measures()["unsorted"]
+        with pytest.raises(ValueError, match="atom grid"):
+            toi(np.ones((5, 5, 5)), e, np.eye(5), e, np.eye(5), e)
 
 
 class TestFuncCalc:

@@ -107,6 +107,10 @@ class TestDiagonalPath:
         assert _is_permutation(e.basis)
         # stable sort: equal entries keep their order, so column 0 is e_1
         assert list(e.basis.argmax(axis=0)) == [1, 4, 3, 0, 2]
+        assert list(e.perm) == [1, 4, 3, 0, 2]
+        assert list(e.perm_inv) == [3, 0, 4, 2, 1]
+        with pytest.raises(ValueError):
+            e.perm[0] = 0
         assert np.array_equal(sum(p for _, p in e.atoms), np.eye(5))
         assert np.abs(sum(v * p for v, p in e.atoms) - np.diag(d)).max() < 1e-12
 
@@ -115,13 +119,22 @@ class TestDiagonalPath:
         assert list(e.values) == [0.0]
         assert list(e.ranks) == [6]
         assert np.array_equal(e.basis, np.eye(6))
+        assert e.perm == e.perm_inv == slice(None)
         assert np.array_equal(e.projection(0), np.eye(6))
+
+    def test_perm_must_match_basis(self):
+        values, starts = np.arange(3.0), np.arange(4)
+        with pytest.raises(ValueError, match="permutation matrix of perm"):
+            SpectralMeasure(values, np.eye(3), starts, perm=[1, 0, 2])
+        e = SpectralMeasure(values, np.eye(3)[:, [2, 0, 1]], starts, perm=[2, 0, 1])
+        assert list(e.perm_inv) == [1, 2, 0]
 
     def test_real_symmetric_gives_real_basis(self, rng):
         raw = rng.standard_normal((6, 6))
         h = HermitianMatrix(raw + raw.T)
         e = from_hermitian(h)
         assert e.basis.dtype == np.float64
+        assert e.perm is None and e.perm_inv is None
         assert np.abs(sum(v * p for v, p in e.atoms) - h.mat).max() < 1e-12
 
     def test_complex_hermitian_unchanged(self, rng):
@@ -129,6 +142,7 @@ class TestDiagonalPath:
         w, v = np.linalg.eigh(h.mat)
         e = from_hermitian(h)
         assert e.basis.dtype == np.complex128
+        assert e.perm is None
         assert np.array_equal(e.basis, v)
         assert np.array_equal(e.values, w)
 
