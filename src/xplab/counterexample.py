@@ -58,17 +58,22 @@ def eta(x):
     Equals 1 at 0, vanishes to second order at every other multiple of
     ``2*pi``, stays in ``[0, 1]``, and its Fourier transform is the tent
     supported on ``[-1, 1]``.  Near 0 a Taylor series avoids the
-    ``1 - cos`` cancellation.
+    ``1 - cos`` cancellation.  The closed form is evaluated in place and
+    the series only on the entries below the cutoff, so a large argument
+    costs one extra array, not one per term.
     """
     xa = np.asarray(x, dtype=np.float64)
     small = np.abs(xa) < _ETA_SERIES_CUTOFF
-    safe = np.where(small, 1.0, xa)
-    x2 = xa * xa
-    out = np.where(
-        small,
-        1.0 - x2 / 12.0 + x2 * x2 / 360.0,
-        2.0 * (1.0 - np.cos(safe)) / (safe * safe),
-    )
+    out = np.where(small, 1.0, xa)
+    sq = out * out
+    np.cos(out, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= 2.0
+    out /= sq
+    del sq
+    if small.any():
+        x2 = xa[small] * xa[small]
+        out[small] = 1.0 - x2 / 12.0 + x2 * x2 / 360.0
     return out[()]
 
 
@@ -284,8 +289,9 @@ def difference_matrix(inst: CounterexampleInstance) -> np.ndarray:
     ea, eb1, eb2, ec = (from_hermitian(h) for h in (inst.A, inst.B1, inst.B2, inst.C))
     fgrid = grid_eval(inst.f, ea.values, np.concatenate((eb1.values, eb2.values)), ec.values)
     m1 = eb1.atom_count
-    eye = np.eye(ea.dim)
-    return toi(fgrid[:, :m1], ea, eye, eb1, eye, ec) - toi(fgrid[:, m1:], ea, eye, eb2, eye, ec)
+    diff = toi(fgrid[:, :m1], ea, None, eb1, None, ec)
+    diff -= toi(fgrid[:, m1:], ea, None, eb2, None, ec)
+    return diff
 
 
 def certified_sup_norm(inst: CounterexampleInstance) -> float:

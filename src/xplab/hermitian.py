@@ -30,12 +30,13 @@ __all__ = [
 class HermitianMatrix:
     """Square Hermitian matrix, float64 or complex128 by the dtype rule.
 
-    The input must satisfy ``entries[j][k] == conj(entries[k][j])`` within
-    ``1e-12`` (max-entry deviation); the stored matrix is the exactly
-    symmetrized ``(H + H*) / 2`` and is read-only.  Multiplication by a
-    *real* scalar stays inside the class.  There is no addition or
-    subtraction: the difference ``A.mat - B.mat`` of two instances is
-    already exactly Hermitian, bit for bit what a wrapper would store.
+    The input must be finite and satisfy ``entries[j][k] ==
+    conj(entries[k][j])`` within ``1e-12`` (max-entry deviation); the
+    stored matrix is the exactly symmetrized ``(H + H*) / 2`` and is
+    read-only.  Multiplication by a *real* scalar stays inside the class.
+    There is no addition or subtraction: the difference ``A.mat - B.mat``
+    of two instances is already exactly Hermitian, bit for bit what a
+    wrapper would store.
 
     The private ``_measure`` slot holds the spectral measure once
     :func:`xplab.spectral.from_hermitian` has computed it.
@@ -45,6 +46,8 @@ class HermitianMatrix:
 
     def __init__(self, entries) -> None:
         mat = as_matrix(entries)
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix has a non-finite entry")
         deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if deviation > HERMITIAN_TOL:
             raise ValueError(

@@ -23,6 +23,13 @@ measure whose ``perm`` is set, see :class:`~xplab.spectral.SpectralMeasure`);
 the gather gives the same values as the product, which multiplies by ones
 and exact zeros.
 
+An operator argument ``T``, ``T1`` or ``T2`` may be ``None``, which means
+the identity: the result equals that of passing ``np.eye(dim)``, but no
+identity is built or multiplied.  The change of basis of ``None`` between
+two measures is one product of their bases when both are dense, a gather
+of the other basis when one is a permutation, and a 0/1 matrix when both
+are.
+
 A field (a symbol ``Phi`` or a function ``f`` of one, two or three real
 variables) is any callable that takes numpy arrays and broadcasts them.
 Every evaluation is one call on whole arrays, never a loop over points;
@@ -82,8 +89,35 @@ def _take(x: np.ndarray, index, axis: int) -> np.ndarray:
     return x if isinstance(index, slice) else np.take(x, index, axis=axis)
 
 
-def _into_bases(e1: SpectralMeasure, x: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
-    """``e1.basis^H @ x @ e2.basis``, gathering for a permutation basis."""
+def _atom_columns(e: SpectralMeasure):
+    """Column -> atom index of ``e``; ``slice(None)`` when every atom has
+    rank one, so that reading a symbol grid by it is a view, not a copy."""
+    return slice(None) if e.atom_count == e.dim else e.column_atom_index()
+
+
+def _bases_product(e1: SpectralMeasure, e2: SpectralMeasure) -> np.ndarray:
+    """``e1.basis^H @ e2.basis``, C-contiguous, as a product of bases with
+    the identity would give it, without building or multiplying the
+    identity: one product when both bases are dense, otherwise a gather."""
+    if e1.perm is None:
+        h1 = e1.basis.conj().T
+        if e2.perm is None:
+            return np.ascontiguousarray(h1) @ e2.basis
+        return np.ascontiguousarray(_take(h1, e2.perm, 1))
+    if e2.perm is None:
+        return np.ascontiguousarray(_take(e2.basis, e1.perm, 0))
+    # both permutations: entry (i, j) is 1 where perm1[i] == perm2[j]
+    rows = np.arange(e1.dim)
+    out = np.zeros((e1.dim, e2.dim))
+    out[rows, rows[e2.perm_inv][e1.perm]] = 1.0
+    return out
+
+
+def _into_bases(e1: SpectralMeasure, x, e2: SpectralMeasure) -> np.ndarray:
+    """``e1.basis^H @ x @ e2.basis``, gathering for a permutation basis;
+    ``x = None`` is the identity."""
+    if x is None:
+        return _bases_product(e1, e2)
     x = e1.basis.conj().T @ x if e1.perm is None else _take(x, e1.perm, 0)
     return x @ e2.basis if e2.perm is None else _take(x, e2.perm, 1)
 
@@ -94,13 +128,23 @@ def _out_of_bases(e1: SpectralMeasure, y: np.ndarray, e2: SpectralMeasure) -> np
     return y @ e2.basis.conj().T if e2.perm is None else _take(y, e2.perm_inv, 1)
 
 
-def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
-    """Double operator integral ``sum Phi(a_j, b_k) P_j T Q_k``."""
+def _operator(name: str, t, dim: int):
+    """``t`` as a square matrix of size ``dim``; ``None`` (the identity)
+    stays ``None``."""
+    if t is None:
+        return None
     tmat = as_matrix(t)
-    _check_dim("T", tmat.shape[0], e1.dim)
+    _check_dim(name, tmat.shape[0], dim)
+    return tmat
+
+
+def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
+    """Double operator integral ``sum Phi(a_j, b_k) P_j T Q_k``; ``T = None``
+    is the identity."""
+    tmat = _operator("T", t, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
     fgrid = grid_eval(phi, e1.values, e2.values)
-    fcols = fgrid[np.ix_(e1.column_atom_index(), e2.column_atom_index())]
+    fcols = _take(_take(fgrid, _atom_columns(e1), 0), _atom_columns(e2), 1)
     return _out_of_bases(e1, fcols * _into_bases(e1, tmat, e2), e2)
 
 
@@ -112,36 +156,47 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     E3.atom_count)``; any array of that shape will do, a strided view
     included, and it is only read.  ``T1`` and ``T2`` go into the
     eigenbases by a product with a dense basis and by a gather with a
-    permutation basis, and so does the result on the way back.
+    permutation basis, and so does the result on the way back.  ``None``
+    for ``T1`` or ``T2`` is the identity; when both are ``None`` and ``E2``
+    is one atom with the identity basis (as for the zero matrix), its
+    projection is ``I`` and the integral needs no product over ``E2``.
     """
-    t1m, t2m = as_matrix(t1), as_matrix(t2)
-    _check_dim("T1", t1m.shape[0], e1.dim)
+    t1m = _operator("T1", t1, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
-    _check_dim("T2", t2m.shape[0], e1.dim)
+    t2m = _operator("T2", t2, e1.dim)
     _check_dim("E3", e3.dim, e1.dim)
     fgrid = np.asarray(fgrid)
     atoms = (e1.atom_count, e2.atom_count, e3.atom_count)
     if fgrid.shape != atoms:
         raise ValueError(f"symbol grid has shape {fgrid.shape}, expected the atom grid {atoms}")
-    ci1 = e1.column_atom_index()
-    ci3 = e3.column_atom_index()
-    a1 = _into_bases(e1, t1m, e2)
-    a2 = _into_bases(e2, t2m, e3)
-    acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, a1, a2))
+    # T1 = T2 = I and one atom of identity basis: Q_0 = I, no product over E2
+    no_middle = t1m is None and t2m is None and e2.atom_count == 1 and isinstance(e2.perm, slice)
+    if not no_middle:
+        a1 = _into_bases(e1, t1m, e2)
+        a2 = _into_bases(e2, t2m, e3)
+    ci1, ci3 = _atom_columns(e1), _atom_columns(e3)
+    acc = None
     for k in range(e2.atom_count):
-        cols = slice(e2.starts[k], e2.starts[k + 1])
-        slab = fgrid[:, k, :][np.ix_(ci1, ci3)]
-        acc += slab * (a1[:, cols] @ a2[cols, :])
+        if no_middle:
+            term = _bases_product(e1, e3)
+        else:
+            cols = slice(e2.starts[k], e2.starts[k + 1])
+            term = a1[:, cols] @ a2[cols, :]
+        slab = _take(_take(fgrid[:, k, :], ci1, 0), ci3, 1)
+        if acc is None:
+            acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, term))
+        # weigh a fresh product in place; a read-only basis view gets a new array
+        term = np.multiply(slab, term, out=term if term.flags.writeable
+                           and term.dtype == acc.dtype else None)
+        acc += term
+        del term  # free it before the next product is made
     return _out_of_bases(e1, acc, e3)
 
 
 def func_calc_pair(f, A, B) -> np.ndarray:
     """``f(A, B) = sum f(lam_j, mu_k) P_j Q_k`` for a pair of Hermitian
     matrices."""
-    ea = from_hermitian(A)
-    eb = from_hermitian(B)
-    eye = np.eye(ea.dim)
-    return doi(f, ea, eye, eb)
+    return doi(f, from_hermitian(A), None, from_hermitian(B))
 
 
 def func_calc_triple(f, A, B, C) -> np.ndarray:
@@ -150,8 +205,7 @@ def func_calc_triple(f, A, B, C) -> np.ndarray:
     ea = from_hermitian(A)
     eb = from_hermitian(B)
     ec = from_hermitian(C)
-    eye = np.eye(ea.dim)
-    return toi(grid_eval(f, ea.values, eb.values, ec.values), ea, eye, eb, eye, ec)
+    return toi(grid_eval(f, ea.values, eb.values, ec.values), ea, None, eb, None, ec)
 
 
 def s2_contraction_check(phi, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tuple[float, float]:

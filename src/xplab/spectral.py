@@ -2,7 +2,8 @@
 
 A spectral measure here is a finite list of atoms ``(value, projection)``
 whose orthogonal projections resolve the identity.  Internally the measure
-stores one orthonormal basis of eigenvectors grouped by atom; dense
+stores one orthonormal basis of eigenvectors grouped by atom, or for a
+diagonal matrix only the permutation that sorts its diagonal; dense
 projections are materialized on demand, which keeps memory linear in the
 dimension even when every atom has rank one.
 """
@@ -35,58 +36,79 @@ class SpectralMeasure:
 
     Invariants: ``basis`` is unitary (real orthogonal for real data), so
     the atom projections are orthogonal and sum to the identity; every atom
-    has positive rank; atom values are strictly increasing.  The constructor
-    checks the last two; ``basis`` comes from ``eigh``, or is a permutation
-    when ``H`` is diagonal (see :func:`from_hermitian`).  ``values``,
-    ``basis`` and ``starts`` are read-only views, so a measure can be shared,
-    and the column -> atom map is computed once, here.
+    has positive rank; atom values are finite and strictly increasing.  The
+    constructor checks the last two; ``basis`` comes from ``eigh``, or is a
+    permutation when ``H`` is diagonal (see :func:`from_hermitian`).
+    ``values``, ``basis`` (C-contiguous) and ``starts`` are read-only
+    views, so a measure can be shared, and the column -> atom map is
+    computed once, here.
 
-    ``perm`` is ``None`` for a dense basis.  For a permutation basis it is
-    the row of the one in each column, ``basis[perm[j], j] == 1``, and
-    ``perm_inv`` is its inverse, so ``basis^H @ X == X[perm]``,
-    ``X @ basis == X[:, perm]``, ``basis @ Y == Y[perm_inv]`` and
-    ``Y @ basis^H == Y[:, perm_inv]``.  Both are computed once, here, as
-    read-only index arrays, or as ``slice(None)`` when the permutation is
-    the identity, so that gathering by it is a view, not a copy.  The
-    constructor checks that ``basis`` is the permutation matrix of ``perm``.
+    A measure is given exactly one of ``basis`` (a dense unitary matrix)
+    and ``perm`` (a permutation basis).  ``perm`` is ``None`` for a dense
+    basis.  For a permutation basis it is the row of the one in each column,
+    ``basis[perm[j], j] == 1``, and ``perm_inv`` is its inverse, so
+    ``basis^H @ X == X[perm]``, ``X @ basis == X[:, perm]``,
+    ``basis @ Y == Y[perm_inv]`` and ``Y @ basis^H == Y[:, perm_inv]``.
+    Both are computed once, here, as read-only index arrays, or as
+    ``slice(None)`` when the permutation is the identity, so that gathering
+    by it is a view, not a copy.  The constructor checks in O(dim) that
+    ``perm`` is a permutation of ``0..dim-1``.  Such a measure stores no
+    matrix: ``basis`` is built from ``perm`` the first time it is read
+    (by :func:`apply_scalar`, :meth:`projection` or :attr:`atoms`) and kept.
     """
 
-    __slots__ = ("values", "basis", "starts", "perm", "perm_inv", "_col_atom")
+    __slots__ = ("values", "starts", "dim", "perm", "perm_inv", "_basis", "_col_atom")
 
     def __init__(self, values, basis, starts, perm=None) -> None:
+        if (basis is None) == (perm is None):
+            raise ValueError("give exactly one of basis and perm")
         self.values = _read_only(np.asarray(values, dtype=np.float64))
-        self.basis = _read_only(np.asarray(basis))
         self.starts = _read_only(np.asarray(starts, dtype=np.intp))
-        if self.basis.ndim != 2 or self.basis.shape[0] != self.basis.shape[1]:
-            raise ValueError("basis must be a square matrix")
+        self.perm = self.perm_inv = self._basis = None
+        if perm is None:
+            self._basis = _read_only(np.ascontiguousarray(basis))
+            if self._basis.ndim != 2 or self._basis.shape[0] != self._basis.shape[1]:
+                raise ValueError("basis must be a square matrix")
+            self.dim = int(self._basis.shape[0])
+        else:
+            self._set_perm(np.asarray(perm))
         if len(self.starts) != len(self.values) + 1:
             raise ValueError("starts must have one more entry than values")
         if self.starts[0] != 0 or self.starts[-1] != self.dim:
             raise ValueError("starts must run from 0 to dim")
         if np.any(np.diff(self.starts) <= 0):
             raise ValueError("every atom must have positive rank")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("atom values must be finite")
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("atom values must be strictly increasing")
         self._col_atom = _read_only(np.repeat(np.arange(self.atom_count), self.ranks))
-        self.perm = self.perm_inv = None
-        if perm is not None:
-            self._set_perm(np.asarray(perm, dtype=np.intp))
 
     def _set_perm(self, perm: np.ndarray) -> None:
-        cols = np.arange(self.dim)
-        if (perm.shape != (self.dim,) or np.count_nonzero(self.basis) != self.dim
-                or not np.all(self.basis[perm, cols] == 1)):
-            raise ValueError("basis must be the permutation matrix of perm")
+        n = len(perm) if perm.ndim == 1 else -1
+        if (n < 1 or perm.dtype.kind not in "iu"
+                or perm.min() < 0 or perm.max() >= n):
+            raise ValueError("perm must be a permutation of 0..dim-1")
+        cols = np.arange(n)
+        inv = np.full(n, -1, dtype=np.intp)
+        inv[perm] = cols
+        if np.any(inv < 0):
+            raise ValueError("perm must be a permutation of 0..dim-1")
+        self.dim = n
         if np.array_equal(perm, cols):
             self.perm = self.perm_inv = slice(None)
-            return
-        inv = np.empty_like(perm)
-        inv[perm] = cols
-        self.perm, self.perm_inv = _read_only(perm), _read_only(inv)
+        else:
+            self.perm, self.perm_inv = _read_only(perm.astype(np.intp, copy=False)), _read_only(inv)
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def basis(self) -> np.ndarray:
+        """The orthonormal eigenbasis, columns grouped by atom (read-only)."""
+        if self._basis is None:
+            cols = np.arange(self.dim)
+            basis = np.zeros((self.dim, self.dim))
+            basis[cols[self.perm], cols] = 1.0
+            self._basis = _read_only(basis)
+        return self._basis
 
     @property
     def atom_count(self) -> int:
@@ -120,11 +142,11 @@ def from_hermitian(H) -> SpectralMeasure:
     Sorted eigenvalues whose gap is at most ``CLUSTER_TOL`` are merged into
     one atom whose value is the cluster mean and whose projection sums the
     corresponding rank-one projectors.  A diagonal ``H`` needs no ``eigh``:
-    its eigenvalues are the stably sorted diagonal, its basis is the
-    matching permutation matrix, and the measure records that sort order as
-    its ``perm`` (``slice(None)`` when the diagonal is already sorted), so
-    operator integrals gather by it instead of multiplying by the basis.
-    A measure from ``eigh`` has ``perm = None``.
+    its eigenvalues are the stably sorted diagonal and the measure stores
+    only that sort order, as its ``perm`` (``slice(None)`` when the diagonal
+    is already sorted), so operator integrals gather by it and no ``n x n``
+    basis is built unless a caller reads it.  A measure from ``eigh`` has
+    ``perm = None``.
 
     There is one measure per :class:`HermitianMatrix`: the first call
     stores it on the matrix and later calls return that same, read-only
@@ -140,7 +162,7 @@ def from_hermitian(H) -> SpectralMeasure:
     if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
         d = mat.diagonal().real
         perm = np.argsort(d, kind="stable")
-        w, v = d[perm], np.eye(len(d))[:, perm]
+        w, v = d[perm], None
     else:
         w, v = _eigh_checked(mat)
         perm = None

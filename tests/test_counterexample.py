@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from xplab.counterexample import (
     certified_sup_norm,
     closed_form_ratio,
     difference_matrix,
+    _ETA_SERIES_CUTOFF,
     eta,
     eta_deriv,
     eta_field,
@@ -60,6 +62,28 @@ class TestEta:
             h = 1e-6
             fd = (eta(x + h) - eta(x - h)) / (2.0 * h)
             assert eta_deriv(x) == pytest.approx(fd, abs=5e-9)
+
+    @pytest.mark.parametrize("x", [
+        np.concatenate([np.linspace(-2e-3, 2e-3, 41), np.linspace(-50.0, 50.0, 101)]),
+        np.array([[0.0, -0.0, 1e-3, -1e-3], [5e-4, TWO_PI, 1e-300, -7.5]]),
+        np.linspace(-1e-4, 1e-4, 9),
+        np.array(3.0),
+        np.array(2e-4),
+        0.0,
+        -1.5,
+    ])
+    def test_bitwise_two_branch_formula(self, x):
+        # the closed form where |x| >= cutoff, the series below it, each
+        # evaluated on the whole array as np.where of both branches
+        xa = np.asarray(x, dtype=np.float64)
+        small = np.abs(xa) < _ETA_SERIES_CUTOFF
+        safe = np.where(small, 1.0, xa)
+        x2 = xa * xa
+        want = np.where(small, 1.0 - x2 / 12.0 + x2 * x2 / 360.0,
+                        2.0 * (1.0 - np.cos(safe)) / (safe * safe))[()]
+        got = eta(x)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
     def test_shifted_field_invariants(self):
         shift = 3.0 * TWO_PI
@@ -304,6 +328,29 @@ class TestRatios:
     def test_matrix_path_at_512(self):
         inst = build_instance(512)
         assert growth_ratio(inst)[2] == pytest.approx(closed_form_ratio(inst), rel=1e-9)
+
+    def test_growth_ratio_peak_memory(self):
+        # numpy buffers only (BLAS and LAPACK workspaces are not traced), so
+        # the peak is deterministic; the arrays that live through the
+        # integrals are A, B1, B2, the coefficients, B1's basis and the
+        # n x 3 x n symbol grid
+        n = 256
+        tracemalloc.start()
+        try:
+            growth_ratio(build_instance(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n * n * 8
+
+    def test_no_identity_built(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("np.eye was called")
+
+        want = difference_matrix(build_instance(16))
+        monkeypatch.setattr(np, "eye", fail)
+        monkeypatch.setattr(np, "identity", fail)
+        assert np.array_equal(difference_matrix(build_instance(16)), want)
 
     def test_difference_stays_real(self):
         # real data runs real eigh, GEMMs and SVD; a complex upcast would show here

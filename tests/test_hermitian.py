@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ class TestHermitianMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             HermitianMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("entries", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]],
+        [[-np.inf]],
+    ])
+    def test_rejects_non_finite(self, entries):
+        # checked before the symmetry test, whose inf - inf would warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                HermitianMatrix(entries)
 
     def test_symmetrizes_small_defect(self):
         m = np.array([[1.0, 1.0 + 1e-13j], [1.0 - 0.5e-13j, 2.0]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,12 @@ class TestFromHermitian:
         with pytest.raises(ValueError):
             e.column_atom_index()[0] = 1
 
+    @pytest.mark.parametrize("values", [[np.nan], [0.0, np.nan], [-np.inf, 0.0], [0.0, np.inf]])
+    def test_rejects_non_finite_values(self, values):
+        k = len(values)
+        with pytest.raises(ValueError, match="finite"):
+            SpectralMeasure(values, np.eye(k), np.arange(k + 1))
+
     def test_caller_arrays_stay_writable(self):
         values, basis, starts = np.array([0.0, 1.0]), np.eye(2), np.arange(3)
         SpectralMeasure(values, basis, starts)
@@ -122,12 +130,41 @@ class TestDiagonalPath:
         assert e.perm == e.perm_inv == slice(None)
         assert np.array_equal(e.projection(0), np.eye(6))
 
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [1, 2, 3], [-1, 0, 1], [[0, 1, 2]],
+                                      [0.0, 1.0, 2.0], [True, False, True]])
+    def test_perm_must_be_a_permutation(self, perm):
+        with pytest.raises(ValueError, match="permutation of 0..dim-1"):
+            SpectralMeasure(np.arange(3.0), None, np.arange(4), perm=perm)
+
     def test_perm_must_match_basis(self):
         values, starts = np.arange(3.0), np.arange(4)
-        with pytest.raises(ValueError, match="permutation matrix of perm"):
+        with pytest.raises(ValueError, match="exactly one of basis and perm"):
             SpectralMeasure(values, np.eye(3), starts, perm=[1, 0, 2])
-        e = SpectralMeasure(values, np.eye(3)[:, [2, 0, 1]], starts, perm=[2, 0, 1])
+        with pytest.raises(ValueError, match="exactly one of basis and perm"):
+            SpectralMeasure(values, None, starts)
+        with pytest.raises(ValueError, match="permutation of 0..dim-1"):
+            SpectralMeasure(values, None, starts, perm=[0, 0, 2])
+        e = SpectralMeasure(values, None, starts, perm=[2, 0, 1])
         assert list(e.perm_inv) == [1, 2, 0]
+        assert type(e.dim) is int and e.dim == 3
+        assert np.array_equal(e.basis, np.eye(3)[:, [2, 0, 1]])
+        assert e.basis is e.basis
+        with pytest.raises(ValueError):
+            e.basis[0, 0] = 1.0
+
+    def test_diagonal_measure_stores_no_matrix(self, no_eigh):
+        # O(n) work and memory: the sort order, not an n x n basis
+        n = 512
+        h = HermitianMatrix.diag(np.arange(n, 0, -1.0))
+        tracemalloc.start()
+        try:
+            e = from_hermitian(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+        assert type(e.dim) is int and e.dim == n
+        assert np.array_equal(e.basis, np.eye(n)[:, ::-1])
 
     def test_real_symmetric_gives_real_basis(self, rng):
         raw = rng.standard_normal((6, 6))
