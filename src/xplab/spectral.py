@@ -2,7 +2,8 @@
 
 A spectral measure here is a finite list of atoms ``(value, projection)``
 whose orthogonal projections resolve the identity.  Internally the measure
-stores one orthonormal basis of eigenvectors grouped by atom, or for a
+stores one orthonormal basis of eigenvectors grouped by atom (from
+``eigh``, or a Householder reflector for a rank-one matrix), or for a
 diagonal matrix only the permutation that sorts its diagonal; dense
 projections are materialized on demand, which keeps memory linear in the
 dimension even when every atom has rank one.
@@ -20,6 +21,7 @@ __all__ = [
     "CLUSTER_TOL",
     "SpectralMeasure",
     "from_hermitian",
+    "rank_one",
     "apply_scalar",
 ]
 
@@ -37,8 +39,9 @@ class SpectralMeasure:
     Invariants: ``basis`` is unitary (real orthogonal for real data), so
     the atom projections are orthogonal and sum to the identity; every atom
     has positive rank; atom values are finite and strictly increasing.  The
-    constructor checks the last two; ``basis`` comes from ``eigh``, or is a
-    permutation when ``H`` is diagonal (see :func:`from_hermitian`).
+    constructor checks the last two; ``basis`` comes from ``eigh``, is a
+    permutation when ``H`` is diagonal (see :func:`from_hermitian`), or is
+    a Householder reflector (see :func:`rank_one`).
     ``values``, ``basis`` (C-contiguous) and ``starts`` are read-only
     views, so a measure can be shared, and the column -> atom map is
     computed once, here.
@@ -170,6 +173,27 @@ def from_hermitian(H) -> SpectralMeasure:
     values = np.add.reduceat(w, starts[:-1]) / np.diff(starts)
     h._measure = SpectralMeasure(values, v, starts, perm)
     return h._measure
+
+
+def rank_one(r: float, v) -> HermitianMatrix:
+    """``r * (outer(v, v) / |v|^2)`` with its measure attached, so
+    :func:`from_hermitian` runs no ``eigh``: atoms ``0`` (rank ``n - 1``) and
+    ``r``, and as basis the O(n^2) Householder reflector ``I - 2 w w^T / |w|^2``,
+    ``w = e_{n-1} + s v/|v|``, ``s`` the sign of ``v[-1]``, which maps
+    ``e_{n-1}`` to ``-s v/|v|``.  Needs ``n >= 2``, a finite nonzero ``v`` and
+    ``r > CLUSTER_TOL``, so the atoms are those :func:`from_hermitian` finds."""
+    v = np.asarray(v, dtype=np.float64)
+    r = float(r)
+    vv = float(v @ v) if v.ndim == 1 and len(v) >= 2 else 0.0
+    if not (0.0 < vv < np.inf and CLUSTER_TOL < r < np.inf):
+        raise ValueError("need r > CLUSTER_TOL and a finite nonzero v of length >= 2")
+    h = HermitianMatrix(r * (np.outer(v, v) / vv))
+    w = v * (np.copysign(1.0, v[-1]) / np.sqrt(vv))
+    w[-1] += 1.0
+    basis = np.outer(w, w * (-2.0 / float(w @ w)))
+    basis.flat[:: len(v) + 1] += 1.0
+    h._measure = SpectralMeasure([0.0, r], basis, [0, len(v) - 1, len(v)])
+    return h
 
 
 def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:

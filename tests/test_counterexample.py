@@ -14,6 +14,7 @@ from xplab.counterexample import (
     closed_form_ratio,
     difference_matrix,
     _ETA_SERIES_CUTOFF,
+    _s1_lower_bound,
     eta,
     eta_deriv,
     eta_field,
@@ -24,8 +25,9 @@ from xplab.counterexample import (
     scale_instance,
     sup_norm_estimate,
     triangular_coeffs,
+    triangular_witness,
 )
-from xplab.hermitian import schatten_norm, singular_values
+from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
 from xplab.opint import doi, func_calc_triple
 from xplab.spectral import from_hermitian
 
@@ -127,6 +129,33 @@ class TestEtaPeriodized:
         brute = sum(eta(x + p * m) for m in range(-4000, 4001))
         # brute tail is O(1/M); match accordingly
         assert np.abs(eta_periodized(x, p) - brute).max() < 1e-4
+
+    @pytest.mark.parametrize("p", [TWO_PI, 16 * math.pi, 64 * TWO_PI])
+    @pytest.mark.parametrize("x", [
+        np.concatenate([np.linspace(-2e-3, 2e-3, 41), np.linspace(-500.0, 500.0, 1001)]),
+        np.array([[0.0, -0.0, 1e-3, -1e-3], [5e-4, TWO_PI, 1e-300, -7.5]]),
+        np.linspace(-1e-4, 1e-4, 9),
+        np.array(3.0),
+        np.array(2e-4),
+        0.0,
+        -1.5,
+    ])
+    def test_bitwise_two_branch_formula(self, x, p):
+        # both branches on the whole array, merged by np.where
+        xa = np.asarray(x, dtype=np.float64)
+        u = np.remainder(xa + p / 2.0, p) - p / 2.0
+        v = np.pi * u / p
+        small = np.abs(u) < _ETA_SERIES_CUTOFF
+        safe_u = np.where(small, 1.0, u)
+        safe_v = np.where(small, 1.0, v)
+        bracket = (np.pi / p) ** 2 / np.sin(safe_v) ** 2 - 1.0 / (safe_u * safe_u)
+        v2 = v * v
+        series = (np.pi / p) ** 2 * (1.0 / 3.0 + v2 / 15.0 + 2.0 * v2 * v2 / 189.0)
+        bracket = np.where(small, series, bracket)
+        want = (eta(u) + 2.0 * (1.0 - np.cos(u)) * bracket)[()]
+        got = eta_periodized(x, p)
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 class TestCoeffsAndInterpolant:
@@ -352,10 +381,85 @@ class TestRatios:
         monkeypatch.setattr(np, "identity", fail)
         assert np.array_equal(difference_matrix(build_instance(16)), want)
 
+    def test_no_decomposition_on_the_growth_path(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a LAPACK decomposition was called")
+
+        for name in ("svd", "eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, fail)
+        inst = build_instance(64)
+        s1_diff, pert, ratio = growth_ratio(inst)
+        assert ratio == pytest.approx(closed_form_ratio(inst), rel=1e-10)
+
     def test_difference_stays_real(self):
         # real data runs real eigh, GEMMs and SVD; a complex upcast would show here
         for n in (2, 5, 64):
             assert difference_matrix(build_instance(n)).dtype == np.float64
+
+
+def _lapack_ratio(inst):
+    """The SVD / eigvalsh ratio that growth_ratio certified bounds replace."""
+    s1 = schatten_norm(difference_matrix(inst), 1)
+    pert = float(np.abs(np.linalg.eigvalsh(inst.B1.mat - inst.B2.mat)).sum())
+    return s1, pert, s1 / (certified_sup_norm(inst) * pert)
+
+
+class TestCertifiedRatio:
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_witness_is_the_svd_polar_factor(self, n):
+        u, _, vt = np.linalg.svd(np.triu(np.ones((n, n))))
+        assert np.abs(triangular_witness(n) - u @ vt).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 512])
+    def test_between_closed_form_and_lapack(self, n):
+        inst = build_instance(n)
+        s1_diff, pert, ratio = growth_ratio(inst)
+        svd_s1, eig_pert, lapack = _lapack_ratio(inst)
+        assert s1_diff <= svd_s1 * (1.0 + 1e-14)
+        assert pert >= eig_pert * (1.0 - 1e-14)
+        assert ratio <= lapack * (1.0 + 1e-14)
+        assert ratio >= closed_form_ratio(inst) * (1.0 - 1e-10)
+
+    def test_allowance_is_about_n_squared_u(self):
+        for n in (64, 512):
+            inst = build_instance(n)
+            gap = 1.0 - growth_ratio(inst)[2] / closed_form_ratio(inst)
+            assert 0.0 < gap <= 1.25 * n * n * 2.0**-54
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-2, 1.0])
+    def test_perturbed_witness_stays_below(self, scale):
+        n = 48
+        d = difference_matrix(build_instance(n))
+        svd_s1 = schatten_norm(d, 1)
+        x = triangular_witness(n) + scale * np.random.default_rng(7).standard_normal((n, n))
+        got = _s1_lower_bound(d.copy(), x)
+        assert 0.0 <= got <= svd_s1
+
+    def test_wrong_witness_gives_a_loose_bound(self):
+        d = difference_matrix(build_instance(16))
+        assert _s1_lower_bound(d.copy(), -np.eye(16)) == pytest.approx(abs(np.trace(d)), rel=1e-12)
+        assert _s1_lower_bound(d.copy(), np.zeros((16, 16))) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_perturbation_bound_with_a_residual(self, n):
+        # B2 is not a multiple of the all-ones matrix, so B1 - B2 - c J and
+        # the rounding of B1 - B2 are both nonzero
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal((n, n))
+        inst = dataclasses.replace(build_instance(n), B2=HermitianMatrix(0.1 * (noise + noise.T)))
+        s1_diff, pert, ratio = growth_ratio(inst)
+        svd_s1, eig_pert, lapack = _lapack_ratio(inst)
+        assert pert >= eig_pert
+        assert pert <= eig_pert * n
+        assert s1_diff <= svd_s1
+        assert ratio <= lapack
+
+    def test_b1_carries_its_measure(self):
+        for n in (2, 3, 64, 512):
+            inst = build_instance(n)
+            assert np.array_equal(inst.B1.mat, TWO_PI * np.full((n, n), 1 / n))
+            fresh = dataclasses.replace(inst, B1=HermitianMatrix(inst.B1.mat))
+            assert np.abs(difference_matrix(inst) - difference_matrix(fresh)).max() <= 1e-13
 
 
 class TestScaleInstance:

@@ -6,7 +6,7 @@ import pytest
 from xplab.counterexample import TWO_PI, build_instance, eta_field
 from xplab.experiment import _suite_perturbation
 from xplab.hermitian import HermitianMatrix
-from xplab.spectral import SpectralMeasure, apply_scalar, from_hermitian
+from xplab.spectral import CLUSTER_TOL, SpectralMeasure, apply_scalar, from_hermitian, rank_one
 
 from conftest import random_hermitian
 
@@ -182,6 +182,44 @@ class TestDiagonalPath:
         assert e.perm is None
         assert np.array_equal(e.basis, v)
         assert np.array_equal(e.values, w)
+
+
+class TestRankOne:
+    @pytest.mark.parametrize("n", [2, 3, 64, 512])
+    def test_matches_eigh(self, n, monkeypatch):
+        want = from_hermitian(HermitianMatrix(TWO_PI * np.full((n, n), 1 / n)))
+
+        def fail(mat):
+            raise AssertionError("eigh was called")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        h = rank_one(TWO_PI, np.ones(n))
+        e = from_hermitian(h)
+        assert np.array_equal(h.mat, TWO_PI * np.full((n, n), 1 / n))
+        assert list(e.starts) == [0, n - 1, n] == list(want.starts)
+        assert np.array_equal(e.values, [0.0, TWO_PI])
+        assert np.abs(e.values - want.values).max() <= 1e-12
+        for j in range(2):
+            assert np.abs(e.projection(j) - want.projection(j)).max() <= 1e-12
+
+    @pytest.mark.parametrize("last", [2.0, -2.0, 0.0])
+    def test_general_vector(self, rng, last, no_eigh):
+        v = np.append(rng.standard_normal(6), last)
+        h = rank_one(0.5, v)
+        e = from_hermitian(h)
+        assert np.abs(e.basis.T @ e.basis - np.eye(7)).max() < 1e-14
+        assert np.abs(e.projection(1) - np.outer(v, v) / (v @ v)).max() < 1e-14
+        assert np.abs(sum(val * p for val, p in e.atoms) - h.mat).max() < 1e-14
+        assert np.array_equal(h.mat, 0.5 * (np.outer(v, v) / (v @ v)))
+
+    @pytest.mark.parametrize("r, v", [
+        (1.0, [1.0]), (1.0, [0.0, 0.0]), (1.0, [[1.0, 2.0]]), (1.0, [1.0, np.inf]),
+        (1.0, [np.nan, 1.0]), (0.0, [1.0, 1.0]), (-1.0, [1.0, 1.0]),
+        (CLUSTER_TOL, [1.0, 1.0]), (np.inf, [1.0, 1.0]), (np.nan, [1.0, 1.0]),
+    ])
+    def test_rejects(self, r, v):
+        with pytest.raises(ValueError):
+            rank_one(r, v)
 
 
 class TestApplyScalar:
