@@ -16,9 +16,12 @@ with FFTs.  Three-variable product functions ``f(x, y, z) = phi(x, z) psi(y)``
 are handled without ever materializing a 3-D sample tensor: the middle
 frequencies are grouped into shells of equal ``|xi_2|``, which share one
 radial multiplier, so each piece takes one 2-D inverse transform per shell
-plus a small dense transform along the middle axis.  Their factors are
-real, so the plane takes ``rfft2``/``irfft2`` and the products along the
-middle axis are real; dense samples may be real or complex.
+plus a small dense transform along the middle axis.  The first pass of
+that transform runs only on the columns the window reaches, and a piece
+with a single active shell is reduced in closed form, without the product
+along the middle axis.  The factors are real, so the plane takes
+``rfft2``/``irfft2`` and the products along the middle axis are real;
+dense samples may be real or complex.
 """
 
 from __future__ import annotations
@@ -238,25 +241,44 @@ def _separable_piece_sup(
     run from ``|xi2[j]|`` to ``sqrt(rr.max() + xi2[j]^2)``; a shell whose
     range misses the window's support ``[2^(n-1), 2^(n+1)]`` is skipped
     unevaluated.  The factors are real: ``phat`` is the ``rfft2`` half
-    spectrum, ``S_j`` comes from ``irfft2`` and ``g`` is real, so the final
-    product along the middle axis is real.  That product runs one plane row
-    ``x`` at a time.
+    spectrum, ``S_j`` is its ``irfft2`` and ``g`` is real, so the final
+    product along the middle axis is real.
+
+    ``irfft2`` is an ``ifft`` down the columns followed by an ``irfft``
+    along the rows.  Row 0 of ``rr`` is ``xi_3^2``, ascending, and no row
+    lies below it, so every half-spectrum column past the last one whose
+    row-0 radius is within ``2^(n+1)`` is zero; the window and the first
+    pass run on the leading columns only, into one zeroed half-spectrum
+    buffer whose rest stays zero, and the row pass runs on that buffer.
+    A piece with one active shell is the outer product
+    ``S_j(x, z) g[y, j]`` of single rounded products, and rounding is
+    monotone, so its sup is the rounded product of the two factors' sups;
+    with several shells the product along the middle axis runs one plane
+    row ``x`` at a time.  The sup is bitwise what a full ``irfft2`` per
+    shell and the row loop give.
     """
     scale = 2.0**n
     rr_max = rr.max()
     stack = np.empty((len(xi2),) + shape, dtype=g.dtype)
+    half = np.zeros(phat.shape, dtype=phat.dtype)
+    width = 0  # leading columns of half written by the last shell
     cols = []
     for j, x2 in enumerate(xi2):
         if np.sqrt(rr_max + x2 * x2) < scale / 2.0 or abs(x2) > 2.0 * scale:
             continue
-        mult = window(np.sqrt(rr + x2 * x2) / scale)
+        reach = int(np.count_nonzero(np.sqrt(rr[0] + x2 * x2) / scale <= 2.0))
+        mult = window(np.sqrt(rr[:, :reach] + x2 * x2) / scale)
         if not mult.any():
             continue
-        spec = phat * mult
-        stack[len(cols)] = np.fft.irfft2(spec, s=shape)
+        half[:, reach:width] = 0.0
+        half[:, :reach] = np.fft.ifft(phat[:, :reach] * mult, axis=0)
+        width = reach
+        stack[len(cols)] = np.fft.irfft(half, n=shape[1], axis=1)
         cols.append(j)
     if not cols:
         return 0.0
+    if len(cols) == 1:
+        return float(np.abs(stack[0]).max()) * float(np.abs(g[:, cols[0]]).max())
     gs = g[:, cols]
     return max(float(np.abs(gs @ stack[: len(cols), x, :]).max()) for x in range(shape[0]))
 
@@ -348,13 +370,18 @@ def bandlimit_check(f, sigma: float) -> float:
         total = plane_total * float(lhat2.sum())
         if total == 0.0:
             return 0.0
+        # bins k and ny - k have bitwise-equal xi2^2: one plane sum per shell
+        ny = len(xi2)
+        plane_out = {}
         outside = 0.0
-        for i2 in range(len(xi2)):
+        for i2 in range(ny):
             if lhat2[i2] == 0.0:
                 continue
-            room = radius2 - xi2[i2] ** 2
-            plane_out = plane_total if room < 0 else float(phat2[rr > room].sum())
-            outside += lhat2[i2] * plane_out
+            shell = min(i2, ny - i2)
+            if shell not in plane_out:
+                room = radius2 - xi2[i2] ** 2
+                plane_out[shell] = plane_total if room < 0 else float(phat2[rr > room].sum())
+            outside += lhat2[i2] * plane_out[shell]
         return outside / total
     fhat2 = np.abs(np.fft.fftn(f.samples)) ** 2
     rr = _radius2(f)

@@ -138,7 +138,8 @@ class SizeRow:
     """``s1_diff_norm`` is a certified lower bound on the trace norm of the
     difference matrix the TOI path computed and ``perturbation_s1`` a
     certified upper bound on ``||B1 - B2||_S1``; both, and ``sup_norm``, are
-    ``eps`` times their unscaled values.  The unscaled ``ratio`` is then a lower
+    ``eps`` times their unscaled values, the first rounded down and the second
+    up (``sup_norm`` to nearest).  The unscaled ``ratio`` is then a lower
     bound, about ``n^2 u / 2`` (``u = 2^-53``) relative below ``closed_form_ratio``.
 
     ``besov_estimate`` (``None`` above ``besov_max_size``) estimates the
@@ -212,6 +213,17 @@ def log_fit(ns, ys) -> tuple[float | None, float | None, float | None]:
     return float(a), float(b), r2
 
 
+def _scaled(eps: float, bound: float, toward: float) -> float:
+    """``eps * bound`` rounded toward ``toward`` (``-inf`` or ``inf``), so a
+    certified lower or upper bound stays one; an exact product is kept."""
+    product = eps * bound
+    (a, b), (c, d), (p, q) = (x.as_integer_ratio() for x in (eps, bound, product))
+    error = p * b * d - a * c * q  # product - eps * bound, times b d q > 0
+    if error and (error > 0) == (toward < 0):
+        product = math.nextafter(product, toward)
+    return product
+
+
 def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     t0 = time.perf_counter()
     inst = build_instance(n)
@@ -219,7 +231,8 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     closed = closed_form_ratio(inst)
     # exact homogeneity in eps; scale_instance is the reference in the tests
     eps = EPSILON_SCHEDULES[config.epsilon_schedule](n)
-    s1_diff, pert, sup = eps * s1_diff, eps * pert, eps * inst.sup_bound
+    s1_diff, pert = _scaled(eps, s1_diff, -math.inf), _scaled(eps, pert, math.inf)
+    sup = eps * inst.sup_bound
 
     if n <= config.besov_max_size:
         besov = besov_breakdown(sample_instance(inst)).total

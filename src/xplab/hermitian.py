@@ -45,16 +45,26 @@ class HermitianMatrix:
     __slots__ = ("_mat", "_measure")
 
     def __init__(self, entries) -> None:
-        mat = as_matrix(entries)
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix has a non-finite entry")
+        mat = _finite(as_matrix(entries))
         deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if deviation > HERMITIAN_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |H - H*| = {deviation:.3e} "
                 f"exceeds {HERMITIAN_TOL:.0e}"
             )
-        mat = (mat + mat.conj().T) / 2
+        self._store((mat + mat.conj().T) / 2)
+
+    @classmethod
+    def _symmetric(cls, mat: np.ndarray) -> "HermitianMatrix":
+        """Wrap a fresh real array that is exactly symmetric by construction.
+        ``(H + H*) / 2`` gives back such an array bit for bit (below half the
+        largest float, where ``H + H*`` overflows), so this stores what
+        ``cls(mat)`` stores without the transpose check and that pass."""
+        h = cls.__new__(cls)
+        h._store(_finite(as_matrix(mat)))
+        return h
+
+    def _store(self, mat: np.ndarray) -> None:
         mat.setflags(write=False)
         self._mat = mat
         self._measure = None
@@ -71,11 +81,11 @@ class HermitianMatrix:
     @classmethod
     def diag(cls, values) -> "HermitianMatrix":
         """Diagonal Hermitian matrix from a sequence of real values."""
-        return cls(np.diag(np.asarray(values, dtype=np.float64)))
+        return cls._symmetric(np.diag(np.asarray(values, dtype=np.float64)))
 
     @classmethod
     def zeros(cls, dim: int) -> "HermitianMatrix":
-        return cls(np.zeros((dim, dim)))
+        return cls._symmetric(np.zeros((dim, dim)))
 
     @classmethod
     def wrap(cls, obj) -> "HermitianMatrix":
@@ -94,6 +104,12 @@ class HermitianMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermitianMatrix(dim={self.dim})"
+
+
+def _finite(mat: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has a non-finite entry")
+    return mat
 
 
 def _real_or_complex(obj) -> np.ndarray:

@@ -187,7 +187,7 @@ def rank_one(r: float, v) -> HermitianMatrix:
     vv = float(v @ v) if v.ndim == 1 and len(v) >= 2 else 0.0
     if not (0.0 < vv < np.inf and CLUSTER_TOL < r < np.inf):
         raise ValueError("need r > CLUSTER_TOL and a finite nonzero v of length >= 2")
-    h = HermitianMatrix(r * (np.outer(v, v) / vv))
+    h = HermitianMatrix._symmetric(r * (np.outer(v, v) / vv))
     w = v * (np.copysign(1.0, v[-1]) / np.sqrt(vv))
     w[-1] += 1.0
     basis = np.outer(w, w * (-2.0 / float(w @ w)))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import besov_reference
+from xplab import besov
 from xplab.besov import (
     NyquistError,
     SampledField,
@@ -217,6 +219,38 @@ def _random_separable() -> SeparableField3:
     )
 
 
+def _random_separable_oblong() -> SeparableField3:
+    # a 16 x 64 plane with unequal steps over a 32-point line: the plane's
+    # half spectrum is not square and the line is longer than one plane side
+    rng = np.random.default_rng(9)
+    return SeparableField3(
+        plane=SampledField((0.0, 0.0), (math.pi / 2, math.pi / 8), rng.standard_normal((16, 64))),
+        line=SampledField((0.0,), (math.pi / 4,), rng.standard_normal(32)),
+    )
+
+
+def _single_shell_separable() -> SeparableField3:
+    # the line cos(y) on 32 points of step pi / 4 has its spectrum in bins
+    # 1 and 31 only, so every nonzero piece has one active |xi_2| shell
+    step = math.pi / 4
+    rng = np.random.default_rng(10)
+    return SeparableField3(
+        plane=SampledField((0.0, 0.0), (step, step), rng.standard_normal((32, 32))),
+        line=SampledField((0.0,), (step,), np.cos(step * np.arange(32))),
+    )
+
+
+def _named_separable(name: str, instance: SeparableField3) -> SeparableField3:
+    if name == "instance":
+        return instance
+    return {
+        "f3:8": lambda: sample_instance(build_instance(8)),
+        "random": _random_separable,
+        "oblong": _random_separable_oblong,
+        "single-shell": _single_shell_separable,
+    }[name]()
+
+
 @pytest.fixture(params=["instance", "random-real"])
 def separable_field(request, small_instance_field):
     if request.param == "instance":
@@ -317,6 +351,37 @@ class TestSeparable:
             totals.append(besov_breakdown(f3).total)
         spread = (max(totals) - min(totals)) / min(totals)
         assert spread < 0.10
+
+    @pytest.mark.parametrize("field", ["f3:8", "instance", "random", "oblong", "single-shell"])
+    def test_piece_sup_matches_reference(self, monkeypatch, small_instance_field, field):
+        # the pruned first pass and the single-shell rule give bitwise the
+        # values of a full irfft2 per shell and of the row loop
+        f = _named_separable(field, small_instance_field)
+        got = besov_breakdown(f).piece_sup
+        monkeypatch.setattr(besov, "_separable_piece_sup", besov_reference.separable_piece_sup)
+        want = besov_breakdown(f).piece_sup
+        assert {n: v.hex() for n, v in got.items()} == {n: v.hex() for n, v in want.items()}
+        assert any(got.values())
+
+    def test_single_shell_field_has_one_shell(self, monkeypatch):
+        # so the single-shell case of the reference check runs only that rule
+        shells = []
+        original = besov._separable_piece_sup
+
+        def spy(phat, rr, xi2, g, shape, n):
+            shells.append(len(xi2))
+            return original(phat, rr, xi2, g, shape, n)
+
+        monkeypatch.setattr(besov, "_separable_piece_sup", spy)
+        assert sum(v > 0 for v in besov_breakdown(_single_shell_separable()).piece_sup.values()) >= 2
+        assert set(shells) == {1}
+
+    @pytest.mark.parametrize("field", ["instance", "random", "oblong", "single-shell"])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, math.sqrt(3.0)])
+    def test_bandlimit_matches_per_bin_reference(self, small_instance_field, field, sigma):
+        f = _named_separable(field, small_instance_field)
+        got = bandlimit_check(f, sigma)
+        assert got.hex() == besov_reference.separable_bandlimit_check(f, sigma).hex()
 
     def test_headline_estimates(self):
         # the f3 references of the benchmark oracle

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,20 @@ class TestGrowth:
             assert row["ratio"] == pytest.approx(
                 e * row["s1_diff_norm"] / (row["sup_norm"] * row["perturbation_s1"]), rel=1e-12)
             assert abs(row["ratio"] - u_n_ratio(n)) <= 1e-9
+
+    @pytest.mark.parametrize("schedule", ["one_over_size", "one_over_loglog"])
+    def test_scaled_bounds_keep_their_direction(self, schedule):
+        # at these sizes eps times the unscaled bound rounds to nearest on the
+        # wrong side of the exact product for both columns under both schedules
+        sizes = (3, 4, 13)
+        report = experiment.cmd_growth(
+            experiment.ExperimentConfig(sizes=sizes, epsilon_schedule=schedule, besov_max_size=0))
+        for row in report.rows:
+            s1_diff, pert, _ = counterexample.growth_ratio(counterexample.build_instance(row.n))
+            eps = Fraction(experiment.EPSILON_SCHEDULES[schedule](row.n))
+            low, high = eps * Fraction(s1_diff), eps * Fraction(pert)
+            assert row.s1_diff_norm <= low < math.nextafter(row.s1_diff_norm, math.inf)
+            assert math.nextafter(row.perturbation_s1, -math.inf) < high <= row.perturbation_s1
 
     def test_besov_column(self, tmp_path, capsys):
         # the column is the f3 Besov report of each size up to --besov-max-size

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xplab.counterexample import TWO_PI
 from xplab.hermitian import HermitianMatrix, as_matrix, schatten_norm, singular_values
+from xplab.spectral import rank_one
 
 from conftest import random_complex, random_hermitian, random_unitary
 
@@ -54,6 +56,27 @@ class TestHermitianMatrix:
                 a, b = a.real, b.real
             d = HermitianMatrix(a + a.conj().T).mat - HermitianMatrix(b + b.conj().T).mat
             assert d.tobytes() == HermitianMatrix(d).mat.tobytes()
+
+    def test_symmetric_constructors_store_what_init_stores(self):
+        # diag, zeros and rank_one skip the symmetry check and the (H + H*) / 2
+        # pass, which give back an exactly symmetric array bit for bit
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(7)
+        values[2] = -0.0
+        built = [
+            HermitianMatrix.diag(values),
+            HermitianMatrix.zeros(4),
+            rank_one(2.5, rng.standard_normal(9)),
+            rank_one(TWO_PI, np.ones(6)),
+        ]
+        for h in built:
+            assert h.mat.tobytes() == HermitianMatrix(h.mat.copy()).mat.tobytes()
+            assert h.mat.dtype == np.float64 and not h.mat.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_diag_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianMatrix.diag([1.0, bad])
 
     def test_dtype_rule_real_in_real_out(self):
         # a real input stays float64 through construction, arithmetic and
