@@ -545,7 +545,8 @@ def cmd_besov(function_name: str) -> BesovScalarReport:
     (the 3-D instance function), each on its fixed grid in
     :mod:`xplab.sampling`.  Each has its spectrum in the cube
     ``[-1, 1]^d``, so the band-limit mass is the energy outside the ball of
-    radius ``sqrt(d)``.
+    radius ``sqrt(d)``.  For ``f3:<n>`` the slice budget of
+    :mod:`xplab.besov` is checked before the plane is sampled.
     """
     name = function_name.strip()
     if name in ("eta", "psi"):
@@ -553,7 +554,9 @@ def cmd_besov(function_name: str) -> BesovScalarReport:
     elif name.startswith("phi_tri:"):
         f = sample_phi_2d(triangular_coeffs(_parse_size(name.split(":", 1)[1], name)))
     elif name.startswith("f3:"):
-        f = sample_instance(build_instance(_parse_size(name.split(":", 1)[1], name)))
+        n = _parse_size(name.split(":", 1)[1], name)
+        check_instance_budget(n)
+        f = sample_instance(build_instance(n))
     else:
         raise ValueError(
             f"unknown function name {function_name!r}; "

@@ -32,8 +32,8 @@ class HermitianMatrix:
 
     The input must be finite and satisfy ``entries[j][k] ==
     conj(entries[k][j])`` within ``1e-12`` (max-entry deviation); the
-    stored matrix is the exactly symmetrized ``(H + H*) / 2`` and is
-    read-only.  Multiplication by a *real* scalar stays inside the class.
+    stored matrix is the exactly symmetrized ``H / 2 + H* / 2``, which
+    cannot overflow, and is read-only.  Multiplication by a *real* scalar stays inside the class.
     There is no addition or subtraction: the difference ``A.mat - B.mat``
     of two instances is already exactly Hermitian, bit for bit what a
     wrapper would store.
@@ -52,13 +52,13 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: max |H - H*| = {deviation:.3e} "
                 f"exceeds {HERMITIAN_TOL:.0e}"
             )
-        self._store((mat + mat.conj().T) / 2)
+        self._store(mat / 2 + mat.conj().T / 2)
 
     @classmethod
     def _symmetric(cls, mat: np.ndarray) -> "HermitianMatrix":
         """Wrap a fresh real array that is exactly symmetric by construction.
-        ``(H + H*) / 2`` gives back such an array bit for bit (below half the
-        largest float, where ``H + H*`` overflows), so this stores what
+        ``H / 2 + H* / 2`` gives back such an array bit for bit (except for
+        subnormal entries, whose halves round), so this stores what
         ``cls(mat)`` stores without the transpose check and that pass."""
         h = cls.__new__(cls)
         h._store(_finite(as_matrix(mat)))

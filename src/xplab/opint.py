@@ -17,18 +17,15 @@ evaluate the symbol once and pass views of one grid.
 Both are evaluated in the concatenated eigenbases of the measures, where
 the atom sums become Hadamard products; this is algebraically identical to
 the literal sum over atoms and costs O(dim^3) regardless of atom count.
-The change into and out of an eigenbasis is a matrix product for a dense
-(``eigh``) basis and a row or column gather for a permutation basis (a
-measure whose ``perm`` is set, see :class:`~xplab.spectral.SpectralMeasure`);
-the gather gives the same values as the product, which multiplies by ones
-and exact zeros.
+A measure's basis is a dense matrix or ``None``, the identity (see
+:class:`~xplab.spectral.SpectralMeasure`); the change into and out of a
+dense basis is a matrix product, and that of ``None`` is skipped.
 
 An operator argument ``T``, ``T1`` or ``T2`` may be ``None``, which means
 the identity: the result equals that of passing ``np.eye(dim)``, but no
-identity is built or multiplied.  The change of basis of ``None`` between
-two measures is one product of their bases when both are dense, a gather
-of the other basis when one is a permutation, and a 0/1 matrix when both
-are.
+identity is built or multiplied.  Its change of basis between two measures
+is the product of their bases, one of them when the other is ``None``, and
+``None`` when both are.
 
 A field (a symbol ``Phi`` or a function ``f`` of one, two or three real
 variables) is any callable that takes numpy arrays and broadcasts them.
@@ -84,48 +81,46 @@ def _check_dim(name: str, got: int, want: int) -> None:
         raise ValueError(f"dimension mismatch: {name} has dim {got}, expected {want}")
 
 
-def _take(x: np.ndarray, index, axis: int) -> np.ndarray:
-    # a slice index is the identity permutation: no copy
-    return x if isinstance(index, slice) else np.take(x, index, axis=axis)
-
-
 def _atom_columns(e: SpectralMeasure):
     """Column -> atom index of ``e``; ``slice(None)`` when every atom has
     rank one, so that reading a symbol grid by it is a view, not a copy."""
     return slice(None) if e.atom_count == e.dim else e.column_atom_index()
 
 
-def _bases_product(e1: SpectralMeasure, e2: SpectralMeasure) -> np.ndarray:
-    """``e1.basis^H @ e2.basis``, C-contiguous, as a product of bases with
-    the identity would give it, without building or multiplying the
-    identity: one product when both bases are dense, otherwise a gather."""
-    if e1.perm is None:
+def _into_bases(e1: SpectralMeasure, x, e2: SpectralMeasure):
+    """``e1.basis^H @ x @ e2.basis``, skipping a ``None`` basis; ``x =
+    None`` is the identity, and so is a ``None`` result."""
+    if e1.basis is not None:
         h1 = e1.basis.conj().T
-        if e2.perm is None:
-            return np.ascontiguousarray(h1) @ e2.basis
-        return np.ascontiguousarray(_take(h1, e2.perm, 1))
-    if e2.perm is None:
-        return np.ascontiguousarray(_take(e2.basis, e1.perm, 0))
-    # both permutations: entry (i, j) is 1 where perm1[i] == perm2[j]
-    rows = np.arange(e1.dim)
-    out = np.zeros((e1.dim, e2.dim))
-    out[rows, rows[e2.perm_inv][e1.perm]] = 1.0
-    return out
-
-
-def _into_bases(e1: SpectralMeasure, x, e2: SpectralMeasure) -> np.ndarray:
-    """``e1.basis^H @ x @ e2.basis``, gathering for a permutation basis;
-    ``x = None`` is the identity."""
-    if x is None:
-        return _bases_product(e1, e2)
-    x = e1.basis.conj().T @ x if e1.perm is None else _take(x, e1.perm, 0)
-    return x @ e2.basis if e2.perm is None else _take(x, e2.perm, 1)
+        # a contiguous copy, as h1 @ I gives, so later products round alike
+        x = np.ascontiguousarray(h1) if x is None else h1 @ x
+    if e2.basis is not None:
+        x = e2.basis if x is None else x @ e2.basis
+    return x
 
 
 def _out_of_bases(e1: SpectralMeasure, y: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
-    """``e1.basis @ y @ e2.basis^H``, gathering for a permutation basis."""
-    y = e1.basis @ y if e1.perm is None else _take(y, e1.perm_inv, 0)
-    return y @ e2.basis.conj().T if e2.perm is None else _take(y, e2.perm_inv, 1)
+    """``e1.basis @ y @ e2.basis^H``, skipping a ``None`` basis."""
+    if e1.basis is not None:
+        y = e1.basis @ y
+    return y if e2.basis is None else y @ e2.basis.conj().T
+
+
+def _middle_term(a1, a2, cols: slice, dim: int) -> np.ndarray:
+    """``a1[:, cols] @ a2[cols, :]``, a ``None`` factor being the identity:
+    the other factor's block, or an identity block, copied into zeros."""
+    if a1 is None and a2 is None:
+        term = np.zeros((dim, dim))
+        np.fill_diagonal(term[cols, cols], 1.0)
+    elif a1 is None:
+        term = np.zeros((dim, dim), dtype=a2.dtype)
+        term[cols] = a2[cols]
+    elif a2 is None:
+        term = np.zeros((dim, dim), dtype=a1.dtype)
+        term[:, cols] = a1[:, cols]
+    else:
+        term = a1[:, cols] @ a2[cols, :]
+    return term
 
 
 def _operator(name: str, t, dim: int):
@@ -144,8 +139,9 @@ def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
     tmat = _operator("T", t, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
     fgrid = grid_eval(phi, e1.values, e2.values)
-    fcols = _take(_take(fgrid, _atom_columns(e1), 0), _atom_columns(e2), 1)
-    return _out_of_bases(e1, fcols * _into_bases(e1, tmat, e2), e2)
+    fcols = fgrid[_atom_columns(e1)][:, _atom_columns(e2)]
+    x = _into_bases(e1, tmat, e2)
+    return _out_of_bases(e1, np.diag(fcols.diagonal()) if x is None else fcols * x, e2)
 
 
 def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasure) -> np.ndarray:
@@ -154,12 +150,12 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     ``fgrid`` holds the symbol on the atom grid, ``fgrid[j, k, l] =
     Phi(a_j, b_k, c_l)``, with shape ``(E1.atom_count, E2.atom_count,
     E3.atom_count)``; any array of that shape will do, a strided view
-    included, and it is only read.  ``T1`` and ``T2`` go into the
-    eigenbases by a product with a dense basis and by a gather with a
-    permutation basis, and so does the result on the way back.  ``None``
-    for ``T1`` or ``T2`` is the identity; when both are ``None`` and ``E2``
-    is one atom with the identity basis (as for the zero matrix), its
-    projection is ``I`` and the integral needs no product over ``E2``.
+    included, and it is only read.  ``None`` for ``T1`` or ``T2`` is the
+    identity.  Atom ``k`` of ``E2`` contributes the product of the columns
+    of ``E1.basis^H T1 E2.basis`` and the rows of ``E2.basis^H T2
+    E3.basis`` that belong to it; when either of those is the identity
+    (``None`` factors and bases throughout), the product is a copy of the
+    other's block, or an identity block, and no matrix is multiplied.
     """
     t1m = _operator("T1", t1, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
@@ -169,25 +165,17 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     atoms = (e1.atom_count, e2.atom_count, e3.atom_count)
     if fgrid.shape != atoms:
         raise ValueError(f"symbol grid has shape {fgrid.shape}, expected the atom grid {atoms}")
-    # T1 = T2 = I and one atom of identity basis: Q_0 = I, no product over E2
-    no_middle = t1m is None and t2m is None and e2.atom_count == 1 and isinstance(e2.perm, slice)
-    if not no_middle:
-        a1 = _into_bases(e1, t1m, e2)
-        a2 = _into_bases(e2, t2m, e3)
+    a1 = _into_bases(e1, t1m, e2)
+    a2 = _into_bases(e2, t2m, e3)
     ci1, ci3 = _atom_columns(e1), _atom_columns(e3)
     acc = None
     for k in range(e2.atom_count):
-        if no_middle:
-            term = _bases_product(e1, e3)
-        else:
-            cols = slice(e2.starts[k], e2.starts[k + 1])
-            term = a1[:, cols] @ a2[cols, :]
-        slab = _take(_take(fgrid[:, k, :], ci1, 0), ci3, 1)
+        term = _middle_term(a1, a2, slice(e2.starts[k], e2.starts[k + 1]), e1.dim)
+        slab = fgrid[:, k, :][ci1][:, ci3]
         if acc is None:
             acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, term))
-        # weigh a fresh product in place; a read-only basis view gets a new array
-        term = np.multiply(slab, term, out=term if term.flags.writeable
-                           and term.dtype == acc.dtype else None)
+        # weigh the fresh term in place when it has the accumulator's dtype
+        term = np.multiply(slab, term, out=term if term.dtype == acc.dtype else None)
         acc += term
         del term  # free it before the next product is made
     return _out_of_bases(e1, acc, e3)

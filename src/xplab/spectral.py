@@ -1,12 +1,11 @@
 """Finite atomic spectral measures and scalar functional calculus.
 
 A spectral measure here is a finite list of atoms ``(value, projection)``
-whose orthogonal projections resolve the identity.  Internally the measure
-stores one orthonormal basis of eigenvectors grouped by atom (from
-``eigh``, or a Householder reflector for a rank-one matrix), or for a
-diagonal matrix only the permutation that sorts its diagonal; dense
-projections are materialized on demand, which keeps memory linear in the
-dimension even when every atom has rank one.
+whose orthogonal projections resolve the identity.  The measure stores one
+orthonormal basis of eigenvectors grouped by atom, or ``None`` when that
+basis is the identity (a diagonal matrix with a sorted diagonal); the
+projections themselves are never materialized, which keeps memory at one
+``n x n`` basis at most even when every atom has rank one.
 """
 
 from __future__ import annotations
@@ -36,49 +35,34 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class SpectralMeasure:
     """Atomic spectral measure with finitely many atoms.
 
-    Invariants: ``basis`` is unitary (real orthogonal for real data), so
-    the atom projections are orthogonal and sum to the identity; every atom
-    has positive rank; atom values are finite and strictly increasing.  The
-    constructor checks the last two; ``basis`` comes from ``eigh``, is a
-    permutation when ``H`` is diagonal (see :func:`from_hermitian`), or is
-    a Householder reflector (see :func:`rank_one`).
-    ``values``, ``basis`` (C-contiguous) and ``starts`` are read-only
-    views, so a measure can be shared, and the column -> atom map is
-    computed once, here.
-
-    A measure is given exactly one of ``basis`` (a dense unitary matrix)
-    and ``perm`` (a permutation basis).  ``perm`` is ``None`` for a dense
-    basis.  For a permutation basis it is the row of the one in each column,
-    ``basis[perm[j], j] == 1``, and ``perm_inv`` is its inverse, so
-    ``basis^H @ X == X[perm]``, ``X @ basis == X[:, perm]``,
-    ``basis @ Y == Y[perm_inv]`` and ``Y @ basis^H == Y[:, perm_inv]``.
-    Both are computed once, here, as read-only index arrays, or as
-    ``slice(None)`` when the permutation is the identity, so that gathering
-    by it is a view, not a copy.  The constructor checks in O(dim) that
-    ``perm`` is a permutation of ``0..dim-1``.  Such a measure stores no
-    matrix: ``basis`` is built from ``perm`` the first time it is read
-    (by :func:`apply_scalar`, :meth:`projection` or :attr:`atoms`) and kept.
+    ``basis`` is a dense unitary matrix (real orthogonal for real data),
+    C-contiguous, whose columns are grouped by atom, or ``None``, which
+    means the identity; atom ``j`` projects onto columns ``starts[j]`` to
+    ``starts[j + 1]``, so the atom projections are orthogonal and sum to
+    the identity.  A dense basis comes from ``eigh``, is a permutation
+    matrix for an unsorted diagonal (see :func:`from_hermitian`), or is a
+    Householder reflector (see :func:`rank_one`).  The constructor checks
+    that every atom has positive rank and that atom values are finite and
+    strictly increasing; ``dim`` is ``starts[-1]``.
+    ``values``, ``basis`` and ``starts`` are read-only views, so a measure
+    can be shared, and the column -> atom map is computed once, here.
     """
 
-    __slots__ = ("values", "starts", "dim", "perm", "perm_inv", "_basis", "_col_atom")
+    __slots__ = ("values", "basis", "starts", "dim", "_col_atom")
 
-    def __init__(self, values, basis, starts, perm=None) -> None:
-        if (basis is None) == (perm is None):
-            raise ValueError("give exactly one of basis and perm")
+    def __init__(self, values, basis, starts) -> None:
         self.values = _read_only(np.asarray(values, dtype=np.float64))
         self.starts = _read_only(np.asarray(starts, dtype=np.intp))
-        self.perm = self.perm_inv = self._basis = None
-        if perm is None:
-            self._basis = _read_only(np.ascontiguousarray(basis))
-            if self._basis.ndim != 2 or self._basis.shape[0] != self._basis.shape[1]:
-                raise ValueError("basis must be a square matrix")
-            self.dim = int(self._basis.shape[0])
-        else:
-            self._set_perm(np.asarray(perm))
         if len(self.starts) != len(self.values) + 1:
             raise ValueError("starts must have one more entry than values")
-        if self.starts[0] != 0 or self.starts[-1] != self.dim:
+        if self.starts[0] != 0:
             raise ValueError("starts must run from 0 to dim")
+        self.dim = int(self.starts[-1])
+        self.basis = None
+        if basis is not None:
+            self.basis = _read_only(np.ascontiguousarray(basis))
+            if self.basis.shape != (self.dim, self.dim):
+                raise ValueError("basis must be a square matrix of size dim")
         if np.any(np.diff(self.starts) <= 0):
             raise ValueError("every atom must have positive rank")
         if not np.all(np.isfinite(self.values)):
@@ -86,32 +70,6 @@ class SpectralMeasure:
         if np.any(np.diff(self.values) <= 0):
             raise ValueError("atom values must be strictly increasing")
         self._col_atom = _read_only(np.repeat(np.arange(self.atom_count), self.ranks))
-
-    def _set_perm(self, perm: np.ndarray) -> None:
-        n = len(perm) if perm.ndim == 1 else -1
-        if (n < 1 or perm.dtype.kind not in "iu"
-                or perm.min() < 0 or perm.max() >= n):
-            raise ValueError("perm must be a permutation of 0..dim-1")
-        cols = np.arange(n)
-        inv = np.full(n, -1, dtype=np.intp)
-        inv[perm] = cols
-        if np.any(inv < 0):
-            raise ValueError("perm must be a permutation of 0..dim-1")
-        self.dim = n
-        if np.array_equal(perm, cols):
-            self.perm = self.perm_inv = slice(None)
-        else:
-            self.perm, self.perm_inv = _read_only(perm.astype(np.intp, copy=False)), _read_only(inv)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The orthonormal eigenbasis, columns grouped by atom (read-only)."""
-        if self._basis is None:
-            cols = np.arange(self.dim)
-            basis = np.zeros((self.dim, self.dim))
-            basis[cols[self.perm], cols] = 1.0
-            self._basis = _read_only(basis)
-        return self._basis
 
     @property
     def atom_count(self) -> int:
@@ -125,16 +83,6 @@ class SpectralMeasure:
         """Map basis column -> index of the atom owning it (read-only)."""
         return self._col_atom
 
-    def projection(self, j: int) -> np.ndarray:
-        """Dense orthogonal projection of atom ``j``."""
-        cols = self.basis[:, self.starts[j] : self.starts[j + 1]]
-        return cols @ cols.conj().T
-
-    @property
-    def atoms(self) -> list[tuple[float, np.ndarray]]:
-        """Materialized ``(value, projection)`` pairs."""
-        return [(float(self.values[j]), self.projection(j)) for j in range(self.atom_count)]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralMeasure(dim={self.dim}, atoms={self.atom_count})"
 
@@ -145,11 +93,11 @@ def from_hermitian(H) -> SpectralMeasure:
     Sorted eigenvalues whose gap is at most ``CLUSTER_TOL`` are merged into
     one atom whose value is the cluster mean and whose projection sums the
     corresponding rank-one projectors.  A diagonal ``H`` needs no ``eigh``:
-    its eigenvalues are the stably sorted diagonal and the measure stores
-    only that sort order, as its ``perm`` (``slice(None)`` when the diagonal
-    is already sorted), so operator integrals gather by it and no ``n x n``
-    basis is built unless a caller reads it.  A measure from ``eigh`` has
-    ``perm = None``.
+    its eigenvalues are the stably sorted diagonal.  When the diagonal is
+    already sorted the basis is the identity and the measure stores
+    ``None``; otherwise it stores the exact permutation matrix
+    ``np.eye(n)[:, order]`` of the sort order ``order``.  Any other ``H`` is
+    diagonalised by ``eigh``.
 
     There is one measure per :class:`HermitianMatrix`: the first call
     stores it on the matrix and later calls return that same, read-only
@@ -163,15 +111,15 @@ def from_hermitian(H) -> SpectralMeasure:
     if len(mat) == 0:
         raise ValueError("empty matrix has no spectral measure")
     if np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()):
-        d = mat.diagonal().real
-        perm = np.argsort(d, kind="stable")
-        w, v = d[perm], None
+        w, v = mat.diagonal().real, None
+        if np.any(w[1:] < w[:-1]):
+            order = np.argsort(w, kind="stable")
+            w, v = w[order], np.eye(len(w))[:, order]
     else:
         w, v = _eigh_checked(mat)
-        perm = None
     starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1, [len(w)]))
     values = np.add.reduceat(w, starts[:-1]) / np.diff(starts)
-    h._measure = SpectralMeasure(values, v, starts, perm)
+    h._measure = SpectralMeasure(values, v, starts)
     return h._measure
 
 
@@ -207,6 +155,8 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     dtype rule of :mod:`xplab.hermitian`).
     """
     gvals = np.broadcast_to(_real_or_complex(g(E.values)), (E.atom_count,))
+    if E.basis is None:
+        return np.diag(gvals[E.column_atom_index()])
     out = (E.basis * gvals[E.column_atom_index()]) @ E.basis.conj().T
     if np.all(gvals.imag == 0.0):
         out = (out + out.conj().T) / 2

@@ -222,6 +222,12 @@ class TestBesov:
         else:
             assert reached
 
+    def test_slice_budget_checked_before_sampling(self, monkeypatch, capsys):
+        # the 4096^2 plane of f3:250 is never sampled
+        monkeypatch.setattr(experiment, "sample_instance", _no_computation)
+        assert main(["besov", "--fn", "f3:250"]) == 2
+        assert "over the 1.4 GB budget" in capsys.readouterr().err
+
 
 def _no_computation(*args, **kwargs):
     raise AssertionError("computation started before the arguments were checked")

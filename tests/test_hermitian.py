@@ -42,6 +42,13 @@ class TestHermitianMatrix:
         h = HermitianMatrix(m)
         assert np.abs(h.mat - h.mat.conj().T).max() == 0.0
 
+    def test_symmetrizing_does_not_overflow(self):
+        # H + H* overflows above half the largest float; H/2 + H*/2 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = HermitianMatrix([[1e308, 0.0], [0.0, 1.0]])
+        assert h.mat[0, 0] == 1e308
+
     def test_entries_read_only(self):
         h = HermitianMatrix.diag([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -58,7 +65,7 @@ class TestHermitianMatrix:
             assert d.tobytes() == HermitianMatrix(d).mat.tobytes()
 
     def test_symmetric_constructors_store_what_init_stores(self):
-        # diag, zeros and rank_one skip the symmetry check and the (H + H*) / 2
+        # diag, zeros and rank_one skip the symmetry check and the H/2 + H*/2
         # pass, which give back an exactly symmetric array bit for bit
         rng = np.random.default_rng(5)
         values = rng.standard_normal(7)

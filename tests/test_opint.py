@@ -16,22 +16,23 @@ from xplab.opint import (
 from xplab.spectral import SpectralMeasure, apply_scalar, from_hermitian
 
 from conftest import random_complex, random_hermitian
+from spectral_reference import atoms
 
 
 def naive_doi(phi, e1, t, e2):
     """Literal atom sum, independent of the eigenbasis fast path."""
     out = np.zeros_like(np.asarray(t, dtype=complex))
-    for v1, p1 in e1.atoms:
-        for v2, p2 in e2.atoms:
+    for v1, p1 in atoms(e1):
+        for v2, p2 in atoms(e2):
             out += complex(phi(v1, v2)) * (p1 @ t @ p2)
     return out
 
 
 def naive_toi(phi, e1, t1, e2, t2, e3):
     out = np.zeros_like(np.asarray(t1, dtype=complex))
-    for v1, p1 in e1.atoms:
-        for v2, p2 in e2.atoms:
-            for v3, p3 in e3.atoms:
+    for v1, p1 in atoms(e1):
+        for v2, p2 in atoms(e2):
+            for v3, p3 in atoms(e3):
                 out += complex(phi(v1, v2, v3)) * (p1 @ t1 @ p2 @ t2 @ p3)
     return out
 
@@ -124,8 +125,9 @@ class TestToi:
 
 
 def _measures():
-    """Diagonal measures with an identity and a non-identity permutation (with
-    a cluster), and a dense real ``eigh`` measure, all of dimension 5."""
+    """Diagonal measures with the identity basis (``None``) and with a
+    permutation basis (with a cluster), and a dense real ``eigh`` measure,
+    all of dimension 5."""
     rng = np.random.default_rng(7)
     raw = rng.standard_normal((5, 5))
     return {
@@ -139,18 +141,22 @@ def _random_matrix(rng, dtype):
     return random_complex(rng, 5) if dtype == np.complex128 else rng.standard_normal((5, 5))
 
 
-def _without_perm(e):
-    """The same measure with no permutation, so doi and toi multiply by its
-    basis: the reference for the gather path."""
-    return SpectralMeasure(e.values, e.basis, e.starts)
+def _dense(e):
+    """The same measure with a dense basis, ``np.eye`` for ``None``, so doi
+    and toi multiply by it: the reference for the skipped identity basis."""
+    return SpectralMeasure(e.values, np.eye(e.dim) if e.basis is None else e.basis, e.starts)
 
 
 class TestPermutationPath:
+    """doi and toi over the identity basis (``None``, no change of basis)
+    and over a permutation basis give bit for bit what they give over the
+    same measures with a dense basis."""
+
     def test_measures_cover_both_kinds(self):
         e = _measures()
-        assert e["sorted"].perm == slice(None)
-        assert list(e["unsorted"].perm) == [1, 3, 4, 0, 2]
-        assert e["dense"].perm is None
+        assert e["sorted"].basis is None
+        assert np.array_equal(e["unsorted"].basis, np.eye(5)[:, [1, 3, 4, 0, 2]])
+        assert e["dense"].basis.dtype == np.float64
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("k1", ["sorted", "unsorted", "dense"])
@@ -160,7 +166,7 @@ class TestPermutationPath:
         t = _random_matrix(rng, dtype)
         phi = lambda x, y: np.cos(x) + 2.0 * y
         got = doi(phi, e[k1], t, e[k2])
-        want = doi(phi, _without_perm(e[k1]), t, _without_perm(e[k2]))
+        want = doi(phi, _dense(e[k1]), t, _dense(e[k2]))
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -179,7 +185,7 @@ class TestPermutationPath:
         t1, t2 = _random_matrix(rng, dtype), _random_matrix(rng, dtype)
         fgrid = grid_eval(lambda x, y, z: np.cos(x - z) * (1.0 + y), *(m.values for m in e))
         got = toi(fgrid, e[0], t1, e[1], t2, e[2])
-        want = toi(fgrid, _without_perm(e[0]), t1, _without_perm(e[1]), t2, _without_perm(e[2]))
+        want = toi(fgrid, _dense(e[0]), t1, _dense(e[1]), t2, _dense(e[2]))
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -190,10 +196,10 @@ class TestPermutationPath:
 
 
 def _identity_cases():
-    """Measures of dimension 5 for the identity-argument tests: sorted and
-    unsorted permutations, dense real and complex bases, and two one-atom
-    measures (the zero matrix, whose permutation is the identity, and an
-    unsorted cluster)."""
+    """Measures of dimension 5 for the identity-argument tests: the identity
+    and a permutation basis, dense real and complex bases, and two one-atom
+    measures (the zero matrix, whose basis is the identity, and an unsorted
+    cluster, whose basis is a permutation)."""
     rng = np.random.default_rng(11)
     out = dict(_measures())
     out["complex"] = from_hermitian(random_hermitian(rng, 5))
@@ -205,9 +211,10 @@ def _identity_cases():
 class TestIdentityArgument:
     def test_cases_cover_every_kind(self):
         e = _identity_cases()
-        assert e["complex"].perm is None and e["complex"].basis.dtype == np.complex128
-        assert e["zero"].atom_count == 1 and e["zero"].perm == slice(None)
-        assert e["cluster"].atom_count == 1 and list(e["cluster"].perm) == [1, 2, 3, 4, 0]
+        assert e["complex"].basis.dtype == np.complex128
+        assert e["zero"].atom_count == 1 and e["zero"].basis is None
+        assert e["cluster"].atom_count == 1
+        assert np.array_equal(e["cluster"].basis, np.eye(5)[:, [1, 2, 3, 4, 0]])
 
     @pytest.mark.parametrize("symbol", ["real", "complex"])
     def test_doi_none_equals_eye(self, symbol):

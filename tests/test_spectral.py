@@ -9,6 +9,7 @@ from xplab.hermitian import HermitianMatrix
 from xplab.spectral import CLUSTER_TOL, SpectralMeasure, apply_scalar, from_hermitian, rank_one
 
 from conftest import random_hermitian
+from spectral_reference import atoms, projection
 
 
 @pytest.fixture
@@ -29,24 +30,24 @@ class TestFromHermitian:
         e = from_hermitian(HermitianMatrix.diag([TWO_PI, 0.0, 0.0]))
         assert e.atom_count == 2
         assert np.allclose(e.values, [0.0, TWO_PI])
-        ranks = [round(np.trace(p).real) for _, p in e.atoms]
+        ranks = [round(np.trace(p).real) for _, p in atoms(e)]
         assert ranks == [2, 1]
 
     def test_identity_single_atom(self):
         e = from_hermitian(HermitianMatrix.diag(np.ones(4)))
         assert e.atom_count == 1
         assert e.values[0] == pytest.approx(1.0)
-        assert np.allclose(e.projection(0), np.eye(4))
+        assert np.allclose(projection(e, 0), np.eye(4))
 
     def test_near_degenerate_merged(self):
         e = from_hermitian(HermitianMatrix.diag([1.0, 1.0 + 1e-12]))
         assert e.atom_count == 1
-        assert round(np.trace(e.projection(0)).real) == 2
+        assert round(np.trace(projection(e, 0)).real) == 2
 
     def test_reconstruction(self, rng):
         h = random_hermitian(rng, 9, 3.0)
         e = from_hermitian(h)
-        rebuilt = sum(v * p for v, p in e.atoms)
+        rebuilt = sum(v * p for v, p in atoms(e))
         assert np.abs(rebuilt - h.mat).max() < 1e-9
 
     def test_one_measure_per_matrix(self, rng, eigh_calls):
@@ -86,7 +87,7 @@ class TestFromHermitian:
         e = from_hermitian(random_hermitian(rng, 7))
         eye = np.eye(e.dim)
         assert np.abs(e.basis.conj().T @ e.basis - eye).max() < 1e-10
-        assert np.abs(sum(p for _, p in e.atoms) - eye).max() < 1e-10
+        assert np.abs(sum(p for _, p in atoms(e)) - eye).max() < 1e-10
         assert np.all(np.diff(e.values) > 0)
 
 
@@ -106,6 +107,15 @@ def _is_permutation(basis):
 
 
 class TestDiagonalPath:
+    @pytest.mark.parametrize("values", [[-1.0, 0.0, 0.5, 2.0], [1.0, 1.0, 1.0 + 1e-12, 3.0],
+                                        [0.0, -0.0, 0.0], [7.0]])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_sorted_diagonal_has_no_basis(self, no_eigh, values, dtype):
+        e = from_hermitian(np.diag(values).astype(dtype))
+        assert e.basis is None
+        assert e.dim == len(values)
+        assert np.abs(sum(v * p for v, p in atoms(e)) - np.diag(values)).max() < 1e-12
+
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_unsorted_repeated_entries(self, no_eigh, dtype):
         d = np.array([3.0, -1.0, 3.0, 0.5, -1.0 + 1e-12])
@@ -114,48 +124,51 @@ class TestDiagonalPath:
         assert list(e.ranks) == [2, 1, 2]
         assert _is_permutation(e.basis)
         # stable sort: equal entries keep their order, so column 0 is e_1
-        assert list(e.basis.argmax(axis=0)) == [1, 4, 3, 0, 2]
-        assert list(e.perm) == [1, 4, 3, 0, 2]
-        assert list(e.perm_inv) == [3, 0, 4, 2, 1]
+        assert np.array_equal(e.basis, np.eye(5)[:, [1, 4, 3, 0, 2]])
         with pytest.raises(ValueError):
-            e.perm[0] = 0
-        assert np.array_equal(sum(p for _, p in e.atoms), np.eye(5))
-        assert np.abs(sum(v * p for v, p in e.atoms) - np.diag(d)).max() < 1e-12
+            e.basis[0, 0] = 1.0
+        assert np.array_equal(sum(p for _, p in atoms(e)), np.eye(5))
+        assert np.abs(sum(v * p for v, p in atoms(e)) - np.diag(d)).max() < 1e-12
 
     def test_zero_matrix_is_one_atom(self, no_eigh):
         e = from_hermitian(HermitianMatrix.zeros(6))
         assert list(e.values) == [0.0]
         assert list(e.ranks) == [6]
-        assert np.array_equal(e.basis, np.eye(6))
-        assert e.perm == e.perm_inv == slice(None)
-        assert np.array_equal(e.projection(0), np.eye(6))
+        assert e.basis is None
+        assert np.array_equal(projection(e, 0), np.eye(6))
 
-    @pytest.mark.parametrize("perm", [[0, 0, 2], [1, 2, 3], [-1, 0, 1], [[0, 1, 2]],
-                                      [0.0, 1.0, 2.0], [True, False, True]])
-    def test_perm_must_be_a_permutation(self, perm):
-        with pytest.raises(ValueError, match="permutation of 0..dim-1"):
-            SpectralMeasure(np.arange(3.0), None, np.arange(4), perm=perm)
+    @pytest.mark.parametrize("perm", [[0, 1, 2], [0, 2, 1], [1, 0, 2],
+                                      [1, 2, 0], [2, 0, 1], [2, 1, 0]])
+    def test_perm_must_be_a_permutation(self, no_eigh, perm):
+        # a diagonal in each of the six orders: its basis is the permutation
+        # matrix of its sort order, or None when that order is the identity
+        d = np.array([10.0, 20.0, 30.0])[np.argsort(perm)]
+        e = from_hermitian(HermitianMatrix.diag(d))
+        assert np.array_equal(e.values, [10.0, 20.0, 30.0])
+        if perm == [0, 1, 2]:
+            assert e.basis is None
+        else:
+            assert _is_permutation(e.basis)
+            assert np.array_equal(e.basis, np.eye(3)[:, perm])
 
-    def test_perm_must_match_basis(self):
+    def test_basis_must_match_dim(self):
         values, starts = np.arange(3.0), np.arange(4)
-        with pytest.raises(ValueError, match="exactly one of basis and perm"):
-            SpectralMeasure(values, np.eye(3), starts, perm=[1, 0, 2])
-        with pytest.raises(ValueError, match="exactly one of basis and perm"):
-            SpectralMeasure(values, None, starts)
-        with pytest.raises(ValueError, match="permutation of 0..dim-1"):
-            SpectralMeasure(values, None, starts, perm=[0, 0, 2])
-        e = SpectralMeasure(values, None, starts, perm=[2, 0, 1])
-        assert list(e.perm_inv) == [1, 2, 0]
+        with pytest.raises(ValueError, match="square matrix of size dim"):
+            SpectralMeasure(values, np.eye(2), starts)
+        with pytest.raises(ValueError, match="square matrix of size dim"):
+            SpectralMeasure(values, np.ones((3, 4)), starts)
+        with pytest.raises(ValueError, match="one more entry"):
+            SpectralMeasure(values, None, np.arange(3))
+        with pytest.raises(ValueError, match="from 0 to dim"):
+            SpectralMeasure(values, None, np.arange(1, 5))
+        e = SpectralMeasure(values, None, starts)
+        assert e.basis is None
         assert type(e.dim) is int and e.dim == 3
-        assert np.array_equal(e.basis, np.eye(3)[:, [2, 0, 1]])
-        assert e.basis is e.basis
-        with pytest.raises(ValueError):
-            e.basis[0, 0] = 1.0
 
     def test_diagonal_measure_stores_no_matrix(self, no_eigh):
-        # O(n) work and memory: the sort order, not an n x n basis
+        # O(n) work and memory for a sorted diagonal: no n x n basis
         n = 512
-        h = HermitianMatrix.diag(np.arange(n, 0, -1.0))
+        h = HermitianMatrix.diag(np.arange(n, dtype=np.float64))
         tracemalloc.start()
         try:
             e = from_hermitian(h)
@@ -164,22 +177,20 @@ class TestDiagonalPath:
             tracemalloc.stop()
         assert peak < n * n
         assert type(e.dim) is int and e.dim == n
-        assert np.array_equal(e.basis, np.eye(n)[:, ::-1])
+        assert e.basis is None
 
     def test_real_symmetric_gives_real_basis(self, rng):
         raw = rng.standard_normal((6, 6))
         h = HermitianMatrix(raw + raw.T)
         e = from_hermitian(h)
         assert e.basis.dtype == np.float64
-        assert e.perm is None and e.perm_inv is None
-        assert np.abs(sum(v * p for v, p in e.atoms) - h.mat).max() < 1e-12
+        assert np.abs(sum(v * p for v, p in atoms(e)) - h.mat).max() < 1e-12
 
     def test_complex_hermitian_unchanged(self, rng):
         h = random_hermitian(rng, 6)
         w, v = np.linalg.eigh(h.mat)
         e = from_hermitian(h)
         assert e.basis.dtype == np.complex128
-        assert e.perm is None
         assert np.array_equal(e.basis, v)
         assert np.array_equal(e.values, w)
 
@@ -200,7 +211,7 @@ class TestRankOne:
         assert np.array_equal(e.values, [0.0, TWO_PI])
         assert np.abs(e.values - want.values).max() <= 1e-12
         for j in range(2):
-            assert np.abs(e.projection(j) - want.projection(j)).max() <= 1e-12
+            assert np.abs(projection(e, j) - projection(want, j)).max() <= 1e-12
 
     @pytest.mark.parametrize("last", [2.0, -2.0, 0.0])
     def test_general_vector(self, rng, last, no_eigh):
@@ -208,8 +219,8 @@ class TestRankOne:
         h = rank_one(0.5, v)
         e = from_hermitian(h)
         assert np.abs(e.basis.T @ e.basis - np.eye(7)).max() < 1e-14
-        assert np.abs(e.projection(1) - np.outer(v, v) / (v @ v)).max() < 1e-14
-        assert np.abs(sum(val * p for val, p in e.atoms) - h.mat).max() < 1e-14
+        assert np.abs(projection(e, 1) - np.outer(v, v) / (v @ v)).max() < 1e-14
+        assert np.abs(sum(val * p for val, p in atoms(e)) - h.mat).max() < 1e-14
         assert np.array_equal(h.mat, 0.5 * (np.outer(v, v) / (v @ v)))
 
     @pytest.mark.parametrize("r, v", [
@@ -288,7 +299,7 @@ class TestCoordinateMeasure:
         for n in range(1, 9):
             e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
             assert np.array_equal(e.values, np.arange(n))
-            assert np.array_equal(e.basis, np.eye(n))
+            assert e.basis is None
             assert np.array_equal(e.starts, np.arange(n + 1))
 
     def test_column_maps(self):
