@@ -56,10 +56,10 @@ class HermitianMatrix:
 
     @classmethod
     def _symmetric(cls, mat: np.ndarray) -> "HermitianMatrix":
-        """Wrap a fresh real array that is exactly symmetric by construction.
-        ``H / 2 + H* / 2`` gives back such an array bit for bit (except for
-        subnormal entries, whose halves round), so this stores what
-        ``cls(mat)`` stores without the transpose check and that pass."""
+        """Wrap a fresh real or complex array, exactly Hermitian by
+        construction.  ``H / 2 + H* / 2`` gives back such an array bit for
+        bit (except for subnormal entries, whose halves round), so this
+        stores what ``cls(mat)`` stores without the transpose check and that pass."""
         h = cls.__new__(cls)
         h._store(_finite(as_matrix(mat)))
         return h
@@ -107,7 +107,7 @@ class HermitianMatrix:
 
 
 def _finite(mat: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix has a non-finite entry")
     return mat
 
@@ -116,6 +116,13 @@ def _real_or_complex(obj) -> np.ndarray:
     """``obj`` as an array, float64 or complex128 by the dtype rule."""
     arr = np.asarray(obj)
     return arr.astype(np.result_type(arr.dtype, np.float64), copy=False)
+
+
+def _diagonal_matrices(d: np.ndarray) -> np.ndarray:
+    """``np.diag(d)``, for each leading index of a stack ``d``."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    np.einsum("...ii->...i", out)[...] = d
+    return out
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -140,41 +147,53 @@ def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def singular_values(M) -> np.ndarray:
-    """Singular values of a square real or complex matrix, descending.
+    """Singular values of a square real or complex matrix, descending, or
+    one row of them per matrix of a stack.
 
     Equal to the square roots of the eigenvalues of ``M* M``; computed by a
     direct SVD, which keeps the small singular values accurate to machine
     precision instead of ``sqrt(eps)``.
     """
-    mat = as_matrix(M)
+    mat = M.mat if isinstance(M, HermitianMatrix) else _real_or_complex(M)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
     if mat.size == 0:
-        return np.zeros(0)
+        return np.zeros(mat.shape[:-1])
     try:
         s = np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        n = mat.shape[0]
+        n = mat.shape[-1]
         raise RuntimeError(f"SVD did not converge for a {n}x{n} matrix") from exc
     return s
 
 
-def schatten_norm(M, p) -> float:
+def schatten_norm(M, p):
     """Schatten p-norm ``(sum sigma_k^p)^(1/p)``; ``p = inf`` gives the
-    operator norm (largest singular value).  Requires ``p >= 1``."""
+    operator norm (largest singular value).  Requires ``p >= 1``.  A float,
+    or one norm per matrix of a stack."""
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
-    s = singular_values(M)
-    if s.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(s[0])
-    if p == 1.0:
-        return float(np.sum(s))
-    if p == 2.0:
+    return _schatten(singular_values(M), p)
+
+
+def _schatten(s: np.ndarray, p: float):
+    """Schatten ``p``-norm from descending singular values ``s`` (last axis)."""
+    if s.shape[-1] == 0:
+        norm = np.zeros(s.shape[:-1])
+    elif math.isinf(p):
+        norm = s[..., 0]
+    elif p == 1.0:
+        norm = s.sum(axis=-1)
+    elif p == 2.0:
         # Frobenius; sum of squares is cheaper and exact
-        return float(np.sqrt(np.sum(s * s)))
-    smax = float(s[0])
-    if smax == 0.0:
-        return 0.0
-    # scale out the largest value so large p does not overflow
-    return float(smax * np.sum((s / smax) ** p) ** (1.0 / p))
+        norm = np.sqrt((s * s).sum(axis=-1))
+    else:
+        # scale out the largest value so large p does not overflow; a zero
+        # matrix keeps zeros, not 0 / 0
+        smax = s[..., :1]
+        scaled = np.divide(s, smax, out=np.zeros_like(s), where=smax != 0.0)
+        total = (scaled**p).sum(axis=-1)
+        # a scalar power per norm, as one matrix takes it: numpy's array power rounds otherwise
+        norm = smax[..., 0] * np.reshape([t ** (1.0 / p) for t in np.ravel(total)], total.shape)
+    return float(norm) if norm.ndim == 0 else norm

@@ -30,7 +30,14 @@ is the product of their bases, one of them when the other is ``None``, and
 A field (a symbol ``Phi`` or a function ``f`` of one, two or three real
 variables) is any callable that takes numpy arrays and broadcasts them.
 Every evaluation is one call on whole arrays, never a loop over points;
-the caller knows how many variables it passes.
+the caller knows how many variables it passes.  A field may be stacked:
+on arrays of broadcast shape ``s`` its value has shape ``(k, ...) + s``.
+:func:`grid_eval`, :func:`doi` (``T = None`` included),
+:func:`~xplab.spectral.apply_scalar`, :func:`~xplab.hermitian.schatten_norm`,
+``singular_values`` and :func:`~xplab.perturbation.perturbation_identity_residual`
+then return the stack of the results of its fields, from the code that
+handles one field: one change of basis and one batched SVD for the stack.
+Each result equals its field's own bit for bit when they share a dtype.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import _real_or_complex, as_matrix, schatten_norm
+from .hermitian import _diagonal_matrices, _real_or_complex, as_matrix, schatten_norm
 from .spectral import SpectralMeasure, from_hermitian
 
 __all__ = [
@@ -66,14 +73,18 @@ def grid_eval(f: Callable, *axes) -> np.ndarray:
     """Evaluate a field on the Cartesian grid of the given 1-D axes.
 
     Makes one broadcast call on a sparse mesh; any exception raised by the
-    field propagates.  Result has shape ``(len(axes[0]), ..., len(axes[-1]))``
-    and is complex128 when the field's value is complex, float64 otherwise.
+    field propagates.  Result has shape ``(len(axes[0]), ..., len(axes[-1]))``,
+    after the stack axes of a stacked field, and is complex128 when the
+    field's value is complex, float64 otherwise.
     """
-    axes = [np.asarray(a, dtype=np.float64) for a in axes]
-    shape = tuple(len(a) for a in axes)
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    d = len(axes)
+    mesh = [np.asarray(a, dtype=np.float64).reshape((1,) * i + (-1,) + (1,) * (d - 1 - i))
+            for i, a in enumerate(axes)]
     out = _real_or_complex(f(*mesh))
-    return np.ascontiguousarray(np.broadcast_to(out, shape))
+    shape = out.shape[: max(out.ndim - d, 0)] + tuple(m.size for m in mesh)
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape)
+    return np.ascontiguousarray(out)
 
 
 def _check_dim(name: str, got: int, want: int) -> None:
@@ -139,9 +150,11 @@ def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
     tmat = _operator("T", t, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
     fgrid = grid_eval(phi, e1.values, e2.values)
-    fcols = fgrid[_atom_columns(e1)][:, _atom_columns(e2)]
+    fcols = fgrid[..., _atom_columns(e1), :][..., _atom_columns(e2)]
     x = _into_bases(e1, tmat, e2)
-    return _out_of_bases(e1, np.diag(fcols.diagonal()) if x is None else fcols * x, e2)
+    if x is None:
+        return _diagonal_matrices(np.diagonal(fcols, axis1=-2, axis2=-1))
+    return _out_of_bases(e1, fcols * x, e2)
 
 
 def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasure) -> np.ndarray:

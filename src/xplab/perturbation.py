@@ -55,11 +55,13 @@ def divided_difference(phi: Callable, phi_prime: Callable) -> Callable:
     return fn
 
 
-def perturbation_identity_residual(f, f_prime, A, B) -> float:
+def perturbation_identity_residual(f, f_prime, A, B):
     """Trace-norm residual of ``f(A) - f(B) - doi(Df, E_A, A - B, E_B)``.
 
     Vanishes (to roundoff) for every ``f`` on matrices with finite spectra;
-    the contract is residual ``<= 1e-9 * (1 + ||A|| + ||B||)``.
+    the contract is residual ``<= 1e-9 * (1 + ||A|| + ||B||)``.  A float;
+    for stacked ``f`` and ``f_prime`` (see :mod:`xplab.opint`), the array
+    of the residuals of their fields, from one batched SVD.
     """
     A = HermitianMatrix.wrap(A)
     B = HermitianMatrix.wrap(B)

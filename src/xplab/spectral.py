@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _eigh_checked, _real_or_complex
+from .hermitian import HermitianMatrix, _diagonal_matrices, _eigh_checked, _real_or_complex
 
 CLUSTER_TOL = 1e-8
 
@@ -63,13 +63,14 @@ class SpectralMeasure:
             self.basis = _read_only(np.ascontiguousarray(basis))
             if self.basis.shape != (self.dim, self.dim):
                 raise ValueError("basis must be a square matrix of size dim")
-        if np.any(np.diff(self.starts) <= 0):
+        ranks = self.starts[1:] - self.starts[:-1]
+        if (ranks <= 0).any():
             raise ValueError("every atom must have positive rank")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("atom values must be finite")
-        if np.any(np.diff(self.values) <= 0):
+        if (self.values[1:] - self.values[:-1] <= 0).any():
             raise ValueError("atom values must be strictly increasing")
-        self._col_atom = _read_only(np.repeat(np.arange(self.atom_count), self.ranks))
+        self._col_atom = _read_only(np.repeat(np.arange(self.atom_count), ranks))
 
     @property
     def atom_count(self) -> int:
@@ -117,8 +118,12 @@ def from_hermitian(H) -> SpectralMeasure:
             w, v = w[order], np.eye(len(w))[:, order]
     else:
         w, v = _eigh_checked(mat)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > CLUSTER_TOL) + 1, [len(w)]))
-    values = np.add.reduceat(w, starts[:-1]) / np.diff(starts)
+    split = w[1:] - w[:-1] > CLUSTER_TOL
+    if split.all():  # no cluster: every eigenvalue is an atom of rank one
+        values, starts = w, np.arange(len(w) + 1)
+    else:
+        starts = np.concatenate(([0], np.flatnonzero(split) + 1, [len(w)]))
+        values = np.add.reduceat(w, starts[:-1]) / np.diff(starts)
     h._measure = SpectralMeasure(values, v, starts)
     return h._measure
 
@@ -148,17 +153,23 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     """Scalar functional calculus ``sum g(value_j) P_j``.
 
     ``g`` is called once, on the array of atom values, and must broadcast;
-    a scalar result (a constant function) applies to every atom.  Errors
-    raised by ``g`` propagate unchanged.  The result is exactly Hermitian
-    whenever ``g`` is real on the atom values.  It is float64 when the
-    values of ``g`` and the basis are real, complex128 otherwise (the
-    dtype rule of :mod:`xplab.hermitian`).
+    a scalar result (a constant function) applies to every atom, and a
+    stacked ``g`` gives the stack of matrices.  Errors raised by ``g``
+    propagate unchanged.  The result is exactly Hermitian whenever ``g`` is
+    real on the atom values.  It is float64 when the values of ``g`` and
+    the basis are real, complex128 otherwise (the dtype rule of
+    :mod:`xplab.hermitian`).
     """
-    gvals = np.broadcast_to(_real_or_complex(g(E.values)), (E.atom_count,))
+    gvals = _real_or_complex(g(E.values))
+    if gvals.shape[-1:] != (E.atom_count,):
+        gvals = np.broadcast_to(gvals, gvals.shape[:-1] + (E.atom_count,))
+    if E.atom_count != E.dim:
+        gvals = gvals[..., E.column_atom_index()]
     if E.basis is None:
-        return np.diag(gvals[E.column_atom_index()])
-    out = (E.basis * gvals[E.column_atom_index()]) @ E.basis.conj().T
-    if np.all(gvals.imag == 0.0):
-        out = (out + out.conj().T) / 2
-    return out
-
+        return _diagonal_matrices(gvals)
+    out = (E.basis * gvals[..., None, :]) @ E.basis.conj().T
+    sym = (out + np.swapaxes(out, -1, -2).conj()) / 2
+    if gvals.dtype.kind != "c":
+        return sym
+    # each field of a stack is tested for realness on its own
+    return np.where(np.all(gvals.imag == 0.0, axis=-1)[..., None, None], sym, out)

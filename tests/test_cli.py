@@ -163,6 +163,18 @@ class TestVerify:
             "[PASS] Schatten norm invariances: max residual 7.105e-15 (tol 1.0e-10)",
         ]
 
+    def test_lines_pinned_seed_42(self):
+        assert experiment.cmd_verify(seed=42, trials=60).lines() == [
+            "[PASS] perturbation identity (trace norm): max residual 1.257e-13 (tol 1.0e-09)",
+            "[PASS] rank-difference identity: max residual 3.547e-15 (tol 1.0e-09)",
+            "[PASS] separated triple difference: max residual 3.458e-14 (tol 1.0e-09)",
+            "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
+            "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
+            "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
+            "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
+            "[PASS] Schatten norm invariances: max residual 1.066e-14 (tol 1.0e-10)",
+        ]
+
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
         def failing(rng, trials):
             return SuiteResult("forced failure", 1.0, 0.0)

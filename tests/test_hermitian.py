@@ -80,6 +80,15 @@ class TestHermitianMatrix:
             assert h.mat.tobytes() == HermitianMatrix(h.mat.copy()).mat.tobytes()
             assert h.mat.dtype == np.float64 and not h.mat.flags.writeable
 
+    def test_random_hermitian_stores_what_init_stores(self, rng):
+        # the suites' draws skip the symmetry check: raw + raw^H is exactly
+        # Hermitian, and real scalings keep it so
+        for n in range(1, 17):
+            for scale in (1.0, 2.0):
+                h = random_hermitian(rng, n, scale)
+                assert h.mat.tobytes() == HermitianMatrix(h.mat.copy()).mat.tobytes()
+                assert h.mat.dtype == np.complex128 and not h.mat.flags.writeable
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_diag_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

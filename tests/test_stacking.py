@@ -1,0 +1,151 @@
+"""Stacked fields: a field whose value has leading stack axes gives the stack
+of the results of its fields, bit for bit, through the code that handles
+one field."""
+
+import math
+
+import numpy as np
+import pytest
+from numpy.polynomial import Polynomial
+
+from xplab.counterexample import TWO_PI, eta_deriv, eta_field
+from xplab.experiment import _suite_perturbation, _test_fields
+from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
+from xplab.opint import doi, grid_eval
+from xplab.perturbation import divided_difference, perturbation_identity_residual
+from xplab.spectral import apply_scalar, from_hermitian
+
+from conftest import random_complex, random_hermitian, random_unitary
+
+
+def _fields(seed):
+    """``_test_fields`` of a seeded generator, and the same seven fields
+    one by one, drawn as separate ``Polynomial`` objects from the same
+    calls, each with its derivative."""
+    stacked = _test_fields(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    single = []
+    for _ in range(5):
+        poly = Polynomial(rng.standard_normal(int(rng.integers(1, 6)) + 1))
+        single.append((poly, poly.deriv()))
+    for shift in (0.0, TWO_PI):
+        single.append((eta_field(shift), lambda x, s=shift: eta_deriv(x - s)))
+    return stacked, single
+
+
+def _pairs(rng):
+    """Hermitian pairs of dimension 6 whose measures have a dense basis, the
+    identity basis (``None``) and clustered atoms (``atom_count < dim``),
+    the last with a dense basis and with ``None``."""
+    u = random_unitary(rng, 6)
+    clustered = [(u * d) @ u.conj().T for d in ([-1.0, -1.0, 0.5, 2.0, 2.0, 2.0],
+                                                [-3.0, 0.0, 0.0, 1.0, 1.0, 4.0])]
+    return {
+        "dense": (random_hermitian(rng, 6, 2.0), random_hermitian(rng, 6, 2.0)),
+        "none": tuple(HermitianMatrix.diag(np.sort(rng.standard_normal(6))) for _ in range(2)),
+        "clustered": tuple(HermitianMatrix((c + c.conj().T) / 2) for c in clustered),
+        "clustered-none": (HermitianMatrix.diag([0.0, 0.0, 1.0, 1.0, 1.0, 3.0]),
+                           HermitianMatrix.diag([-1.0, 2.0, 2.0, 2.0, 5.0, 5.0])),
+    }
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_pairs_cover_every_kind(rng):
+    measures = {k: [from_hermitian(h) for h in pair] for k, pair in _pairs(rng).items()}
+    assert all(e.basis is not None and e.atom_count == e.dim for e in measures["dense"])
+    assert all(e.basis is None and e.atom_count == e.dim for e in measures["none"])
+    assert all(e.basis is not None and e.atom_count < e.dim for e in measures["clustered"])
+    assert all(e.basis is None and e.atom_count < e.dim for e in measures["clustered-none"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_test_fields_equal_polynomial_and_eta(seed):
+    (f, df), single = _fields(seed)
+    x = np.linspace(-7.0, 9.0, 41).reshape(41, 1)
+    got, dgot = f(x), df(x)
+    assert got.shape == dgot.shape == (7, 41, 1)
+    for k, (fk, dfk) in enumerate(single):
+        assert _same(got[k], fk(x)) and _same(dgot[k], dfk(x))
+
+
+@pytest.mark.parametrize("kind", ["dense", "none", "clustered", "clustered-none"])
+class TestStackEqualsFields:
+    def test_grid_eval_and_apply_scalar(self, rng, kind):
+        (f, df), single = _fields(4)
+        for h in _pairs(rng)[kind]:
+            e = from_hermitian(h)
+            grid, calc = grid_eval(f, e.values), apply_scalar(e, f)
+            assert grid.shape == (7, e.atom_count) and calc.shape == (7, e.dim, e.dim)
+            for k, (fk, _) in enumerate(single):
+                assert _same(grid[k], grid_eval(fk, e.values))
+                assert _same(calc[k], apply_scalar(e, fk))
+
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_doi(self, rng, kind, identity):
+        (f, df), single = _fields(5)
+        e1, e2 = (from_hermitian(h) for h in _pairs(rng)[kind])
+        t = None if identity else random_complex(rng, 6)
+        got = doi(divided_difference(f, df), e1, t, e2)
+        assert got.shape == (7, 6, 6)
+        for k, (fk, dfk) in enumerate(single):
+            assert _same(got[k], doi(divided_difference(fk, dfk), e1, t, e2))
+
+    def test_perturbation_identity_residual(self, rng, kind):
+        (f, df), single = _fields(6)
+        a, b = _pairs(rng)[kind]
+        got = perturbation_identity_residual(f, df, a, b)
+        assert got.shape == (7,) and np.all(got < 1e-9)
+        for k, (fk, dfk) in enumerate(single):
+            one = perturbation_identity_residual(fk, dfk, a, b)
+            assert type(one) is float and one == got[k]
+
+
+def test_doi_identity_branch_reached():
+    # T = None over two identity bases keeps the symbol's diagonal
+    e = from_hermitian(HermitianMatrix.diag([0.0, 1.0, 3.0]))
+    got = doi(lambda x, y: np.stack((x + y, x * y - 1.0)), e, None, e)
+    assert _same(got, np.stack((np.diag([0.0, 2.0, 6.0]), np.diag([-1.0, 0.0, 8.0]))))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0, math.inf])
+def test_schatten_norm_of_stack(rng, p):
+    # numpy's array power rounds some roots otherwise than its scalar power
+    # (about one in twenty); a hundred matrices would show it
+    mats = np.stack([np.zeros((3, 3))] + [random_complex(rng, 3) for _ in range(100)])
+    got = schatten_norm(mats, p)
+    assert singular_values(mats).shape == (101, 3) and got.shape == (101,)
+    for k, m in enumerate(mats):
+        assert type(schatten_norm(m, p)) is float and schatten_norm(m, p) == got[k]
+    assert got[0] == 0.0
+
+
+def test_singular_values_rejects_non_square_stack():
+    with pytest.raises(ValueError, match="square matrix"):
+        singular_values(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="square matrix"):
+        singular_values(np.zeros(3))
+
+
+def test_suite_sees_every_field_once_per_trial(monkeypatch):
+    from xplab import experiment
+
+    calls = []
+    residual = experiment.perturbation_identity_residual
+    monkeypatch.setattr(experiment, "perturbation_identity_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    result = _suite_perturbation(np.random.default_rng(3), 4)
+    assert len(calls) == 4 and result.passed
+
+
+def test_apply_scalar_tests_each_field_for_realness(rng):
+    # a complex stack symmetrizes its real fields as each alone would
+    e = from_hermitian(random_hermitian(rng, 5))
+    fields = [lambda x: (x * x).astype(complex), lambda x: x + 1j * np.cos(x)]
+    got = apply_scalar(e, lambda x: np.stack([f(x) for f in fields]))
+    for k, f in enumerate(fields):
+        assert _same(got[k], apply_scalar(e, f))
+    assert np.array_equal(got[0], got[0].conj().T) and not np.array_equal(got[1], got[1].conj().T)
