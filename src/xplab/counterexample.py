@@ -15,6 +15,10 @@ while the perturbation ``B1 - B2`` has trace norm ``2*pi`` and
 ``sup |f| <= 1``.  Scaling ``g = eps f(./eps)`` on ``eps``-scaled operators
 shrinks the perturbation while the trace-norm ratio keeps growing.
 
+As ``f`` separates, :func:`difference_matrix` is the double integral
+``doi(phi, E_A, psi(B1) - psi(B2), E_C)``, checked against two triple
+integrals in the tests and by ``verify``'s separated triple difference suite.
+
 :func:`growth_ratio` bounds the difference's trace norm from below and
 that of ``B1 - B2`` from above, so its ratio is a certified lower bound; it
 runs no SVD or eigendecomposition, as ``B1`` carries its spectral measure.
@@ -31,8 +35,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .hermitian import HermitianMatrix, _real_or_complex
-from .opint import grid_eval, product_field, toi
-from .spectral import from_hermitian, rank_one
+from .opint import grid_eval
+from .perturbation import separated_difference
+from .spectral import rank_one
 
 TWO_PI = 2.0 * math.pi
 _ETA_SERIES_CUTOFF = 1e-3
@@ -243,7 +248,6 @@ class CounterexampleInstance:
     """
 
     n: int
-    f: Callable
     phi: Callable
     psi: Callable
     coeffs: CoeffMatrix
@@ -253,19 +257,6 @@ class CounterexampleInstance:
     C: HermitianMatrix
     epsilon: float = 1.0
     sup_bound: float = 1.0
-
-
-def _instance_field(phi: Callable, psi: Callable, eps: float) -> Callable:
-    """``f = eps * phi(x/eps, z/eps) * psi(y/eps)``; at ``eps = 1`` this is
-    exactly ``phi(x, z) * psi(y)``, since ``x / 1.0`` and ``1.0 * v`` are exact."""
-
-    def fn(x, y, z):
-        xa = np.asarray(x, dtype=np.float64) / eps
-        ya = np.asarray(y, dtype=np.float64) / eps
-        za = np.asarray(z, dtype=np.float64) / eps
-        return eps * phi(xa, za) * psi(ya)
-
-    return fn
 
 
 def build_instance(n: int) -> CounterexampleInstance:
@@ -278,28 +269,24 @@ def build_instance(n: int) -> CounterexampleInstance:
     coeffs = triangular_coeffs(n)
     phi = phi_from_coeffs(coeffs)
     psi = eta_field(TWO_PI)
-    f = product_field(phi, psi)
     return CounterexampleInstance(
-        n=n, f=f, phi=phi, psi=psi, coeffs=coeffs, A=diag, B1=b1, B2=b2, C=diag,
+        n=n, phi=phi, psi=psi, coeffs=coeffs, A=diag, B1=b1, B2=b2, C=diag,
         epsilon=1.0, sup_bound=coeffs.sup_abs,
     )
 
 
 def difference_matrix(inst: CounterexampleInstance) -> np.ndarray:
-    """``f(A, B1, C) - f(A, B2, C)`` through two triple operator integrals.
-
-    Both integrals share the atoms of ``A`` and ``C``, so ``f`` is evaluated
-    once, on the grid whose middle axis holds the atoms of ``B1`` and then
-    those of ``B2``; each integral reads its own view of that grid.  The
-    result is bit for bit that of two :func:`~xplab.opint.func_calc_triple`
-    calls.
-    """
-    ea, eb1, eb2, ec = (from_hermitian(h) for h in (inst.A, inst.B1, inst.B2, inst.C))
-    fgrid = grid_eval(inst.f, ea.values, np.concatenate((eb1.values, eb2.values)), ec.values)
-    m1 = eb1.atom_count
-    diff = toi(fgrid[:, :m1], ea, None, eb1, None, ec)
-    diff -= toi(fgrid[:, m1:], ea, None, eb2, None, ec)
-    return diff
+    """``f(A, B1, C) - f(A, B2, C)`` by :func:`~xplab.perturbation.separated_difference`,
+    on the factors ``eps phi(x/eps, z/eps)`` and ``psi(y/eps)`` of the scaled ``f``.
+    The tests check it bit for bit against two :func:`~xplab.opint.func_calc_triple`
+    calls, and ``verify``'s separated triple difference suite checks the identity."""
+    e = inst.epsilon
+    phi, psi = inst.phi, inst.psi
+    if e != 1.0:
+        phi = lambda x, z: e * inst.phi(np.asarray(x, dtype=np.float64) / e,
+                                        np.asarray(z, dtype=np.float64) / e)
+        psi = lambda y: inst.psi(np.asarray(y, dtype=np.float64) / e)
+    return separated_difference(phi, psi, inst.A, inst.B1, inst.B2, inst.C)
 
 
 def certified_sup_norm(inst: CounterexampleInstance) -> float:
@@ -432,7 +419,6 @@ def scale_instance(inst: CounterexampleInstance, eps: float) -> CounterexampleIn
     a = e * inst.A
     return CounterexampleInstance(
         n=inst.n,
-        f=_instance_field(inst.phi, inst.psi, total),
         phi=inst.phi,
         psi=inst.psi,
         coeffs=inst.coeffs,

@@ -11,8 +11,7 @@ With measures ``E1, E2, E3`` whose atoms are ``(a_j, P_j)``, ``(b_k, Q_k)``,
 ``doi`` takes the symbol ``Phi`` as a field and evaluates it on the atom
 grid itself.  ``toi`` takes the symbol's values on the atom grid,
 ``fgrid[j, k, l] = Phi(a_j, b_k, c_l)``, as :func:`grid_eval` returns them
-for the three measures' ``values``; so callers whose integrals share atoms
-evaluate the symbol once and pass views of one grid.
+for the three measures' ``values``.
 
 Both are evaluated in the concatenated eigenbases of the measures, where
 the atom sums become Hadamard products; this is algebraically identical to
@@ -22,10 +21,10 @@ A measure's basis is a dense matrix or ``None``, the identity (see
 dense basis is a matrix product, and that of ``None`` is skipped.
 
 An operator argument ``T``, ``T1`` or ``T2`` may be ``None``, which means
-the identity: the result equals that of passing ``np.eye(dim)``, but no
-identity is built or multiplied.  Its change of basis between two measures
-is the product of their bases, one of them when the other is ``None``, and
-``None`` when both are.
+the identity: the result equals that of passing ``np.eye(dim)``.  Its
+change of basis between two measures is the product of their bases, one of
+them when the other is ``None``, and ``None`` when both are; ``doi`` then
+builds and multiplies no identity, while ``toi`` multiplies ``np.eye(dim)``.
 
 A field (a symbol ``Phi`` or a function ``f`` of one, two or three real
 variables) is any callable that takes numpy arrays and broadcasts them.
@@ -117,23 +116,6 @@ def _out_of_bases(e1: SpectralMeasure, y: np.ndarray, e2: SpectralMeasure) -> np
     return y if e2.basis is None else y @ e2.basis.conj().T
 
 
-def _middle_term(a1, a2, cols: slice, dim: int) -> np.ndarray:
-    """``a1[:, cols] @ a2[cols, :]``, a ``None`` factor being the identity:
-    the other factor's block, or an identity block, copied into zeros."""
-    if a1 is None and a2 is None:
-        term = np.zeros((dim, dim))
-        np.fill_diagonal(term[cols, cols], 1.0)
-    elif a1 is None:
-        term = np.zeros((dim, dim), dtype=a2.dtype)
-        term[cols] = a2[cols]
-    elif a2 is None:
-        term = np.zeros((dim, dim), dtype=a1.dtype)
-        term[:, cols] = a1[:, cols]
-    else:
-        term = a1[:, cols] @ a2[cols, :]
-    return term
-
-
 def _operator(name: str, t, dim: int):
     """``t`` as a square matrix of size ``dim``; ``None`` (the identity)
     stays ``None``."""
@@ -166,9 +148,8 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     included, and it is only read.  ``None`` for ``T1`` or ``T2`` is the
     identity.  Atom ``k`` of ``E2`` contributes the product of the columns
     of ``E1.basis^H T1 E2.basis`` and the rows of ``E2.basis^H T2
-    E3.basis`` that belong to it; when either of those is the identity
-    (``None`` factors and bases throughout), the product is a copy of the
-    other's block, or an identity block, and no matrix is multiplied.
+    E3.basis`` that belong to it; a change of basis that is the identity
+    (``None`` factors and bases throughout) is multiplied as ``np.eye(dim)``.
     """
     t1m = _operator("T1", t1, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
@@ -178,12 +159,13 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     atoms = (e1.atom_count, e2.atom_count, e3.atom_count)
     if fgrid.shape != atoms:
         raise ValueError(f"symbol grid has shape {fgrid.shape}, expected the atom grid {atoms}")
-    a1 = _into_bases(e1, t1m, e2)
-    a2 = _into_bases(e2, t2m, e3)
+    a1, a2 = (np.eye(e1.dim) if a is None else a
+              for a in (_into_bases(e1, t1m, e2), _into_bases(e2, t2m, e3)))
     ci1, ci3 = _atom_columns(e1), _atom_columns(e3)
     acc = None
     for k in range(e2.atom_count):
-        term = _middle_term(a1, a2, slice(e2.starts[k], e2.starts[k + 1]), e1.dim)
+        cols = slice(e2.starts[k], e2.starts[k + 1])
+        term = a1[:, cols] @ a2[cols, :]
         slab = fgrid[:, k, :][ci1][:, ci3]
         if acc is None:
             acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, term))

@@ -76,10 +76,6 @@ class SpectralMeasure:
     def atom_count(self) -> int:
         return len(self.values)
 
-    @property
-    def ranks(self) -> np.ndarray:
-        return np.diff(self.starts)
-
     def column_atom_index(self) -> np.ndarray:
         """Map basis column -> index of the atom owning it (read-only)."""
         return self._col_atom

@@ -286,7 +286,7 @@ class TestInstance:
 
     def test_psi_vanishes_on_b2(self):
         inst = build_instance(4)
-        assert abs(complex(inst.f(1.0, 0.0, 2.0))) < 1e-12  # psi(0) = eta(-2pi) = 0
+        assert abs(float(inst.psi(0.0))) < 1e-12  # psi(0) = eta(-2pi) = 0
 
     def test_difference_closed_form(self):
         for n in (2, 3, 5, 8):
@@ -313,25 +313,36 @@ class TestInstance:
 
 
 class TestDifferenceMatrix:
-    def test_one_field_evaluation(self):
+    def test_factor_evaluations(self):
         inst = build_instance(8)
-        calls = []
+        phi_calls, psi_calls = [], []
 
-        def counted(x, y, z):
-            calls.append((np.shape(x), np.shape(y), np.shape(z)))
-            return inst.f(x, y, z)
+        def phi(x, z):
+            phi_calls.append((np.shape(x), np.shape(z)))
+            return inst.phi(x, z)
 
-        difference_matrix(dataclasses.replace(inst, f=counted))
+        def psi(y):
+            psi_calls.append(np.array(y))
+            return inst.psi(y)
+
+        difference_matrix(dataclasses.replace(inst, phi=phi, psi=psi))
+        assert phi_calls == [((8, 1), (1, 8))]
         # B1 has the atoms 0 and 2 pi, B2 = 0 the atom 0
-        assert calls == [((8, 1, 1), (1, 3, 1), (1, 1, 8))]
+        assert [list(y) for y in psi_calls] == [[0.0, TWO_PI], [0.0]]
 
-    @pytest.mark.parametrize("n, eps", [(2, 1.0), (3, 1.0), (8, 1.0), (64, 1.0), (8, 0.25)])
+    @pytest.mark.parametrize("n, eps", [(2, 1.0), (3, 1.0), (8, 1.0), (64, 1.0), (512, 1.0),
+                                        (8, 0.25), (5, 0.3), (33, 1.0 / 33.0)])
     def test_equals_two_functional_calculi(self, n, eps):
         inst = build_instance(n)
         if eps != 1.0:
             inst = scale_instance(inst, eps)
-        want = (func_calc_triple(inst.f, inst.A, inst.B1, inst.C)
-                - func_calc_triple(inst.f, inst.A, inst.B2, inst.C))
+
+        def f(x, y, z):
+            x, y, z = (np.asarray(v, dtype=np.float64) / eps for v in (x, y, z))
+            return eps * inst.phi(x, z) * inst.psi(y)
+
+        want = (func_calc_triple(f, inst.A, inst.B1, inst.C)
+                - func_calc_triple(f, inst.A, inst.B2, inst.C))
         assert np.array_equal(difference_matrix(inst), want)
 
 
@@ -361,8 +372,7 @@ class TestRatios:
     def test_growth_ratio_peak_memory(self):
         # numpy buffers only (BLAS and LAPACK workspaces are not traced), so
         # the peak is deterministic; the arrays that live through the
-        # integrals are A, B1, B2, the coefficients, B1's basis and the
-        # n x 3 x n symbol grid
+        # integrals are A, B1, B2, the coefficients and B1's basis
         n = 256
         tracemalloc.start()
         try:
@@ -370,7 +380,7 @@ class TestRatios:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * n * n * 8
+        assert peak <= 11 * n * n * 8
 
     def test_no_identity_built(self, monkeypatch):
         def fail(*args, **kwargs):

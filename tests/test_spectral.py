@@ -121,7 +121,7 @@ class TestDiagonalPath:
         d = np.array([3.0, -1.0, 3.0, 0.5, -1.0 + 1e-12])
         e = from_hermitian(np.diag(d).astype(dtype))
         assert np.allclose(e.values, [-1.0, 0.5, 3.0], rtol=0.0, atol=1e-12)
-        assert list(e.ranks) == [2, 1, 2]
+        assert list(np.diff(e.starts)) == [2, 1, 2]
         assert _is_permutation(e.basis)
         # stable sort: equal entries keep their order, so column 0 is e_1
         assert np.array_equal(e.basis, np.eye(5)[:, [1, 4, 3, 0, 2]])
@@ -133,7 +133,7 @@ class TestDiagonalPath:
     def test_zero_matrix_is_one_atom(self, no_eigh):
         e = from_hermitian(HermitianMatrix.zeros(6))
         assert list(e.values) == [0.0]
-        assert list(e.ranks) == [6]
+        assert list(np.diff(e.starts)) == [6]
         assert e.basis is None
         assert np.array_equal(projection(e, 0), np.eye(6))
 
