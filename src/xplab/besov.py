@@ -32,20 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NyquistError",
     "window",
     "SampledField",
     "SeparableField3",
-    "lp_piece",
     "BesovBreakdown",
     "besov_breakdown",
     "check_slice_budget",
     "bandlimit_check",
 ]
-
-
-class NyquistError(ValueError):
-    """The grid cannot represent the requested frequency band."""
 
 
 def _glue(t: np.ndarray) -> np.ndarray:
@@ -85,9 +79,6 @@ class _Grid:
     @property
     def d(self) -> int:
         return len(self.shape)
-
-    def axis(self, i: int) -> np.ndarray:
-        return self.starts[i] + self.steps[i] * np.arange(self.shape[i])
 
     def freq_axis(self, i: int) -> np.ndarray:
         """Angular frequencies of the DFT along axis ``i``."""
@@ -154,11 +145,6 @@ class SeparableField3(_Grid):
             p, l = getattr(self.plane, name), getattr(self.line, name)
             object.__setattr__(self, name, (p[0], l[0], p[1]))
 
-    def dense(self) -> SampledField:
-        """Materialize the product tensor (small grids only)."""
-        samples = self.plane.samples[:, None, :] * self.line.samples[None, :, None]
-        return SampledField(self.starts, self.steps, samples)
-
     def sup_abs(self) -> float:
         return float(np.abs(self.plane.samples).max() * np.abs(self.line.samples).max())
 
@@ -171,22 +157,6 @@ def _radius2(f: SampledField) -> np.ndarray:
 
 def _radial_multiplier(f: SampledField, n: int) -> np.ndarray:
     return window(np.sqrt(_radius2(f)) / 2.0**n)
-
-
-def lp_piece(f: SampledField, n: int) -> SampledField:
-    """Littlewood-Paley piece: inverse transform of ``F f`` times
-    ``window(||xi|| / 2^n)`` on the grid frequencies."""
-    f.require_transformable()
-    lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
-    if hi > f.nyquist() * (1.0 + 1e-12):
-        raise NyquistError(
-            f"grid too coarse for the band [{lo:g}, {hi:g}] of piece n={n}: "
-            f"Nyquist frequency is {f.nyquist():g}"
-        )
-    mult = _radial_multiplier(f, n)
-    fhat = np.fft.fftn(f.samples)
-    piece = np.fft.ifftn(fhat * mult)
-    return SampledField(f.starts, f.steps, piece)
 
 
 # the piece range of every estimate; the tail term is 2^_N_MIN * sup |f|

@@ -12,12 +12,12 @@ that name the same file).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .experiment import (
     ExperimentConfig,
     _check_outputs,
+    _write_json,
     cmd_besov,
     cmd_growth,
     cmd_verify,
@@ -130,9 +130,7 @@ def _run_besov(args) -> int:
     for line in report.lines():
         print(line)
     if args.json_path is not None:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_json(args.json_path, report.to_dict())
     return 0
 
 

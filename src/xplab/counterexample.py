@@ -46,7 +46,6 @@ _U = 2.0**-53  # unit roundoff of float64
 __all__ = [
     "TWO_PI",
     "eta",
-    "eta_deriv",
     "eta_periodized",
     "eta_field",
     "CoeffMatrix",
@@ -90,20 +89,6 @@ def eta(x):
     return out[()]
 
 
-def eta_deriv(x):
-    """Derivative of :func:`eta`: ``(2 x sin x - 4 (1 - cos x)) / x^3``."""
-    xa = np.asarray(x, dtype=np.float64)
-    small = np.abs(xa) < _ETA_SERIES_CUTOFF
-    safe = np.where(small, 1.0, xa)
-    x2 = xa * xa
-    out = np.where(
-        small,
-        -xa / 6.0 + xa * x2 / 90.0 - xa * x2 * x2 / 3360.0,
-        (2.0 * safe * np.sin(safe) - 4.0 * (1.0 - np.cos(safe))) / (safe * safe * safe),
-    )
-    return out[()]
-
-
 def eta_periodized(x, period: float):
     """Periodization ``sum_m eta(x + period * m)`` in closed form.
 
@@ -134,8 +119,7 @@ def eta_periodized(x, period: float):
 
 
 def eta_field(shift: float = 0.0) -> Callable:
-    """Shifted bump ``x -> eta(x - shift)``; its derivative is
-    ``lambda x: eta_deriv(x - shift)``."""
+    """Shifted bump ``x -> eta(x - shift)``."""
     s = float(shift)
     return lambda x: eta(np.asarray(x, dtype=np.float64) - s)
 

@@ -5,9 +5,10 @@ scalar function ``f``,
 
     f(A) - f(B) = doi(Df, E_A, A - B, E_B),
 
-where ``Df`` is the divided difference of ``f``.  The value of ``Df`` on the
-diagonal never matters, because ``E_A({v}) (A - B) E_B({v}) = 0`` whenever
-``v`` is an eigenvalue of both operators.
+where ``Df`` is the divided difference of ``f``.  Its value on the diagonal
+never matters, because ``E_A({v}) (A - B) E_B({v}) = 0`` whenever ``v`` is
+an eigenvalue of both operators, so :func:`divided_difference` puts 0 there
+and needs no derivative.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ __all__ = [
 ]
 
 
-def divided_difference(phi: Callable, phi_prime: Callable) -> Callable:
-    """Two-variable field ``(phi(x) - phi(y)) / (x - y)``, with the value
-    ``phi_prime(x)`` on the diagonal ``x == y`` (exact float equality).
+def divided_difference(phi: Callable) -> Callable:
+    """Two-variable field ``(phi(x) - phi(y)) / (x - y)``, with the value 0
+    on the diagonal ``x == y`` (exact float equality).
 
-    ``phi_prime`` is typically the derivative in closed form; any map works,
-    since diagonal values never affect the perturbation identities.  Real
-    values of ``phi`` and ``phi_prime`` give a float64 field, complex ones
-    a complex128 field (the dtype rule of :mod:`xplab.hermitian`).  ``phi``
-    is called on ``x`` and on ``y`` as given, so on an ``n x m`` sparse
-    mesh it makes ``n + m`` evaluations, not ``2nm``.
+    Real values of ``phi`` give a float64 field, complex ones a complex128
+    field (the dtype rule of :mod:`xplab.hermitian`).  ``phi`` is called on
+    ``x`` and on ``y`` as given, so on an ``n x m`` sparse mesh it makes
+    ``n + m`` evaluations, not ``2nm``.
     """
 
     def fn(x, y):
@@ -48,28 +47,23 @@ def divided_difference(phi: Callable, phi_prime: Callable) -> Callable:
         # a product with the reciprocal rounds as numpy's complex-by-real
         # division does, so real and complex phi values agree bit for bit
         vals = (_real_or_complex(phi(xa)) - _real_or_complex(phi(ya))) * (1.0 / denom)
-        if same.any():
-            vals = np.where(same, _real_or_complex(phi_prime(xa)), vals)
-        return vals
+        return np.where(same, 0.0, vals) if same.any() else vals
 
     return fn
 
 
-def perturbation_identity_residual(f, f_prime, A, B):
+def perturbation_identity_residual(f, A, B):
     """Trace-norm residual of ``f(A) - f(B) - doi(Df, E_A, A - B, E_B)``.
 
     Vanishes (to roundoff) for every ``f`` on matrices with finite spectra;
     the contract is residual ``<= 1e-9 * (1 + ||A|| + ||B||)``.  A float;
-    for stacked ``f`` and ``f_prime`` (see :mod:`xplab.opint`), the array
-    of the residuals of their fields, from one batched SVD.
+    for a stacked ``f`` (see :mod:`xplab.opint`), the array of the
+    residuals of its fields, from one batched SVD.
     """
     A = HermitianMatrix.wrap(A)
     B = HermitianMatrix.wrap(B)
-    ea = from_hermitian(A)
-    eb = from_hermitian(B)
-    lhs = apply_scalar(ea, f) - apply_scalar(eb, f)
-    rhs = doi(divided_difference(f, f_prime), ea, A.mat - B.mat, eb)
-    return schatten_norm(lhs - rhs, 1)
+    lhs = apply_scalar(from_hermitian(A), f) - apply_scalar(from_hermitian(B), f)
+    return schatten_norm(lhs - psi_difference(f, A, B), 1)
 
 
 def psi_difference(psi, B1, B2) -> np.ndarray:
@@ -78,14 +72,13 @@ def psi_difference(psi, B1, B2) -> np.ndarray:
     ``sum over eigenvalues l of B1, m of B2 with l != m of
     (psi(l) - psi(m)) / (l - m) * E_B1({l}) (B1 - B2) E_B2({m})``,
 
-    that is, the divided difference of ``psi`` with zero on the diagonal.
+    that is, the double integral of :func:`divided_difference`.
     """
     B1 = HermitianMatrix.wrap(B1)
     B2 = HermitianMatrix.wrap(B2)
     e1 = from_hermitian(B1)
     e2 = from_hermitian(B2)
-    dd = divided_difference(psi, np.zeros_like)
-    return doi(dd, e1, B1.mat - B2.mat, e2)
+    return doi(divided_difference(psi), e1, B1.mat - B2.mat, e2)
 
 
 def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:

@@ -1,10 +1,37 @@
 """Reference implementations of Besov internals, kept verbatim from before
-their faster rewrites, so the tests can check the rewrites bit for bit."""
+their faster rewrites, so the tests can check the rewrites bit for bit, and
+the test-only dense pieces and product tensors that the library never needs."""
 
 import numpy as np
 
 from xplab import besov
-from xplab.besov import window
+from xplab.besov import SampledField, SeparableField3, window
+
+
+class NyquistError(ValueError):
+    """The grid cannot represent the requested frequency band."""
+
+
+def lp_piece(f: SampledField, n: int) -> SampledField:
+    """Littlewood-Paley piece: inverse transform of ``F f`` times
+    ``window(||xi|| / 2^n)`` on the grid frequencies."""
+    f.require_transformable()
+    lo, hi = 2.0 ** (n - 1), 2.0 ** (n + 1)
+    if hi > f.nyquist() * (1.0 + 1e-12):
+        raise NyquistError(
+            f"grid too coarse for the band [{lo:g}, {hi:g}] of piece n={n}: "
+            f"Nyquist frequency is {f.nyquist():g}"
+        )
+    mult = besov._radial_multiplier(f, n)
+    fhat = np.fft.fftn(f.samples)
+    piece = np.fft.ifftn(fhat * mult)
+    return SampledField(f.starts, f.steps, piece)
+
+
+def dense(sep: SeparableField3) -> SampledField:
+    """Materialize the product tensor of ``sep`` (small grids only)."""
+    samples = sep.plane.samples[:, None, :] * sep.line.samples[None, :, None]
+    return SampledField(sep.starts, sep.steps, samples)
 
 
 def separable_piece_sup(

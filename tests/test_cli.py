@@ -8,10 +8,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xplab
-from xplab import besov, cli, counterexample, experiment, opint
+from xplab import besov, cli, counterexample, experiment, opint, perturbation
 from xplab.cli import main
 from xplab.experiment import SuiteResult
 
@@ -186,8 +187,11 @@ class TestVerify:
         assert "[FAIL] forced failure" in out
 
     def test_nan_residual_fails(self, monkeypatch, capsys):
-        # max(0.0, nan) is 0.0: a NaN residual must not be dropped on the way
+        # max(0.0, nan) is 0.0: a NaN residual must not be dropped on the way;
+        # the rank-difference residual is taken in the perturbation module
         monkeypatch.setattr(experiment, "schatten_norm", lambda *args: math.nan)
+        monkeypatch.setattr(perturbation, "schatten_norm",
+                            lambda m, p: np.full(np.shape(m)[:-2], math.nan))
         assert main(["verify", "--trials", "2"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] rank-difference identity: max residual nan" in out
@@ -265,6 +269,18 @@ class TestConfigErrors:
         assert exc.value.code == 2
         assert "argument --seed: seed must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes, message", [
+        ("4,x", "comma-separated integers"),
+        ("4.5", "comma-separated integers"),
+        (",", "need at least one size"),
+        ("", "need at least one size"),
+    ])
+    def test_bad_sizes(self, capsys, sizes, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", "--sizes", sizes])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_negative_besov_max_size(self, capsys):
         assert main(["growth", "--sizes", "4,8", "--besov-max-size", "-1"]) == 2
         assert "besov max size" in capsys.readouterr().err
@@ -338,6 +354,54 @@ def test_library_growth_rejects_non_integer_sizes(monkeypatch, field, value):
     config = experiment.ExperimentConfig(**{"sizes": (4, 8), "besov_max_size": 0, field: value})
     with pytest.raises(ValueError, match="integer"):
         experiment.cmd_growth(config)
+
+
+def test_numpy_integer_sizes_reach_the_json(tmp_path):
+    # validate accepts numpy integers, so the report must hold plain ints
+    config = experiment.ExperimentConfig(sizes=(np.int64(4), np.int64(8)),
+                                         besov_max_size=np.int64(0))
+    path = tmp_path / "g.json"
+    report = experiment.cmd_growth(config, json_path=str(path))
+    assert load_json(path)["config"] == {"sizes": [4, 8], "epsilon_schedule": "constant",
+                                         "besov_max_size": 0}
+    assert all(type(n) is int for n in (*report.config.sizes, report.config.besov_max_size))
+
+
+def test_json_writer_serializes_before_opening(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("kept\n")
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        experiment._write_json(str(path), {"n": np.int64(4)})
+    assert path.read_text() == "kept\n"
+
+
+def _validate(**kwargs):
+    experiment.ExperimentConfig(**kwargs).validate()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: _validate(sizes=()), "at least one size", id="no-sizes"),
+    pytest.param(lambda: _validate(sizes=(1, 4)), "at least 2", id="size-below-2"),
+    pytest.param(lambda: _validate(sizes=(8, 4)), "strictly ascending", id="descending"),
+    pytest.param(lambda: _validate(sizes=(4, 4)), "strictly ascending", id="repeated"),
+    pytest.param(lambda: _validate(sizes=(4,), epsilon_schedule="1/n"),
+                 "unknown epsilon schedule", id="unknown-schedule"),
+    pytest.param(lambda: _validate(sizes=(2, 4), epsilon_schedule="one_over_loglog"),
+                 "sizes >= 3", id="loglog-size-2"),
+    pytest.param(lambda: experiment._check_outputs(""), "output path is empty", id="empty-path"),
+    pytest.param(lambda: experiment.cmd_verify(trials=0), "trials must be at least 1",
+                 id="zero-trials"),
+    pytest.param(lambda: experiment.cmd_besov("f3:x"), "bad size", id="besov-bad-size"),
+    pytest.param(lambda: experiment.cmd_besov("phi_tri:1"), "at least 2", id="besov-size-1"),
+    pytest.param(lambda: experiment.cmd_besov("gauss"), "unknown function name",
+                 id="besov-unknown"),
+])
+def test_experiment_rejects_bad_input(monkeypatch, call, match):
+    for name in ("_grow_one", "sample_eta_1d", "sample_phi_2d", "sample_instance"):
+        monkeypatch.setattr(experiment, name, _no_computation)
+    monkeypatch.setattr(experiment, "_SUITES", (_no_computation,))
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_no_environment_knobs():

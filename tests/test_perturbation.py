@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from xplab.counterexample import TWO_PI, eta, eta_deriv, eta_field
+from xplab.counterexample import TWO_PI, eta_field
 from xplab.hermitian import HermitianMatrix, schatten_norm
 from xplab.opint import doi, func_calc_triple, product_field
 from xplab.perturbation import (
@@ -17,33 +17,27 @@ from conftest import random_hermitian
 from spectral_reference import projection
 
 SQUARE = Polynomial([0.0, 0.0, 1.0])
-SQUARE_PRIME = SQUARE.deriv()
 
 
 class TestDividedDifference:
     def test_off_diagonal_value(self):
-        dd = divided_difference(SQUARE, SQUARE_PRIME)
+        dd = divided_difference(SQUARE)
         assert complex(dd(1.0, 3.0)) == pytest.approx(4.0)
 
-    def test_diagonal_uses_derivative(self):
-        dd = divided_difference(SQUARE, SQUARE_PRIME)
-        assert complex(dd(2.0, 2.0)) == pytest.approx(4.0)
-
     def test_eta_lattice_slope(self):
-        dd = divided_difference(eta_field(0.0), eta_deriv)
+        dd = divided_difference(eta_field(0.0))
         assert complex(dd(0.0, TWO_PI)) == pytest.approx(-1.0 / TWO_PI, abs=1e-14)
 
     def test_vectorized_mixed_cells(self):
-        dd = divided_difference(SQUARE, SQUARE_PRIME)
+        dd = divided_difference(SQUARE)
         x = np.array([1.0, 2.0])
         out = np.asarray(dd(x[:, None], x[None, :]))
-        assert np.allclose(out, [[2.0, 3.0], [3.0, 4.0]])
+        assert np.array_equal(out, [[0.0, 3.0], [3.0, 0.0]])
 
     def test_real_in_real_out(self):
         x = np.linspace(-3.0, 3.0, 7)
-        real = divided_difference(np.cos, np.sin)(x[:, None], x[None, :])
-        cplx = divided_difference(lambda t: np.cos(t) + 0j, lambda t: np.sin(t) + 0j)(
-            x[:, None], x[None, :])
+        real = divided_difference(np.cos)(x[:, None], x[None, :])
+        cplx = divided_difference(lambda t: np.cos(t) + 0j)(x[:, None], x[None, :])
         assert real.dtype == np.float64
         assert cplx.dtype == np.complex128
         assert np.array_equal(cplx, real)
@@ -59,7 +53,7 @@ class TestDividedDifference:
         ea = from_hermitian(random_hermitian(rng, 5))
         eb = from_hermitian(HermitianMatrix(np.diag([0.5, 0.5, 1.5, 1.5, 2.5])))
         assert (ea.atom_count, eb.atom_count) == (5, 3)
-        doi(divided_difference(counted, np.sin), ea, rng.standard_normal((5, 5)), eb)
+        doi(divided_difference(counted), ea, rng.standard_normal((5, 5)), eb)
         assert sum(sizes) == 5 + 3
 
 
@@ -67,60 +61,60 @@ class TestPerturbationIdentity:
     def test_identity_function_exact(self, rng):
         a = random_hermitian(rng, 5)
         b = random_hermitian(rng, 5)
-        ident = Polynomial([0.0, 1.0])
-        res = perturbation_identity_residual(ident, Polynomial([1.0]), a, b)
+        res = perturbation_identity_residual(Polynomial([0.0, 1.0]), a, b)
         assert res < 1e-12
 
     def test_equal_operators_exact(self, rng):
         a = random_hermitian(rng, 5)
-        assert perturbation_identity_residual(eta_field(0.0), eta_deriv, a, a) < 1e-12
+        assert perturbation_identity_residual(eta_field(0.0), a, a) < 1e-12
 
     def test_random_pair_eta(self, rng):
         a = random_hermitian(rng, 6, 2.0)
         b = random_hermitian(rng, 6, 2.0)
-        res = perturbation_identity_residual(eta_field(0.0), eta_deriv, a, b)
+        res = perturbation_identity_residual(eta_field(0.0), a, b)
         assert res < 1e-9
 
     def test_many_fields_and_dims(self, rng):
         fields = [
-            (Polynomial([1.0, -2.0, 0.5, 0.0, 0.25, 1.0]),
-             Polynomial([-2.0, 1.0, 0.0, 1.0, 5.0])),
-            (eta_field(0.0), eta_deriv),
-            (eta_field(TWO_PI), lambda x: eta_deriv(x - TWO_PI)),
+            Polynomial([1.0, -2.0, 0.5, 0.0, 0.25, 1.0]),
+            eta_field(0.0),
+            eta_field(TWO_PI),
         ]
         for _ in range(25):
             n = int(rng.integers(2, 17))
             a = random_hermitian(rng, n, 2.0)
             b = random_hermitian(rng, n, 2.0)
             bound = 1e-9 * (1.0 + schatten_norm(a.mat, np.inf) + schatten_norm(b.mat, np.inf))
-            for f, df in fields:
-                assert perturbation_identity_residual(f, df, a, b) < bound
-
-
-def _diagonal_gap(f, a, b, g1, g2) -> float:
-    """Trace norm between the double integrals of ``Df`` with diagonal
-    values ``g1`` and ``g2``."""
-    ea, eb = from_hermitian(a), from_hermitian(b)
-    d1 = doi(divided_difference(f, g1), ea, a.mat - b.mat, eb)
-    d2 = doi(divided_difference(f, g2), ea, a.mat - b.mat, eb)
-    return schatten_norm(d1 - d2, 1)
+            for f in fields:
+                assert perturbation_identity_residual(f, a, b) < bound
 
 
 class TestDiagonalIrrelevance:
-    def test_disjoint_spectra_exactly_zero(self):
-        a = HermitianMatrix.diag([0.0, 1.0])
-        b = HermitianMatrix.diag([2.0, 5.0])
-        f = Polynomial([0.0, 0.0, 1.0])
-        diff = _diagonal_gap(f, a, b, lambda x: 0.0, lambda x: 1e6)
-        assert diff == 0.0
+    @pytest.mark.parametrize("phi, dtype", [
+        (np.cos, np.float64),
+        (lambda t: np.exp(1j * t), np.complex128),
+    ])
+    def test_diagonal_value_is_zero(self, phi, dtype):
+        dd = divided_difference(phi)
+        x = np.array([-1.0, 0.0, 2.5])
+        grid = dd(x[:, None], x[None, :])
+        one = dd(2.5, 2.5)
+        assert grid.dtype == one.dtype == dtype
+        assert np.array_equal(grid.diagonal(), np.zeros(3)) and one == 0.0
+        assert not np.signbit(grid.diagonal().real).any()
 
-    def test_equal_diagonal_matrices_differ_only_formally(self):
-        # A = B: the integrals themselves see the diagonal choice, but the
-        # perturbation identity is untouched since A - B = 0
-        a = HermitianMatrix.diag([1.0, 2.0])
-        f = SQUARE
-        diff = _diagonal_gap(f, a, a, SQUARE_PRIME, lambda x: SQUARE_PRIME(x) + 1.0)
-        assert diff == 0.0  # the transformer acts on A - B = 0
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, 2.0], [1.0, 2.0]),
+        ([0.0, 1.0, 3.0], [0.0, 2.0, 3.0]),
+        ([0.0, 1.0, 3.0], [3.0, 1.0, 5.0]),
+        ([-1.0, -1.0, 2.0, 4.0], [-1.0, 2.0, 2.0, 6.0]),
+    ], ids=["equal", "shared-in-place", "shared-across", "shared-clusters"])
+    def test_identity_where_eigenvalues_coincide(self, a, b):
+        # the divided difference reaches its zero diagonal on the shared atoms
+        a, b = HermitianMatrix.diag(a), HermitianMatrix.diag(b)
+        assert np.intersect1d(from_hermitian(a).values, from_hermitian(b).values).size
+        for f in (SQUARE, eta_field(0.0), eta_field(TWO_PI)):
+            assert perturbation_identity_residual(f, a, b) < 1e-12
 
     def test_shared_eigenvalue_identity_unchanged(self):
         # hand-built 3x3 pair sharing the eigenvalue 1: the matched diagonal
@@ -131,10 +125,7 @@ class TestDiagonalIrrelevance:
         pa = projection(ea, 0)
         pb = projection(eb, 0)
         assert np.abs(pa @ (a.mat - b.mat) @ pb).max() < 1e-14
-        f = eta_field(0.0)
-        diff = _diagonal_gap(f, a, b, lambda x: 0.0, lambda x: 10.0)
-        assert diff < 1e-12
-        res = perturbation_identity_residual(f, eta_deriv, a, b)
+        res = perturbation_identity_residual(eta_field(0.0), a, b)
         assert res < 1e-11
 
 

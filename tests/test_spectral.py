@@ -71,6 +71,16 @@ class TestFromHermitian:
         with pytest.raises(ValueError, match="finite"):
             SpectralMeasure(values, np.eye(k), np.arange(k + 1))
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: SpectralMeasure([0.0, 1.0], None, [0, 0, 2]), "positive rank"),
+        (lambda: SpectralMeasure([1.0, 1.0], None, [0, 1, 2]), "strictly increasing"),
+        (lambda: SpectralMeasure([2.0, 1.0], np.eye(2), [0, 1, 2]), "strictly increasing"),
+        (lambda: from_hermitian(np.zeros((0, 0))), "empty matrix"),
+    ], ids=["zero-rank-atom", "equal-values", "decreasing-values", "empty-matrix"])
+    def test_rejects_bad_input(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     def test_caller_arrays_stay_writable(self):
         values, basis, starts = np.array([0.0, 1.0]), np.eye(2), np.arange(3)
         SpectralMeasure(values, basis, starts)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from xplab.counterexample import TWO_PI, eta_deriv, eta_field
+from xplab.counterexample import TWO_PI, eta_field
 from xplab.experiment import _suite_perturbation, _test_fields
 from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
 from xplab.opint import doi, grid_eval
@@ -21,15 +21,13 @@ from conftest import random_complex, random_hermitian, random_unitary
 def _fields(seed):
     """``_test_fields`` of a seeded generator, and the same seven fields
     one by one, drawn as separate ``Polynomial`` objects from the same
-    calls, each with its derivative."""
+    calls."""
     stacked = _test_fields(np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     single = []
     for _ in range(5):
-        poly = Polynomial(rng.standard_normal(int(rng.integers(1, 6)) + 1))
-        single.append((poly, poly.deriv()))
-    for shift in (0.0, TWO_PI):
-        single.append((eta_field(shift), lambda x, s=shift: eta_deriv(x - s)))
+        single.append(Polynomial(rng.standard_normal(int(rng.integers(1, 6)) + 1)))
+    single += [eta_field(0.0), eta_field(TWO_PI)]
     return stacked, single
 
 
@@ -64,43 +62,43 @@ def test_pairs_cover_every_kind(rng):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_test_fields_equal_polynomial_and_eta(seed):
-    (f, df), single = _fields(seed)
+    f, single = _fields(seed)
     x = np.linspace(-7.0, 9.0, 41).reshape(41, 1)
-    got, dgot = f(x), df(x)
-    assert got.shape == dgot.shape == (7, 41, 1)
-    for k, (fk, dfk) in enumerate(single):
-        assert _same(got[k], fk(x)) and _same(dgot[k], dfk(x))
+    got = f(x)
+    assert got.shape == (7, 41, 1)
+    for k, fk in enumerate(single):
+        assert _same(got[k], fk(x))
 
 
 @pytest.mark.parametrize("kind", ["dense", "none", "clustered", "clustered-none"])
 class TestStackEqualsFields:
     def test_grid_eval_and_apply_scalar(self, rng, kind):
-        (f, df), single = _fields(4)
+        f, single = _fields(4)
         for h in _pairs(rng)[kind]:
             e = from_hermitian(h)
             grid, calc = grid_eval(f, e.values), apply_scalar(e, f)
             assert grid.shape == (7, e.atom_count) and calc.shape == (7, e.dim, e.dim)
-            for k, (fk, _) in enumerate(single):
+            for k, fk in enumerate(single):
                 assert _same(grid[k], grid_eval(fk, e.values))
                 assert _same(calc[k], apply_scalar(e, fk))
 
     @pytest.mark.parametrize("identity", [False, True])
     def test_doi(self, rng, kind, identity):
-        (f, df), single = _fields(5)
+        f, single = _fields(5)
         e1, e2 = (from_hermitian(h) for h in _pairs(rng)[kind])
         t = None if identity else random_complex(rng, 6)
-        got = doi(divided_difference(f, df), e1, t, e2)
+        got = doi(divided_difference(f), e1, t, e2)
         assert got.shape == (7, 6, 6)
-        for k, (fk, dfk) in enumerate(single):
-            assert _same(got[k], doi(divided_difference(fk, dfk), e1, t, e2))
+        for k, fk in enumerate(single):
+            assert _same(got[k], doi(divided_difference(fk), e1, t, e2))
 
     def test_perturbation_identity_residual(self, rng, kind):
-        (f, df), single = _fields(6)
+        f, single = _fields(6)
         a, b = _pairs(rng)[kind]
-        got = perturbation_identity_residual(f, df, a, b)
+        got = perturbation_identity_residual(f, a, b)
         assert got.shape == (7,) and np.all(got < 1e-9)
-        for k, (fk, dfk) in enumerate(single):
-            one = perturbation_identity_residual(fk, dfk, a, b)
+        for k, fk in enumerate(single):
+            one = perturbation_identity_residual(fk, a, b)
             assert type(one) is float and one == got[k]
 
 
