@@ -38,6 +38,7 @@ __all__ = [
     "BesovBreakdown",
     "besov_breakdown",
     "check_slice_budget",
+    "check_dense_budget",
     "bandlimit_check",
 ]
 
@@ -275,6 +276,24 @@ def check_slice_budget(line: SampledField, plane_shape: tuple) -> None:
     budget, the check :func:`besov_breakdown` makes first.  It reads the line
     only, so a caller can make it before sampling the plane."""
     _active_bins(np.fft.fft(line.samples), plane_shape)
+
+
+# peak bytes per grid point of a dense field's sampling, Besov pieces and
+# band-limit mass: `besov --fn phi_tri:300`, a 4096 x 4096 plane, peaks at
+# 1.39e9 bytes of RSS (x86-64, numpy with pocketfft), 83 bytes per point
+_DENSE_BYTES_PER_POINT = 83
+
+
+def check_dense_budget(shape: tuple) -> None:
+    """Raise ``ValueError`` when a dense :class:`SampledField` of ``shape``
+    would need more than the slice budget; it reads the shape only, so a
+    caller can make it before sampling."""
+    need = math.prod(shape) * _DENSE_BYTES_PER_POINT
+    if need > _SLICE_BYTES_BUDGET:
+        raise ValueError(
+            f"dense Besov pieces of the {' x '.join(map(str, shape))} grid need about "
+            f"{need / 1e9:.1f} GB, over the {_SLICE_BYTES_BUDGET / 1e9:.1f} GB budget"
+        )
 
 
 def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:

@@ -32,7 +32,13 @@ from .counterexample import (
 from .hermitian import HermitianMatrix, _schatten, schatten_norm, singular_values
 from .opint import doi, func_calc_triple, grid_eval, product_field, s2_contraction_check
 from .perturbation import perturbation_identity_residual, separated_difference
-from .sampling import check_instance_budget, sample_eta_1d, sample_instance, sample_phi_2d
+from .sampling import (
+    check_instance_budget,
+    check_plane_budget,
+    sample_eta_1d,
+    sample_instance,
+    sample_phi_2d,
+)
 from .spectral import from_hermitian
 
 __all__ = [
@@ -355,20 +361,11 @@ def _suite_perturbation(rng, trials: int) -> SuiteResult:
         n = int(rng.integers(2, 17))
         a = _random_hermitian(rng, n, 2.0)
         b = _random_hermitian(rng, n, 2.0)
-        bound = 1.0 + schatten_norm(a.mat, math.inf) + schatten_norm(b.mat, math.inf)
+        # ||A|| = max |eigenvalue|, from the measures the residual diagonalises
+        norm_a, norm_b = (np.abs(from_hermitian(h).values).max() for h in (a, b))
+        bound = 1.0 + norm_a + norm_b
         worst = _worst(worst, *(perturbation_identity_residual(f, a, b) / bound))
     return SuiteResult("perturbation identity (trace norm)", worst, 1e-9)
-
-
-def _suite_psi_difference(rng, trials: int) -> SuiteResult:
-    psi = eta_field(TWO_PI)
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, 13))
-        b1 = _random_hermitian(rng, n, 2.0)
-        b2 = _random_hermitian(rng, n, 2.0)
-        worst = _worst(worst, perturbation_identity_residual(psi, b1, b2))
-    return SuiteResult("rank-difference identity", worst, 1e-9)
 
 
 def _random_bivariate(rng) -> Callable:
@@ -475,7 +472,6 @@ def _suite_schatten(rng, trials: int) -> SuiteResult:
 
 _SUITES = (
     _suite_perturbation,
-    _suite_psi_difference,
     _suite_separated,
     _suite_hs_contraction,
     _suite_hadamard,
@@ -556,14 +552,16 @@ def cmd_besov(function_name: str) -> BesovScalarReport:
     (the 3-D instance function), each on its fixed grid in
     :mod:`xplab.sampling`.  Each has its spectrum in the cube
     ``[-1, 1]^d``, so the band-limit mass is the energy outside the ball of
-    radius ``sqrt(d)``.  For ``f3:<n>`` the slice budget of
+    radius ``sqrt(d)``.  For ``phi_tri:<n>`` and ``f3:<n>`` the budget of
     :mod:`xplab.besov` is checked before the plane is sampled.
     """
     name = function_name.strip()
     if name in ("eta", "psi"):
         f = sample_eta_1d(0.0 if name == "eta" else TWO_PI)
     elif name.startswith("phi_tri:"):
-        f = sample_phi_2d(triangular_coeffs(_parse_size(name.split(":", 1)[1], name)))
+        n = _parse_size(name.split(":", 1)[1], name)
+        check_plane_budget(n)
+        f = sample_phi_2d(triangular_coeffs(n))
     elif name.startswith("f3:"):
         n = _parse_size(name.split(":", 1)[1], name)
         check_instance_budget(n)

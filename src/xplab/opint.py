@@ -18,21 +18,17 @@ the atom sums become Hadamard products; this is algebraically identical to
 the literal sum over atoms and costs O(dim^3) regardless of atom count.
 A measure's basis is a dense matrix or ``None``, the identity (see
 :class:`~xplab.spectral.SpectralMeasure`); the change into and out of a
-dense basis is a matrix product, and that of ``None`` is skipped.
-
-An operator argument ``T``, ``T1`` or ``T2`` may be ``None``, which means
-the identity: the result equals that of passing ``np.eye(dim)``.  Its
-change of basis between two measures is the product of their bases, one of
-them when the other is ``None``, and ``None`` when both are; ``doi`` then
-builds and multiplies no identity, while ``toi`` multiplies ``np.eye(dim)``.
+dense basis is a matrix product, and that of ``None`` is skipped.  An
+operator argument ``T``, ``T1`` or ``T2`` is always a square matrix; the
+identity is ``np.eye(dim)``.
 
 A field (a symbol ``Phi`` or a function ``f`` of one, two or three real
 variables) is any callable that takes numpy arrays and broadcasts them.
 Every evaluation is one call on whole arrays, never a loop over points;
 the caller knows how many variables it passes.  A field may be stacked:
 on arrays of broadcast shape ``s`` its value has shape ``(k, ...) + s``.
-:func:`grid_eval`, :func:`doi` (``T = None`` included),
-:func:`~xplab.spectral.apply_scalar`, :func:`~xplab.hermitian.schatten_norm`,
+:func:`grid_eval`, :func:`doi`, :func:`~xplab.spectral.apply_scalar`,
+:func:`~xplab.hermitian.schatten_norm`,
 ``singular_values`` and :func:`~xplab.perturbation.perturbation_identity_residual`
 then return the stack of the results of its fields, from the code that
 handles one field: one change of basis and one batched SVD for the stack.
@@ -45,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import _diagonal_matrices, _real_or_complex, as_matrix, schatten_norm
+from .hermitian import _real_or_complex, as_matrix, schatten_norm
 from .spectral import SpectralMeasure, from_hermitian
 
 __all__ = [
@@ -91,22 +87,11 @@ def _check_dim(name: str, got: int, want: int) -> None:
         raise ValueError(f"dimension mismatch: {name} has dim {got}, expected {want}")
 
 
-def _atom_columns(e: SpectralMeasure):
-    """Column -> atom index of ``e``; ``slice(None)`` when every atom has
-    rank one, so that reading a symbol grid by it is a view, not a copy."""
-    return slice(None) if e.atom_count == e.dim else e.column_atom_index()
-
-
-def _into_bases(e1: SpectralMeasure, x, e2: SpectralMeasure):
-    """``e1.basis^H @ x @ e2.basis``, skipping a ``None`` basis; ``x =
-    None`` is the identity, and so is a ``None`` result."""
+def _into_bases(e1: SpectralMeasure, x: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
+    """``e1.basis^H @ x @ e2.basis``, skipping a ``None`` basis."""
     if e1.basis is not None:
-        h1 = e1.basis.conj().T
-        # a contiguous copy, as h1 @ I gives, so later products round alike
-        x = np.ascontiguousarray(h1) if x is None else h1 @ x
-    if e2.basis is not None:
-        x = e2.basis if x is None else x @ e2.basis
-    return x
+        x = e1.basis.conj().T @ x
+    return x if e2.basis is None else x @ e2.basis
 
 
 def _out_of_bases(e1: SpectralMeasure, y: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
@@ -116,27 +101,20 @@ def _out_of_bases(e1: SpectralMeasure, y: np.ndarray, e2: SpectralMeasure) -> np
     return y if e2.basis is None else y @ e2.basis.conj().T
 
 
-def _operator(name: str, t, dim: int):
-    """``t`` as a square matrix of size ``dim``; ``None`` (the identity)
-    stays ``None``."""
-    if t is None:
-        return None
+def _operator(name: str, t, dim: int) -> np.ndarray:
+    """``t`` as a square matrix of size ``dim``."""
     tmat = as_matrix(t)
     _check_dim(name, tmat.shape[0], dim)
     return tmat
 
 
 def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
-    """Double operator integral ``sum Phi(a_j, b_k) P_j T Q_k``; ``T = None``
-    is the identity."""
+    """Double operator integral ``sum Phi(a_j, b_k) P_j T Q_k``."""
     tmat = _operator("T", t, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
     fgrid = grid_eval(phi, e1.values, e2.values)
-    fcols = fgrid[..., _atom_columns(e1), :][..., _atom_columns(e2)]
-    x = _into_bases(e1, tmat, e2)
-    if x is None:
-        return _diagonal_matrices(np.diagonal(fcols, axis1=-2, axis2=-1))
-    return _out_of_bases(e1, fcols * x, e2)
+    fcols = fgrid[..., e1.columns, :][..., e2.columns]
+    return _out_of_bases(e1, fcols * _into_bases(e1, tmat, e2), e2)
 
 
 def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasure) -> np.ndarray:
@@ -145,11 +123,9 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     ``fgrid`` holds the symbol on the atom grid, ``fgrid[j, k, l] =
     Phi(a_j, b_k, c_l)``, with shape ``(E1.atom_count, E2.atom_count,
     E3.atom_count)``; any array of that shape will do, a strided view
-    included, and it is only read.  ``None`` for ``T1`` or ``T2`` is the
-    identity.  Atom ``k`` of ``E2`` contributes the product of the columns
-    of ``E1.basis^H T1 E2.basis`` and the rows of ``E2.basis^H T2
-    E3.basis`` that belong to it; a change of basis that is the identity
-    (``None`` factors and bases throughout) is multiplied as ``np.eye(dim)``.
+    included, and it is only read.  Atom ``k`` of ``E2`` contributes the
+    product of the columns of ``E1.basis^H T1 E2.basis`` and the rows of
+    ``E2.basis^H T2 E3.basis`` that belong to it.
     """
     t1m = _operator("T1", t1, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
@@ -159,27 +135,20 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     atoms = (e1.atom_count, e2.atom_count, e3.atom_count)
     if fgrid.shape != atoms:
         raise ValueError(f"symbol grid has shape {fgrid.shape}, expected the atom grid {atoms}")
-    a1, a2 = (np.eye(e1.dim) if a is None else a
-              for a in (_into_bases(e1, t1m, e2), _into_bases(e2, t2m, e3)))
-    ci1, ci3 = _atom_columns(e1), _atom_columns(e3)
-    acc = None
+    a1 = _into_bases(e1, t1m, e2)
+    a2 = _into_bases(e2, t2m, e3)
+    acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, a1, a2))
     for k in range(e2.atom_count):
         cols = slice(e2.starts[k], e2.starts[k + 1])
-        term = a1[:, cols] @ a2[cols, :]
-        slab = fgrid[:, k, :][ci1][:, ci3]
-        if acc is None:
-            acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, term))
-        # weigh the fresh term in place when it has the accumulator's dtype
-        term = np.multiply(slab, term, out=term if term.dtype == acc.dtype else None)
-        acc += term
-        del term  # free it before the next product is made
+        acc += fgrid[:, k, :][e1.columns][:, e3.columns] * (a1[:, cols] @ a2[cols, :])
     return _out_of_bases(e1, acc, e3)
 
 
 def func_calc_pair(f, A, B) -> np.ndarray:
     """``f(A, B) = sum f(lam_j, mu_k) P_j Q_k`` for a pair of Hermitian
     matrices."""
-    return doi(f, from_hermitian(A), None, from_hermitian(B))
+    ea = from_hermitian(A)
+    return doi(f, ea, np.eye(ea.dim), from_hermitian(B))
 
 
 def func_calc_triple(f, A, B, C) -> np.ndarray:
@@ -188,7 +157,8 @@ def func_calc_triple(f, A, B, C) -> np.ndarray:
     ea = from_hermitian(A)
     eb = from_hermitian(B)
     ec = from_hermitian(C)
-    return toi(grid_eval(f, ea.values, eb.values, ec.values), ea, None, eb, None, ec)
+    eye = np.eye(ea.dim)
+    return toi(grid_eval(f, ea.values, eb.values, ec.values), ea, eye, eb, eye, ec)
 
 
 def s2_contraction_check(phi, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .besov import SampledField, SeparableField3, check_slice_budget
+from .besov import SampledField, SeparableField3, check_dense_budget, check_slice_budget
 from .counterexample import (
     TWO_PI,
     CoeffMatrix,
@@ -29,6 +29,7 @@ __all__ = [
     "sample_phi_2d",
     "sample_instance",
     "check_instance_budget",
+    "check_plane_budget",
 ]
 
 _ETA_EXTENT = 64 * math.pi
@@ -91,3 +92,11 @@ def check_instance_budget(n: int) -> None:
     comes from its lattice axis, so the check samples the y line only."""
     side = _lattice_axis(n)[1]
     check_slice_budget(_instance_line(), (side, side))
+
+
+def check_plane_budget(n: int) -> None:
+    """Raise ``ValueError`` when the plane that :func:`sample_phi_2d` gives
+    an ``n x n`` coefficient matrix exceeds the dense budget of
+    :mod:`xplab.besov`; the check samples nothing."""
+    side = _lattice_axis(n)[1]
+    check_dense_budget((side, side))

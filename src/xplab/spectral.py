@@ -45,10 +45,12 @@ class SpectralMeasure:
     that every atom has positive rank and that atom values are finite and
     strictly increasing; ``dim`` is ``starts[-1]``.
     ``values``, ``basis`` and ``starts`` are read-only views, so a measure
-    can be shared, and the column -> atom map is computed once, here.
+    can be shared.  ``columns``, computed once here, maps basis column ->
+    owning atom: ``slice(None)`` when every atom has rank one, so indexing
+    by it gives a view, and otherwise a read-only index array.
     """
 
-    __slots__ = ("values", "basis", "starts", "dim", "_col_atom")
+    __slots__ = ("values", "basis", "starts", "dim", "columns")
 
     def __init__(self, values, basis, starts) -> None:
         self.values = _read_only(np.asarray(values, dtype=np.float64))
@@ -70,15 +72,12 @@ class SpectralMeasure:
             raise ValueError("atom values must be finite")
         if (self.values[1:] - self.values[:-1] <= 0).any():
             raise ValueError("atom values must be strictly increasing")
-        self._col_atom = _read_only(np.repeat(np.arange(self.atom_count), ranks))
+        self.columns = (slice(None) if self.atom_count == self.dim
+                        else _read_only(np.repeat(np.arange(self.atom_count), ranks)))
 
     @property
     def atom_count(self) -> int:
         return len(self.values)
-
-    def column_atom_index(self) -> np.ndarray:
-        """Map basis column -> index of the atom owning it (read-only)."""
-        return self._col_atom
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralMeasure(dim={self.dim}, atoms={self.atom_count})"
@@ -159,8 +158,7 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     gvals = _real_or_complex(g(E.values))
     if gvals.shape[-1:] != (E.atom_count,):
         gvals = np.broadcast_to(gvals, gvals.shape[:-1] + (E.atom_count,))
-    if E.atom_count != E.dim:
-        gvals = gvals[..., E.column_atom_index()]
+    gvals = gvals[..., E.columns]
     if E.basis is None:
         return _diagonal_matrices(gvals)
     out = (E.basis * gvals[..., None, :]) @ E.basis.conj().T

@@ -155,7 +155,6 @@ class TestVerify:
     def test_lines_pinned(self):
         assert experiment.cmd_verify(seed=1, trials=25).lines() == [
             "[PASS] perturbation identity (trace norm): max residual 4.826e-14 (tol 1.0e-09)",
-            "[PASS] rank-difference identity: max residual 3.142e-15 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 3.519e-14 (tol 1.0e-09)",
             "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
             "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
@@ -167,7 +166,6 @@ class TestVerify:
     def test_lines_pinned_seed_42(self):
         assert experiment.cmd_verify(seed=42, trials=60).lines() == [
             "[PASS] perturbation identity (trace norm): max residual 1.257e-13 (tol 1.0e-09)",
-            "[PASS] rank-difference identity: max residual 3.547e-15 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 3.458e-14 (tol 1.0e-09)",
             "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
             "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
@@ -188,13 +186,13 @@ class TestVerify:
 
     def test_nan_residual_fails(self, monkeypatch, capsys):
         # max(0.0, nan) is 0.0: a NaN residual must not be dropped on the way;
-        # the rank-difference residual is taken in the perturbation module
+        # the perturbation residual is taken in the perturbation module
         monkeypatch.setattr(experiment, "schatten_norm", lambda *args: math.nan)
         monkeypatch.setattr(perturbation, "schatten_norm",
                             lambda m, p: np.full(np.shape(m)[:-2], math.nan))
         assert main(["verify", "--trials", "2"]) == 1
         out = capsys.readouterr().out
-        assert "[FAIL] rank-difference identity: max residual nan" in out
+        assert "[FAIL] perturbation identity (trace norm): max residual nan" in out
         assert "all suites passed" not in out
 
     def test_contraction_violation_fails(self, monkeypatch, capsys):
@@ -243,6 +241,15 @@ class TestBesov:
         monkeypatch.setattr(experiment, "sample_instance", _no_computation)
         assert main(["besov", "--fn", "f3:250"]) == 2
         assert "over the 1.4 GB budget" in capsys.readouterr().err
+
+    def test_plane_budget_checked_before_sampling(self, monkeypatch, capsys):
+        # the 8192^2 plane of phi_tri:506 is never sampled; the 4096^2 plane
+        # of phi_tri:505 passes the check and reaches the sampler
+        monkeypatch.setattr(experiment, "sample_phi_2d", _no_computation)
+        assert main(["besov", "--fn", "phi_tri:506"]) == 2
+        assert "over the 1.4 GB budget" in capsys.readouterr().err
+        with pytest.raises(AssertionError, match="computation started"):
+            experiment.cmd_besov("phi_tri:505")
 
 
 def _no_computation(*args, **kwargs):

@@ -62,8 +62,9 @@ class TestFromHermitian:
             e.basis[0, 0] = 0.0
         with pytest.raises(ValueError):
             e.values[0] = 0.0
+        clustered = from_hermitian(HermitianMatrix.diag([0.0, 0.0, 5.0]))
         with pytest.raises(ValueError):
-            e.column_atom_index()[0] = 1
+            clustered.columns[0] = 1
 
     @pytest.mark.parametrize("values", [[np.nan], [0.0, np.nan], [-np.inf, 0.0], [0.0, np.inf]])
     def test_rejects_non_finite_values(self, values):
@@ -314,4 +315,8 @@ class TestCoordinateMeasure:
 
     def test_column_maps(self):
         e = from_hermitian(HermitianMatrix.diag([0.0, 0.0, 5.0]))
-        assert list(e.column_atom_index()) == [0, 0, 1]
+        assert list(e.columns) == [0, 0, 1]
+        # rank-one atoms: the map is a slice, and indexing by it is a view
+        e = from_hermitian(HermitianMatrix.diag([0.0, 1.0, 5.0]))
+        assert e.columns == slice(None)
+        assert np.shares_memory(e.values[e.columns], e.values)

@@ -86,7 +86,7 @@ class TestStackEqualsFields:
     def test_doi(self, rng, kind, identity):
         f, single = _fields(5)
         e1, e2 = (from_hermitian(h) for h in _pairs(rng)[kind])
-        t = None if identity else random_complex(rng, 6)
+        t = np.eye(6) if identity else random_complex(rng, 6)
         got = doi(divided_difference(f), e1, t, e2)
         assert got.shape == (7, 6, 6)
         for k, fk in enumerate(single):
@@ -103,10 +103,12 @@ class TestStackEqualsFields:
 
 
 def test_doi_identity_branch_reached():
-    # T = None over two identity bases keeps the symbol's diagonal
+    # T = I over two identity bases keeps the symbol's diagonal; off it the
+    # Hadamard product gives -0.0 where the symbol is negative, so compare values
     e = from_hermitian(HermitianMatrix.diag([0.0, 1.0, 3.0]))
-    got = doi(lambda x, y: np.stack((x + y, x * y - 1.0)), e, None, e)
-    assert _same(got, np.stack((np.diag([0.0, 2.0, 6.0]), np.diag([-1.0, 0.0, 8.0]))))
+    got = doi(lambda x, y: np.stack((x + y, x * y - 1.0)), e, np.eye(3), e)
+    want = np.stack((np.diag([0.0, 2.0, 6.0]), np.diag([-1.0, 0.0, 8.0])))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0, math.inf])
