@@ -156,10 +156,6 @@ def _radius2(f: SampledField) -> np.ndarray:
     return sum(m * m for m in mesh)
 
 
-def _radial_multiplier(f: SampledField, n: int) -> np.ndarray:
-    return window(np.sqrt(_radius2(f)) / 2.0**n)
-
-
 # the piece range of every estimate; the tail term is 2^_N_MIN * sup |f|
 _N_MIN = -20
 _N_MAX = 5
@@ -181,9 +177,10 @@ class BesovBreakdown:
 
 def _dense_breakdown(f: SampledField, pieces: range) -> dict:
     fhat = np.fft.fftn(f.samples)
+    radius = np.sqrt(_radius2(f))
     sups = {}
     for n in pieces:
-        mult = _radial_multiplier(f, n)
+        mult = window(radius / 2.0**n)
         sups[n] = float(np.abs(np.fft.ifftn(fhat * mult)).max()) if mult.any() else 0.0
     return sups
 

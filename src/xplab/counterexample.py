@@ -16,7 +16,7 @@ while the perturbation ``B1 - B2`` has trace norm ``2*pi`` and
 shrinks the perturbation while the trace-norm ratio keeps growing.
 
 As ``f`` separates, :func:`difference_matrix` is the double integral
-``doi(phi, E_A, psi(B1) - psi(B2), E_C)``, checked against two triple
+``doi(phi's atom grid, E_A, psi(B1) - psi(B2), E_C)``, checked against two triple
 integrals in the tests and by ``verify``'s separated triple difference suite.
 
 :func:`growth_ratio` bounds the difference's trace norm from below and
@@ -164,9 +164,10 @@ def phi_from_coeffs(c: CoeffMatrix) -> Callable:
     """Interpolant ``phi(x, y) = sum c_jk eta(x - 2 pi j) eta(y - 2 pi k)``.
 
     Interpolation is exact: ``phi(2 pi j, 2 pi k) = c_jk`` because the
-    shifted bumps vanish on all other lattice points.  On a sparse mesh
-    (scalars, or one row axis before one column axis, as :func:`grid_eval`
-    passes them) the evaluation is one bilinear GEMM.
+    shifted bumps vanish on all other lattice points.  It takes scalars or
+    a sparse mesh (one row axis before one column axis, as :func:`grid_eval`
+    passes them), on which the evaluation is one bilinear GEMM, and raises
+    ``ValueError`` on other arrays.
     """
     lat_x = _lattice(c.rows)
     lat_y = _lattice(c.cols)
@@ -175,16 +176,13 @@ def phi_from_coeffs(c: CoeffMatrix) -> Callable:
     def fn(x, y):
         xa = np.asarray(x, dtype=np.float64)
         ya = np.asarray(y, dtype=np.float64)
+        if not _outer_pattern(xa.shape, ya.shape):
+            raise ValueError(f"not a sparse mesh: shapes {xa.shape} and {ya.shape}")
         bx = eta(xa[..., None] - lat_x)
         by = eta(ya[..., None] - lat_y)
-        shape = np.broadcast_shapes(xa.shape, ya.shape)
-        if _outer_pattern(xa.shape, ya.shape):
-            # scalars and sparse meshes of any rank reduce to one bilinear product
-            out = (bx.reshape(-1, c.rows) @ entries) @ by.reshape(-1, c.cols).T
-            return out.reshape(shape)[()]
-        tb = np.broadcast_to(bx @ entries, shape + (c.cols,))
-        byb = np.broadcast_to(by, shape + (c.cols,))
-        return np.einsum("...k,...k->...", tb, byb)
+        # scalars and sparse meshes of any rank reduce to one bilinear product
+        out = (bx.reshape(-1, c.rows) @ entries) @ by.reshape(-1, c.cols).T
+        return out.reshape(np.broadcast_shapes(xa.shape, ya.shape))[()]
 
     return fn
 

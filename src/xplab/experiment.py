@@ -30,7 +30,7 @@ from .counterexample import (
     triangular_coeffs,
 )
 from .hermitian import HermitianMatrix, _schatten, schatten_norm, singular_values
-from .opint import doi, func_calc_triple, grid_eval, product_field, s2_contraction_check
+from .opint import doi, func_calc_triple, grid_eval, s2_contraction_check
 from .perturbation import perturbation_identity_residual, separated_difference
 from .sampling import (
     check_instance_budget,
@@ -396,7 +396,7 @@ def _suite_separated(rng, trials: int) -> SuiteResult:
         c = _random_hermitian(rng, n, 2.0)
         phi = _random_bivariate(rng)
         lhs = separated_difference(phi, psi, a, b1, b2, c)
-        f3 = product_field(phi, psi)
+        f3 = lambda x, y, z: phi(x, z) * psi(y)
         rhs = func_calc_triple(f3, a, b1, c) - func_calc_triple(f3, a, b2, c)
         worst = _worst(worst, schatten_norm(lhs - rhs, 1))
     return SuiteResult("separated triple difference", worst, 1e-9)
@@ -411,15 +411,15 @@ def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
         e2 = from_hermitian(_random_hermitian(rng, n, 2.0))
         t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         phi = _random_bivariate(rng)
-        lhs, rhs = s2_contraction_check(phi, e1, e2, t)
+        lhs, rhs = s2_contraction_check(grid_eval(phi, e1.values, e2.values), e1, e2, t)
         worst = _worst(worst, lhs - rhs)
         # equality at the maximizing matrix unit over coordinate measures
         ec = coords[n]
-        grid = np.abs(grid_eval(phi, ec.values, ec.values))
-        jstar, kstar = np.unravel_index(int(grid.argmax()), grid.shape)
+        grid = grid_eval(phi, ec.values, ec.values)
+        jstar, kstar = np.unravel_index(int(np.abs(grid).argmax()), grid.shape)
         unit = np.zeros((n, n), dtype=np.complex128)
         unit[jstar, kstar] = 1.0
-        lhs_u, rhs_u = s2_contraction_check(phi, ec, ec, unit)
+        lhs_u, rhs_u = s2_contraction_check(grid, ec, ec, unit)
         worst = _worst(worst, abs(lhs_u - rhs_u))
     return SuiteResult("Hilbert-Schmidt contraction", worst, 1e-10)
 
@@ -431,8 +431,7 @@ def _suite_hadamard(rng, trials: int) -> SuiteResult:
         for _ in range(max(1, trials // 8)):
             t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             symbol = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            phi = lambda x, y, s=symbol: s[np.asarray(x, dtype=int), np.asarray(y, dtype=int)]
-            got = doi(phi, e, t, e)
+            got = doi(symbol, e, t, e)
             worst = _worst(worst, float(np.abs(got - symbol * t).max()))
     return SuiteResult("coordinate-atom Hadamard product", worst, 1e-12)
 

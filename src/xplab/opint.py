@@ -4,14 +4,14 @@ measures, and functional calculus for noncommuting Hermitian tuples.
 With measures ``E1, E2, E3`` whose atoms are ``(a_j, P_j)``, ``(b_k, Q_k)``,
 ``(c_l, R_l)``:
 
-* ``doi(Phi, E1, T, E2)   = sum_{j,k}   Phi(a_j, b_k)      P_j T Q_k``
+* ``doi(fgrid, E1, T, E2) = sum_{j,k}   fgrid[j,k]   P_j T Q_k``
 * ``toi(fgrid, E1, T1, E2, T2, E3)
                           = sum_{j,k,l} fgrid[j,k,l] P_j T1 Q_k T2 R_l``
 
-``doi`` takes the symbol ``Phi`` as a field and evaluates it on the atom
-grid itself.  ``toi`` takes the symbol's values on the atom grid,
-``fgrid[j, k, l] = Phi(a_j, b_k, c_l)``, as :func:`grid_eval` returns them
-for the three measures' ``values``.
+Both take the symbol ``Phi`` as its values on the atom grid, on which alone
+an integral depends: ``fgrid[j, k, l] = Phi(a_j, b_k, c_l)``, as
+:func:`grid_eval`, the one place here where a field meets a grid, returns
+them for the measures' ``values``.
 
 Both are evaluated in the concatenated eigenbases of the measures, where
 the atom sums become Hadamard products; this is algebraically identical to
@@ -27,7 +27,7 @@ variables) is any callable that takes numpy arrays and broadcasts them.
 Every evaluation is one call on whole arrays, never a loop over points;
 the caller knows how many variables it passes.  A field may be stacked:
 on arrays of broadcast shape ``s`` its value has shape ``(k, ...) + s``.
-:func:`grid_eval`, :func:`doi`, :func:`~xplab.spectral.apply_scalar`,
+:func:`grid_eval`, :func:`doi`, :func:`toi`, :func:`~xplab.spectral.apply_scalar`,
 :func:`~xplab.hermitian.schatten_norm`,
 ``singular_values`` and :func:`~xplab.perturbation.perturbation_identity_residual`
 then return the stack of the results of its fields, from the code that
@@ -37,15 +37,12 @@ Each result equals its field's own bit for bit when they share a dtype.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .hermitian import _real_or_complex, as_matrix, schatten_norm
 from .spectral import SpectralMeasure, from_hermitian
 
 __all__ = [
-    "product_field",
     "grid_eval",
     "doi",
     "toi",
@@ -55,16 +52,7 @@ __all__ = [
 ]
 
 
-def product_field(phi: Callable, psi: Callable) -> Callable:
-    """Three-variable field ``f(x, y, z) = phi(x, z) * psi(y)``."""
-
-    def fn(x, y, z):
-        return phi(x, z) * psi(y)
-
-    return fn
-
-
-def grid_eval(f: Callable, *axes) -> np.ndarray:
+def grid_eval(f, *axes) -> np.ndarray:
     """Evaluate a field on the Cartesian grid of the given 1-D axes.
 
     Makes one broadcast call on a sparse mesh; any exception raised by the
@@ -85,6 +73,14 @@ def grid_eval(f: Callable, *axes) -> np.ndarray:
 def _check_dim(name: str, got: int, want: int) -> None:
     if got != want:
         raise ValueError(f"dimension mismatch: {name} has dim {got}, expected {want}")
+
+
+def _atom_grid(fgrid, *measures) -> np.ndarray:
+    fgrid = np.asarray(fgrid)
+    atoms = tuple(e.atom_count for e in measures)
+    if fgrid.shape[-len(atoms):] != atoms:
+        raise ValueError(f"symbol grid has shape {fgrid.shape}, expected the atom grid {atoms}")
+    return fgrid
 
 
 def _into_bases(e1: SpectralMeasure, x: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
@@ -108,21 +104,21 @@ def _operator(name: str, t, dim: int) -> np.ndarray:
     return tmat
 
 
-def doi(phi, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
-    """Double operator integral ``sum Phi(a_j, b_k) P_j T Q_k``."""
+def doi(fgrid, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
+    """Double operator integral ``sum fgrid[..., j, k] P_j T Q_k`` of the
+    symbol's atom grid ``fgrid[..., j, k] = Phi(a_j, b_k)``, stacked or not."""
     tmat = _operator("T", t, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
-    fgrid = grid_eval(phi, e1.values, e2.values)
+    fgrid = _atom_grid(fgrid, e1, e2)
     fcols = fgrid[..., e1.columns, :][..., e2.columns]
     return _out_of_bases(e1, fcols * _into_bases(e1, tmat, e2), e2)
 
 
 def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasure) -> np.ndarray:
-    """Triple operator integral ``sum fgrid[j,k,l] P_j T1 Q_k T2 R_l``.
+    """Triple operator integral ``sum fgrid[..., j, k, l] P_j T1 Q_k T2 R_l``.
 
-    ``fgrid`` holds the symbol on the atom grid, ``fgrid[j, k, l] =
-    Phi(a_j, b_k, c_l)``, with shape ``(E1.atom_count, E2.atom_count,
-    E3.atom_count)``; any array of that shape will do, a strided view
+    ``fgrid`` is the symbol's atom grid, ``Phi(a_j, b_k, c_l)``, stacked or
+    not as in :func:`doi`; any such array will do, a strided view
     included, and it is only read.  Atom ``k`` of ``E2`` contributes the
     product of the columns of ``E1.basis^H T1 E2.basis`` and the rows of
     ``E2.basis^H T2 E3.basis`` that belong to it.
@@ -131,16 +127,13 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     _check_dim("E2", e2.dim, e1.dim)
     t2m = _operator("T2", t2, e1.dim)
     _check_dim("E3", e3.dim, e1.dim)
-    fgrid = np.asarray(fgrid)
-    atoms = (e1.atom_count, e2.atom_count, e3.atom_count)
-    if fgrid.shape != atoms:
-        raise ValueError(f"symbol grid has shape {fgrid.shape}, expected the atom grid {atoms}")
+    fgrid = _atom_grid(fgrid, e1, e2, e3)
     a1 = _into_bases(e1, t1m, e2)
     a2 = _into_bases(e2, t2m, e3)
-    acc = np.zeros((e1.dim, e3.dim), dtype=np.result_type(fgrid, a1, a2))
+    acc = np.zeros(fgrid.shape[:-3] + (e1.dim, e3.dim), dtype=np.result_type(fgrid, a1, a2))
     for k in range(e2.atom_count):
         cols = slice(e2.starts[k], e2.starts[k + 1])
-        acc += fgrid[:, k, :][e1.columns][:, e3.columns] * (a1[:, cols] @ a2[cols, :])
+        acc += fgrid[..., k, :][..., e1.columns, :][..., e3.columns] * (a1[:, cols] @ a2[cols, :])
     return _out_of_bases(e1, acc, e3)
 
 
@@ -148,7 +141,8 @@ def func_calc_pair(f, A, B) -> np.ndarray:
     """``f(A, B) = sum f(lam_j, mu_k) P_j Q_k`` for a pair of Hermitian
     matrices."""
     ea = from_hermitian(A)
-    return doi(f, ea, np.eye(ea.dim), from_hermitian(B))
+    eb = from_hermitian(B)
+    return doi(grid_eval(f, ea.values, eb.values), ea, np.eye(ea.dim), eb)
 
 
 def func_calc_triple(f, A, B, C) -> np.ndarray:
@@ -161,15 +155,14 @@ def func_calc_triple(f, A, B, C) -> np.ndarray:
     return toi(grid_eval(f, ea.values, eb.values, ec.values), ea, eye, eb, eye, ec)
 
 
-def s2_contraction_check(phi, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tuple[float, float]:
+def s2_contraction_check(fgrid, e1: SpectralMeasure, e2: SpectralMeasure, t) -> tuple[float, float]:
     """Hilbert-Schmidt contraction of the double integral.
 
-    Returns ``(lhs, rhs)`` with ``lhs = ||doi(Phi, E1, T, E2)||_S2`` and
-    ``rhs = max |Phi(a_j, b_k)| * ||T||_S2``.  The contraction says
-    ``lhs <= rhs``; the caller judges the pair against its own tolerance.
+    Returns ``(lhs, rhs)`` with ``lhs = ||doi(fgrid, E1, T, E2)||_S2`` and
+    ``rhs = max |fgrid| * ||T||_S2``, from the one grid.  The contraction
+    says ``lhs <= rhs``; the caller judges the pair against its own tolerance.
     """
     tmat = as_matrix(t)
-    lhs = schatten_norm(doi(phi, e1, tmat, e2), 2)
-    fgrid = grid_eval(phi, e1.values, e2.values)
+    lhs = schatten_norm(doi(fgrid, e1, tmat, e2), 2)
     rhs = float(np.abs(fgrid).max()) * schatten_norm(tmat, 2)
     return lhs, rhs

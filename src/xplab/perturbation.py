@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .hermitian import HermitianMatrix, _real_or_complex, schatten_norm
-from .opint import doi
+from .opint import doi, grid_eval
 from .spectral import apply_scalar, from_hermitian
 
 __all__ = [
@@ -72,17 +72,17 @@ def psi_difference(psi, B1, B2) -> np.ndarray:
     ``sum over eigenvalues l of B1, m of B2 with l != m of
     (psi(l) - psi(m)) / (l - m) * E_B1({l}) (B1 - B2) E_B2({m})``,
 
-    that is, the double integral of :func:`divided_difference`.
+    that is, the double integral of :func:`divided_difference`'s atom grid.
     """
     B1 = HermitianMatrix.wrap(B1)
     B2 = HermitianMatrix.wrap(B2)
     e1 = from_hermitian(B1)
     e2 = from_hermitian(B2)
-    return doi(divided_difference(psi), e1, B1.mat - B2.mat, e2)
+    return doi(grid_eval(divided_difference(psi), e1.values, e2.values), e1, B1.mat - B2.mat, e2)
 
 
 def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:
-    """``doi(phi, E_A, Q, E_C)`` with ``Q = psi(B1) - psi(B2)``.
+    """``doi(phi's atom grid, E_A, Q, E_C)`` with ``Q = psi(B1) - psi(B2)``.
 
     Equals ``f(A, B1, C) - f(A, B2, C)`` for ``f(x, y, z) = phi(x, z) psi(y)``.
     """
@@ -91,4 +91,4 @@ def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:
     e1 = from_hermitian(B1)
     e2 = from_hermitian(B2)
     q = apply_scalar(e1, psi) - apply_scalar(e2, psi)
-    return doi(phi, ea, q, ec)
+    return doi(grid_eval(phi, ea.values, ec.values), ea, q, ec)

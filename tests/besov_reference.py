@@ -22,7 +22,7 @@ def lp_piece(f: SampledField, n: int) -> SampledField:
             f"grid too coarse for the band [{lo:g}, {hi:g}] of piece n={n}: "
             f"Nyquist frequency is {f.nyquist():g}"
         )
-    mult = besov._radial_multiplier(f, n)
+    mult = window(np.sqrt(besov._radius2(f)) / 2.0**n)
     fhat = np.fft.fftn(f.samples)
     piece = np.fft.ifftn(fhat * mult)
     return SampledField(f.starts, f.steps, piece)

@@ -174,6 +174,25 @@ class TestVerify:
             "[PASS] Schatten norm invariances: max residual 1.066e-14 (tol 1.0e-10)",
         ]
 
+    def test_contraction_suite_evaluates_each_field_twice(self, monkeypatch):
+        # once on the atoms of the random measures, once on the coordinate grid
+        counts = []
+        make = experiment._random_bivariate
+
+        def counted(rng):
+            field, k = make(rng), len(counts)
+            counts.append(0)
+
+            def fn(x, y):
+                counts[k] += 1
+                return field(x, y)
+
+            return fn
+
+        monkeypatch.setattr(experiment, "_random_bivariate", counted)
+        assert experiment._suite_hs_contraction(np.random.default_rng(3), 4).passed
+        assert counts == [2] * 4
+
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
         def failing(rng, trials):
             return SuiteResult("forced failure", 1.0, 0.0)

@@ -27,8 +27,10 @@ from xplab.counterexample import (
     triangular_witness,
 )
 from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
-from xplab.opint import doi, func_calc_triple
+from xplab.opint import doi, func_calc_triple, grid_eval
 from xplab.spectral import from_hermitian
+
+from counterexample_reference import phi_elementwise
 
 
 class TestEta:
@@ -207,8 +209,8 @@ class TestCoeffsAndInterpolant:
         mesh = np.asarray(phi(x[:, None, None], z[None, None, :]))
         assert mesh.shape == (6, 1, 5)
         assert np.abs(mesh[:, 0, :] - element).max() < 1e-13
-        # x's axis after y's is not an outer product and broadcasts instead
-        reversed_axes = np.asarray(phi(x[None, :], z[:, None]))
+        # x's axis after y's is not an outer product; the reference broadcasts it
+        reversed_axes = phi_elementwise(triangular_coeffs(4), x[None, :], z[:, None])
         assert reversed_axes.shape == (5, 6)
         assert np.abs(reversed_axes - element.T).max() < 1e-13
 
@@ -222,12 +224,18 @@ class TestCoeffsAndInterpolant:
         phi = phi_from_coeffs(CoeffMatrix(raw))
         x = rng.uniform(-5.0, TWO_PI * n + 5.0, size=7)
         z = rng.uniform(-5.0, TWO_PI * n + 5.0, size=6)
-        # full (7, 6) arrays are no outer product, so they take the elementwise path
-        element = phi(*np.meshgrid(x, z, indexing="ij"))
+        element = phi_elementwise(CoeffMatrix(raw), *np.meshgrid(x, z, indexing="ij"))
         mesh = phi(x[:, None, None], z[None, None, :])
         assert mesh.shape == (7, 1, 6)
         assert np.abs(mesh[:, 0, :] - element).max() < 1e-13
         assert mesh.dtype == element.dtype == dtype
+
+    @pytest.mark.parametrize("xshape, yshape", [((7, 6), (7, 6)), ((1, 6), (5, 1)), ((6,), (5, 1))],
+                             ids=["full", "reversed", "reversed-1d"])
+    def test_rejects_arrays_that_are_no_sparse_mesh(self, xshape, yshape):
+        phi = phi_from_coeffs(triangular_coeffs(3))
+        with pytest.raises(ValueError, match="sparse mesh"):
+            phi(np.zeros(xshape), np.zeros(yshape))
 
 
 class TestSupNorm:
@@ -311,7 +319,7 @@ class TestInstance:
             inst = build_instance(n)
             ea = from_hermitian(inst.A)
             p = inst.B1.mat / TWO_PI
-            got = doi(inst.phi, ea, p, ea)
+            got = doi(grid_eval(inst.phi, ea.values, ea.values), ea, p, ea)
             want = triangular_coeffs(n).entries * p
             assert np.abs(got - want).max() < 1e-12
 

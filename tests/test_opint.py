@@ -7,7 +7,6 @@ from xplab.opint import (
     func_calc_pair,
     func_calc_triple,
     grid_eval,
-    product_field,
     s2_contraction_check,
     toi,
 )
@@ -40,14 +39,15 @@ class TestDoi:
         e1 = from_hermitian(random_hermitian(rng, 5))
         e2 = from_hermitian(random_hermitian(rng, 5))
         t = random_complex(rng, 5)
-        assert np.abs(doi(lambda x, y: 1.0, e1, t, e2) - t).max() < 1e-12
+        fgrid = grid_eval(lambda x, y: 1.0, e1.values, e2.values)
+        assert np.abs(doi(fgrid, e1, t, e2) - t).max() < 1e-12
 
     def test_first_variable_symbol_multiplies_left(self, rng):
         h1 = random_hermitian(rng, 5)
         e1 = from_hermitian(h1)
         e2 = from_hermitian(random_hermitian(rng, 5))
         t = random_complex(rng, 5)
-        got = doi(lambda x, y: x, e1, t, e2)
+        got = doi(grid_eval(lambda x, y: x, e1.values, e2.values), e1, t, e2)
         assert np.abs(got - h1.mat @ t).max() < 1e-10
 
     def test_coordinate_measures_give_hadamard(self, rng):
@@ -55,29 +55,29 @@ class TestDoi:
             e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
             t = random_complex(rng, n)
             symbol = random_complex(rng, n)
-            phi = lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)]
-            assert np.abs(doi(phi, e, t, e) - symbol * t).max() < 1e-12
+            assert np.abs(doi(symbol, e, t, e) - symbol * t).max() < 1e-12
 
     def test_matches_naive_sum(self, rng):
         e1 = from_hermitian(random_hermitian(rng, 4))
         e2 = from_hermitian(random_hermitian(rng, 4))
         t = random_complex(rng, 4)
         phi = lambda x, y: np.cos(x) + 1j * np.sin(y)
-        assert np.abs(doi(phi, e1, t, e2) - naive_doi(phi, e1, t, e2)).max() < 1e-12
+        got = doi(grid_eval(phi, e1.values, e2.values), e1, t, e2)
+        assert np.abs(got - naive_doi(phi, e1, t, e2)).max() < 1e-12
 
     def test_dimension_mismatch(self, rng):
         e1 = from_hermitian(random_hermitian(rng, 3))
         e2 = from_hermitian(random_hermitian(rng, 4))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            doi(lambda x, y: 1.0, e1, np.eye(3), e2)
+            doi(grid_eval(lambda x, y: 1.0, e1.values, e2.values), e1, np.eye(3), e2)
 
     def test_linear_in_symbol_and_argument(self, rng):
         e1 = from_hermitian(random_hermitian(rng, 4))
         e2 = from_hermitian(random_hermitian(rng, 4))
         t1, t2 = random_complex(rng, 4), random_complex(rng, 4)
-        f = lambda x, y: x * y
-        g = lambda x, y: np.exp(1j * (x - y))
-        combo = doi(lambda x, y: f(x, y) + 2.0 * g(x, y), e1, t1, e2)
+        f = grid_eval(lambda x, y: x * y, e1.values, e2.values)
+        g = grid_eval(lambda x, y: np.exp(1j * (x - y)), e1.values, e2.values)
+        combo = doi(f + 2.0 * g, e1, t1, e2)
         split = doi(f, e1, t1, e2) + 2.0 * doi(g, e1, t1, e2)
         assert np.abs(combo - split).max() < 1e-10
         both = doi(f, e1, t1 + 3.0 * t2, e2)
@@ -162,9 +162,9 @@ class TestPermutationPath:
     def test_doi_gather_equals_product(self, rng, dtype, k1, k2):
         e = _measures()
         t = _random_matrix(rng, dtype)
-        phi = lambda x, y: np.cos(x) + 2.0 * y
-        got = doi(phi, e[k1], t, e[k2])
-        want = doi(phi, _dense(e[k1]), t, _dense(e[k2]))
+        fgrid = grid_eval(lambda x, y: np.cos(x) + 2.0 * y, e[k1].values, e[k2].values)
+        got = doi(fgrid, e[k1], t, e[k2])
+        want = doi(fgrid, _dense(e[k1]), t, _dense(e[k2]))
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -191,6 +191,8 @@ class TestPermutationPath:
         e = _measures()["unsorted"]
         with pytest.raises(ValueError, match="atom grid"):
             toi(np.ones((5, 5, 5)), e, np.eye(5), e, np.eye(5), e)
+        with pytest.raises(ValueError, match="atom grid"):
+            doi(np.ones((5, 5)), e, np.eye(5), e)
 
 
 def _identity_cases():
@@ -219,7 +221,7 @@ class TestIdentityArgument:
         eye = np.eye(5)
         for e in _identity_cases().values():
             with pytest.raises(ValueError, match="square matrix"):
-                doi(lambda x, y: x + y, e, None, e)
+                doi(grid_eval(lambda x, y: x + y, e.values, e.values), e, None, e)
             fgrid = np.ones((e.atom_count,) * 3)
             for t1, t2 in ((None, eye), (eye, None)):
                 with pytest.raises(ValueError, match="square matrix"):
@@ -274,9 +276,11 @@ class TestFuncCalc:
         a, b, c = (random_hermitian(rng, 5) for _ in range(3))
         phi = lambda x, z: np.exp(1j * x) + z
         psi = lambda y: y**2
-        f3 = product_field(phi, psi)
+        f3 = lambda x, y, z: phi(x, z) * psi(y)
         got = func_calc_triple(f3, a, b, c)
-        want = doi(phi, from_hermitian(a), apply_scalar(from_hermitian(b), psi), from_hermitian(c))
+        ea, ec = from_hermitian(a), from_hermitian(c)
+        psi_b = apply_scalar(from_hermitian(b), psi)
+        want = doi(grid_eval(phi, ea.values, ec.values), ea, psi_b, ec)
         assert np.abs(got - want).max() < 1e-10
 
 
@@ -285,7 +289,8 @@ class TestS2Contraction:
         e1 = from_hermitian(random_hermitian(rng, 5))
         e2 = from_hermitian(random_hermitian(rng, 5))
         t = random_complex(rng, 5)
-        lhs, rhs = s2_contraction_check(lambda x, y: 1.0, e1, e2, t)
+        fgrid = grid_eval(lambda x, y: 1.0, e1.values, e2.values)
+        lhs, rhs = s2_contraction_check(fgrid, e1, e2, t)
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert lhs == pytest.approx(schatten_norm(t, 2), abs=1e-12)
 
@@ -293,7 +298,8 @@ class TestS2Contraction:
         n = 5
         e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
         t = random_complex(rng, n)
-        lhs, rhs = s2_contraction_check(lambda x, y: 1.0 * (x <= y), e, e, t)
+        fgrid = grid_eval(lambda x, y: 1.0 * (x <= y), e.values, e.values)
+        lhs, rhs = s2_contraction_check(fgrid, e, e, t)
         assert lhs <= rhs + 1e-12
 
     def test_random_instances(self, rng):
@@ -302,18 +308,18 @@ class TestS2Contraction:
             e1 = from_hermitian(random_hermitian(rng, n))
             e2 = from_hermitian(random_hermitian(rng, n))
             t = random_complex(rng, n)
-            lhs, rhs = s2_contraction_check(lambda x, y: np.sin(x * y), e1, e2, t)
+            fgrid = grid_eval(lambda x, y: np.sin(x * y), e1.values, e2.values)
+            lhs, rhs = s2_contraction_check(fgrid, e1, e2, t)
             assert lhs <= rhs + 1e-10
 
     def test_equality_at_matrix_unit(self, rng):
         n = 6
         e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
         symbol = random_complex(rng, n)
-        phi = lambda x, y, s=symbol: s[np.asarray(x, int), np.asarray(y, int)]
         jstar, kstar = np.unravel_index(int(np.abs(symbol).argmax()), symbol.shape)
         unit = np.zeros((n, n), dtype=complex)
         unit[jstar, kstar] = 1.0
-        lhs, rhs = s2_contraction_check(phi, e, e, unit)
+        lhs, rhs = s2_contraction_check(symbol, e, e, unit)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

@@ -4,7 +4,7 @@ from numpy.polynomial import Polynomial
 
 from xplab.counterexample import TWO_PI, eta_field
 from xplab.hermitian import HermitianMatrix, schatten_norm
-from xplab.opint import doi, func_calc_triple, product_field
+from xplab.opint import doi, func_calc_triple, grid_eval
 from xplab.perturbation import (
     divided_difference,
     perturbation_identity_residual,
@@ -43,7 +43,7 @@ class TestDividedDifference:
         assert np.array_equal(cplx, real)
 
     def test_one_evaluation_per_axis_point(self, rng):
-        # doi evaluates the field on an n x m sparse mesh of atom values
+        # grid_eval evaluates the field on an n x m sparse mesh of atom values
         sizes = []
 
         def counted(t):
@@ -53,7 +53,8 @@ class TestDividedDifference:
         ea = from_hermitian(random_hermitian(rng, 5))
         eb = from_hermitian(HermitianMatrix(np.diag([0.5, 0.5, 1.5, 1.5, 2.5])))
         assert (ea.atom_count, eb.atom_count) == (5, 3)
-        doi(divided_difference(counted), ea, rng.standard_normal((5, 5)), eb)
+        fgrid = grid_eval(divided_difference(counted), ea.values, eb.values)
+        doi(fgrid, ea, rng.standard_normal((5, 5)), eb)
         assert sum(sizes) == 5 + 3
 
 
@@ -174,7 +175,7 @@ class TestSeparatedDifference:
     def test_matches_triple_calculus(self, rng):
         psi = eta_field(TWO_PI)
         phi = lambda x, z: np.cos(x) + np.sin(z)
-        f3 = product_field(phi, psi)
+        f3 = lambda x, y, z: phi(x, z) * psi(y)
         for _ in range(10):
             a, c = random_hermitian(rng, 4, 2.0), random_hermitian(rng, 4, 2.0)
             b1, b2 = random_hermitian(rng, 4, 2.0), random_hermitian(rng, 4, 2.0)

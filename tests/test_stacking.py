@@ -11,7 +11,7 @@ from numpy.polynomial import Polynomial
 from xplab.counterexample import TWO_PI, eta_field
 from xplab.experiment import _suite_perturbation, _test_fields
 from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
-from xplab.opint import doi, grid_eval
+from xplab.opint import doi, grid_eval, toi
 from xplab.perturbation import divided_difference, perturbation_identity_residual
 from xplab.spectral import apply_scalar, from_hermitian
 
@@ -87,10 +87,21 @@ class TestStackEqualsFields:
         f, single = _fields(5)
         e1, e2 = (from_hermitian(h) for h in _pairs(rng)[kind])
         t = np.eye(6) if identity else random_complex(rng, 6)
-        got = doi(divided_difference(f), e1, t, e2)
+        got = doi(grid_eval(divided_difference(f), e1.values, e2.values), e1, t, e2)
         assert got.shape == (7, 6, 6)
         for k, fk in enumerate(single):
-            assert _same(got[k], doi(divided_difference(fk), e1, t, e2))
+            fkgrid = grid_eval(divided_difference(fk), e1.values, e2.values)
+            assert _same(got[k], doi(fkgrid, e1, t, e2))
+
+    def test_toi(self, rng, kind):
+        e1, e2 = (from_hermitian(h) for h in _pairs(rng)[kind])
+        t1, t2 = random_complex(rng, 6), random_complex(rng, 6)
+        f = lambda x, y, z: np.stack((np.cos(x - z) * y, x + y * z + 0j))
+        fgrid = grid_eval(f, e1.values, e2.values, e1.values)
+        got = toi(fgrid, e1, t1, e2, t2, e1)
+        assert got.shape == (2, 6, 6)
+        for k in range(2):
+            assert _same(got[k], toi(fgrid[k], e1, t1, e2, t2, e1))
 
     def test_perturbation_identity_residual(self, rng, kind):
         f, single = _fields(6)
@@ -106,7 +117,8 @@ def test_doi_identity_branch_reached():
     # T = I over two identity bases keeps the symbol's diagonal; off it the
     # Hadamard product gives -0.0 where the symbol is negative, so compare values
     e = from_hermitian(HermitianMatrix.diag([0.0, 1.0, 3.0]))
-    got = doi(lambda x, y: np.stack((x + y, x * y - 1.0)), e, np.eye(3), e)
+    fgrid = grid_eval(lambda x, y: np.stack((x + y, x * y - 1.0)), e.values, e.values)
+    got = doi(fgrid, e, np.eye(3), e)
     want = np.stack((np.diag([0.0, 2.0, 6.0]), np.diag([-1.0, 0.0, 8.0])))
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
