@@ -39,7 +39,7 @@ from .sampling import (
     sample_instance,
     sample_phi_2d,
 )
-from .spectral import from_hermitian
+from .spectral import _measure, from_hermitian
 
 __all__ = [
     "EPSILON_SCHEDULES",
@@ -313,16 +313,24 @@ class VerifySummary:
         return out
 
 
+def _random_complex(rng, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
 def _random_hermitian(rng, n: int, scale: float = 1.0) -> HermitianMatrix:
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    raw = _random_complex(rng, n)
     # raw + raw^H is exactly Hermitian, and real scalings keep it so
     return HermitianMatrix._symmetric(scale * (raw + raw.conj().T) / (2.0 * math.sqrt(n)))
 
 
 def _random_unitary(rng, n: int) -> np.ndarray:
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _unitary(_random_complex(rng, n))
+
+
+def _unitary(raw: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(raw)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _test_fields(rng) -> Callable:
@@ -348,80 +356,103 @@ def _test_fields(rng) -> Callable:
     return fn
 
 
-def _worst(*residuals) -> float:
-    """Largest residual, or NaN if any residual is NaN (``max(0.0, nan)``
-    is ``0.0``, which would let a NaN residual pass)."""
-    return math.nan if any(math.isnan(r) for r in residuals) else float(max(residuals))
-
-
-def _suite_perturbation(rng, trials: int) -> SuiteResult:
-    f = _test_fields(rng)
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, 17))
-        a = _random_hermitian(rng, n, 2.0)
-        b = _random_hermitian(rng, n, 2.0)
-        # ||A|| = max |eigenvalue|, from the measures the residual diagonalises
-        norm_a, norm_b = (np.abs(from_hermitian(h).values).max() for h in (a, b))
-        bound = 1.0 + norm_a + norm_b
-        worst = _worst(worst, *(perturbation_identity_residual(f, a, b) / bound))
-    return SuiteResult("perturbation identity (trace norm)", worst, 1e-9)
-
-
-def _random_bivariate(rng) -> Callable:
-    coeffs = rng.standard_normal((3, 3))
+def _bivariate(coeffs: np.ndarray) -> Callable:
+    """``sum c[..., i, j] x^i y^j``, ``i, j < 3``; member ``m`` of a grid takes ``c[m]``."""
 
     def fn(x, y):
-        xa = np.asarray(x, dtype=np.float64)
-        ya = np.asarray(y, dtype=np.float64)
-        xp = [xa**i for i in range(3)]
-        yp = [ya**j for j in range(3)]
+        c = coeffs.reshape(coeffs.shape[:-2] + (1,) * (np.ndim(x) + 2 - coeffs.ndim) + (3, 3))
         acc = 0.0
         for i in range(3):
             for j in range(3):
-                acc = acc + coeffs[i, j] * xp[i] * yp[j]
+                acc = acc + c[..., i, j] * x**i * y**j
         return acc
 
     return fn
 
 
+def _worst(*residuals) -> float:
+    """Largest residual, or NaN if any is NaN (``max(0.0, nan)`` is ``0.0``,
+    which would let a NaN pass); each argument is a residual or an array-like."""
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
+
+
+# Queues run once their largest stacked array would pass this, so memory does not grow with
+# trials: on `verify --trials 250` (2 CPUs, OpenBLAS) the peak RSS rose 0.4-0.7 MB over one
+# trial at a time, and 3.1 MB with no cap, which was 0.05 s faster.
+_STACK_BYTES = 64 * 1024
+
+
+def _in_stacks(rng, trials: int, sizes: int, draw: Callable, residuals: Callable,
+               fields: int = 1) -> float:
+    """Worst residual of ``trials`` trials, each of a size ``n`` in
+    ``[2, sizes)`` with inputs ``draw(n)``, drawn as a per-trial loop draws
+    them.  ``residuals`` takes a queue of one ``n`` stacked on a member axis
+    (a lone trial as it is), once its largest stacked array, the largest
+    input times ``fields``, would pass ``_STACK_BYTES``, and at the end."""
+    queues, worst = {}, 0.0
+
+    def run(queue):
+        return residuals(*(queue[0] if len(queue) == 1 else map(np.stack, zip(*queue))))
+
+    for _ in range(trials):
+        n = int(rng.integers(2, sizes))
+        queue = queues.setdefault(n, [])
+        queue.append(draw(n))
+        if (len(queue) + 1) * fields * max(a.nbytes for a in queue[-1]) > _STACK_BYTES:
+            worst = _worst(worst, run(queue))
+            queue.clear()
+    return _worst(worst, *(run(q) for q in queues.values() if q))
+
+
+def _hermitians(rng, n: int, count: int) -> tuple:
+    return tuple(_random_hermitian(rng, n, 2.0).mat for _ in range(count))
+
+
+def _suite_perturbation(rng, trials: int) -> SuiteResult:
+    f = _test_fields(rng)
+
+    def residuals(a, b):
+        a, b = HermitianMatrix._symmetric(a), HermitianMatrix._symmetric(b)
+        # ||A|| = max |eigenvalue|, from the measures the residual diagonalises
+        norm_a, norm_b = (np.abs(_measure(h).values).max(axis=-1) for h in (a, b))
+        return perturbation_identity_residual(f, a, b) / (1.0 + norm_a + norm_b)
+
+    worst = _in_stacks(rng, trials, 17, lambda n: _hermitians(rng, n, 2), residuals, len(f(0.0)))
+    return SuiteResult("perturbation identity (trace norm)", worst, 1e-9)
+
+
 def _suite_separated(rng, trials: int) -> SuiteResult:
     psi = eta_field(TWO_PI)
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        a = _random_hermitian(rng, n, 2.0)
-        b1 = _random_hermitian(rng, n, 2.0)
-        b2 = _random_hermitian(rng, n, 2.0)
-        c = _random_hermitian(rng, n, 2.0)
-        phi = _random_bivariate(rng)
+
+    def residuals(a, b1, b2, c, coeffs):
+        a, b1, b2, c = (HermitianMatrix._symmetric(m) for m in (a, b1, b2, c))
+        phi = _bivariate(coeffs)
         lhs = separated_difference(phi, psi, a, b1, b2, c)
         f3 = lambda x, y, z: phi(x, z) * psi(y)
         rhs = func_calc_triple(f3, a, b1, c) - func_calc_triple(f3, a, b2, c)
-        worst = _worst(worst, schatten_norm(lhs - rhs, 1))
-    return SuiteResult("separated triple difference", worst, 1e-9)
+        return schatten_norm(lhs - rhs, 1)
+
+    draw = lambda n: _hermitians(rng, n, 4) + (rng.standard_normal((3, 3)),)
+    return SuiteResult("separated triple difference", _in_stacks(rng, trials, 9, draw, residuals), 1e-9)
 
 
 def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
     coords = {n: from_hermitian(HermitianMatrix.diag(np.arange(n))) for n in range(2, 9)}
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        e1 = from_hermitian(_random_hermitian(rng, n, 2.0))
-        e2 = from_hermitian(_random_hermitian(rng, n, 2.0))
-        t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        phi = _random_bivariate(rng)
+
+    def residuals(h1, h2, t, coeffs):
+        e1, e2 = (_measure(HermitianMatrix._symmetric(h)) for h in (h1, h2))
+        phi = _bivariate(coeffs)
         lhs, rhs = s2_contraction_check(grid_eval(phi, e1.values, e2.values), e1, e2, t)
-        worst = _worst(worst, lhs - rhs)
-        # equality at the maximizing matrix unit over coordinate measures
-        ec = coords[n]
-        grid = grid_eval(phi, ec.values, ec.values)
-        jstar, kstar = np.unravel_index(int(np.abs(grid).argmax()), grid.shape)
-        unit = np.zeros((n, n), dtype=np.complex128)
-        unit[jstar, kstar] = 1.0
-        lhs_u, rhs_u = s2_contraction_check(grid, ec, ec, unit)
-        worst = _worst(worst, abs(lhs_u - rhs_u))
-    return SuiteResult("Hilbert-Schmidt contraction", worst, 1e-10)
+        # equality at each member's maximizing matrix unit over coordinate measures
+        ec = coords[e1.dim]
+        grid = grid_eval(phi, *[np.broadcast_to(ec.values, coeffs.shape[:-2] + ec.values.shape)] * 2)
+        flat = np.abs(grid).reshape(grid.shape[:-2] + (-1,))
+        unit = np.arange(flat.shape[-1]) == flat.argmax(axis=-1)[..., None]
+        lhs_u, rhs_u = s2_contraction_check(grid, ec, ec, unit.reshape(grid.shape).astype(complex))
+        return lhs - rhs, np.abs(lhs_u - rhs_u)
+
+    draw = lambda n: _hermitians(rng, n, 2) + (_random_complex(rng, n), rng.standard_normal((3, 3)))
+    return SuiteResult("Hilbert-Schmidt contraction", _in_stacks(rng, trials, 9, draw, residuals), 1e-10)
 
 
 def _suite_hadamard(rng, trials: int) -> SuiteResult:
@@ -429,8 +460,8 @@ def _suite_hadamard(rng, trials: int) -> SuiteResult:
     for n in range(1, 9):
         e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
         for _ in range(max(1, trials // 8)):
-            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            symbol = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            t = _random_complex(rng, n)
+            symbol = _random_complex(rng, n)
             got = doi(symbol, e, t, e)
             worst = _worst(worst, float(np.abs(got - symbol * t).max()))
     return SuiteResult("coordinate-atom Hadamard product", worst, 1e-12)
@@ -454,19 +485,15 @@ def _suite_eta(rng, trials: int) -> SuiteResult:
 
 
 def _suite_schatten(rng, trials: int) -> SuiteResult:
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, 9))
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u = _random_unitary(rng, n)
-        v = _random_unitary(rng, n)
-        s_m, s_umv = singular_values(m), singular_values(u @ m @ v)
-        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-            worst = _worst(worst, abs(_schatten(s_umv, p) - _schatten(s_m, p)))
+    def residuals(m, raw_u, raw_v):
+        s_m, s_umv = singular_values(m), singular_values(_unitary(raw_u) @ m @ _unitary(raw_v))
+        out = [np.abs(_schatten(s_umv, p) - _schatten(s_m, p)) for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
         norms = [_schatten(s_m, p) for p in (1.0, 1.3, 2.0, 4.0, math.inf)]
-        for lo, hi in zip(norms[:-1], norms[1:]):
-            worst = _worst(worst, hi - lo)  # p-monotone: larger p, smaller norm
-    return SuiteResult("Schatten norm invariances", worst, 1e-10)
+        # p-monotone: larger p, smaller norm
+        return out + [hi - lo for lo, hi in zip(norms[:-1], norms[1:])]
+
+    draw = lambda n: tuple(_random_complex(rng, n) for _ in range(3))
+    return SuiteResult("Schatten norm invariances", _in_stacks(rng, trials, 9, draw, residuals), 1e-10)
 
 
 _SUITES = (
@@ -481,7 +508,10 @@ _SUITES = (
 
 
 def cmd_verify(seed: int = 42, trials: int = 100) -> VerifySummary:
-    """Run every identity suite on seeded random data."""
+    """Run every identity suite on seeded random data, each suite from its
+    own generator.  The trial suites draw as a per-trial loop does and compute
+    the trials of one size in stacks (:func:`_in_stacks`), each member's
+    residual its own bit for bit, so the report is that of the loop."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     results = []

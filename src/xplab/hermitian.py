@@ -28,15 +28,17 @@ __all__ = [
 
 
 class HermitianMatrix:
-    """Square Hermitian matrix, float64 or complex128 by the dtype rule.
+    """Square Hermitian matrix, float64 or complex128 by the dtype rule, or
+    a stack ``(..., n, n)`` whose leading member axes hold matrices of one
+    size ``dim = n``.
 
-    The input must be finite and satisfy ``entries[j][k] ==
-    conj(entries[k][j])`` within ``1e-12`` (max-entry deviation); the
+    The input must be finite and satisfy ``entries[..., j, k] ==
+    conj(entries[..., k, j])`` within ``1e-12`` (max-entry deviation); the
     stored matrix is the exactly symmetrized ``H / 2 + H* / 2``, which
-    cannot overflow, and is read-only.  Multiplication by a *real* scalar stays inside the class.
-    There is no addition or subtraction: the difference ``A.mat - B.mat``
-    of two instances is already exactly Hermitian, bit for bit what a
-    wrapper would store.
+    cannot overflow, and is read-only.  Multiplication by a *real* scalar
+    stays inside the class.  There is no addition or subtraction: the
+    difference ``A.mat - B.mat`` of two instances is already exactly
+    Hermitian, bit for bit what a wrapper would store.
 
     The private ``_measure`` slot holds the spectral measure once
     :func:`xplab.spectral.from_hermitian` has computed it.
@@ -46,13 +48,14 @@ class HermitianMatrix:
 
     def __init__(self, entries) -> None:
         mat = _finite(as_matrix(entries))
-        deviation = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+        mat_h = np.swapaxes(mat, -1, -2).conj()
+        deviation = float(np.max(np.abs(mat - mat_h))) if mat.size else 0.0
         if deviation > HERMITIAN_TOL:
             raise ValueError(
                 f"matrix is not Hermitian: max |H - H*| = {deviation:.3e} "
                 f"exceeds {HERMITIAN_TOL:.0e}"
             )
-        self._store(mat / 2 + mat.conj().T / 2)
+        self._store(mat / 2 + mat_h / 2)
 
     @classmethod
     def _symmetric(cls, mat: np.ndarray) -> "HermitianMatrix":
@@ -76,7 +79,7 @@ class HermitianMatrix:
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[0]
+        return self._mat.shape[-1]
 
     @classmethod
     def diag(cls, values) -> "HermitianMatrix":
@@ -126,12 +129,12 @@ def _diagonal_matrices(d: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(obj) -> np.ndarray:
-    """Return a square float64 or complex128 array view of ``obj``
-    (HermitianMatrix or array), by the dtype rule."""
+    """Return a float64 or complex128 array view of ``obj`` (HermitianMatrix
+    or array), by the dtype rule: a square matrix, or a stack ``(..., n, n)``."""
     if isinstance(obj, HermitianMatrix):
         return obj.mat
     mat = _real_or_complex(obj)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat
 
@@ -140,7 +143,7 @@ def _eigh_checked(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
-        n = mat.shape[0]
+        n = mat.shape[-1]
         raise RuntimeError(
             f"eigendecomposition did not converge for a {n}x{n} Hermitian matrix"
         ) from exc

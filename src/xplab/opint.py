@@ -27,12 +27,13 @@ variables) is any callable that takes numpy arrays and broadcasts them.
 Every evaluation is one call on whole arrays, never a loop over points;
 the caller knows how many variables it passes.  A field may be stacked:
 on arrays of broadcast shape ``s`` its value has shape ``(k, ...) + s``.
-:func:`grid_eval`, :func:`doi`, :func:`toi`, :func:`~xplab.spectral.apply_scalar`,
-:func:`~xplab.hermitian.schatten_norm`,
-``singular_values`` and :func:`~xplab.perturbation.perturbation_identity_residual`
-then return the stack of the results of its fields, from the code that
-handles one field: one change of basis and one batched SVD for the stack.
-Each result equals its field's own bit for bit when they share a dtype.
+Matrices and measures may carry leading member axes, which stack matrices of
+one size: ``(m, n, n)``, with measure values and grid axes ``(m, atoms)``;
+:func:`grid_eval` keeps them after a field's stack axes.  The functions here,
+in :mod:`xplab.perturbation`, :func:`~xplab.spectral.apply_scalar`,
+``singular_values`` and ``schatten_norm`` then give each field's and each
+member's own result, bit for bit when the dtypes agree, from the code that
+handles one: one change of basis, ``eigh`` and SVD for the stack.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermitian import _real_or_complex, as_matrix, schatten_norm
-from .spectral import SpectralMeasure, from_hermitian
+from .spectral import SpectralMeasure, _measure
 
 __all__ = [
     "grid_eval",
@@ -57,14 +58,17 @@ def grid_eval(f, *axes) -> np.ndarray:
 
     Makes one broadcast call on a sparse mesh; any exception raised by the
     field propagates.  Result has shape ``(len(axes[0]), ..., len(axes[-1]))``,
-    after the stack axes of a stacked field, and is complex128 when the
-    field's value is complex, float64 otherwise.
+    after the stack axes of a stacked field and the member axes of the
+    axes, and is complex128 when the field's value is complex, float64
+    otherwise.  An axis of shape ``(..., len)`` keeps its leading member axes.
     """
     d = len(axes)
-    mesh = [np.asarray(a, dtype=np.float64).reshape((1,) * i + (-1,) + (1,) * (d - 1 - i))
-            for i, a in enumerate(axes)]
+    mesh = [np.asarray(a, dtype=np.float64) for a in axes]
+    mesh = [a.reshape(a.shape[:-1] + (1,) * i + (-1,) + (1,) * (d - 1 - i))
+            for i, a in enumerate(mesh)]
     out = _real_or_complex(f(*mesh))
-    shape = out.shape[: max(out.ndim - d, 0)] + tuple(m.size for m in mesh)
+    lead = np.broadcast_shapes(out.shape[: max(out.ndim - d, 0)], *(m.shape[:-d] for m in mesh))
+    shape = lead + tuple(m.shape[i - d] for i, m in enumerate(mesh))
     if out.shape != shape:
         out = np.broadcast_to(out, shape)
     return np.ascontiguousarray(out)
@@ -86,7 +90,7 @@ def _atom_grid(fgrid, *measures) -> np.ndarray:
 def _into_bases(e1: SpectralMeasure, x: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
     """``e1.basis^H @ x @ e2.basis``, skipping a ``None`` basis."""
     if e1.basis is not None:
-        x = e1.basis.conj().T @ x
+        x = np.swapaxes(e1.basis, -1, -2).conj() @ x
     return x if e2.basis is None else x @ e2.basis
 
 
@@ -94,13 +98,13 @@ def _out_of_bases(e1: SpectralMeasure, y: np.ndarray, e2: SpectralMeasure) -> np
     """``e1.basis @ y @ e2.basis^H``, skipping a ``None`` basis."""
     if e1.basis is not None:
         y = e1.basis @ y
-    return y if e2.basis is None else y @ e2.basis.conj().T
+    return y if e2.basis is None else y @ np.swapaxes(e2.basis, -1, -2).conj()
 
 
 def _operator(name: str, t, dim: int) -> np.ndarray:
-    """``t`` as a square matrix of size ``dim``."""
+    """``t`` as a square matrix of size ``dim``, or a stack of them."""
     tmat = as_matrix(t)
-    _check_dim(name, tmat.shape[0], dim)
+    _check_dim(name, tmat.shape[-1], dim)
     return tmat
 
 
@@ -130,27 +134,25 @@ def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMea
     fgrid = _atom_grid(fgrid, e1, e2, e3)
     a1 = _into_bases(e1, t1m, e2)
     a2 = _into_bases(e2, t2m, e3)
-    acc = np.zeros(fgrid.shape[:-3] + (e1.dim, e3.dim), dtype=np.result_type(fgrid, a1, a2))
+    lead = np.broadcast_shapes(fgrid.shape[:-3], a1.shape[:-2], a2.shape[:-2])
+    acc = np.zeros(lead + (e1.dim, e3.dim), dtype=np.result_type(fgrid, a1, a2))
     for k in range(e2.atom_count):
         cols = slice(e2.starts[k], e2.starts[k + 1])
-        acc += fgrid[..., k, :][..., e1.columns, :][..., e3.columns] * (a1[:, cols] @ a2[cols, :])
+        acc += fgrid[..., k, :][..., e1.columns, :][..., e3.columns] * (a1[..., cols] @ a2[..., cols, :])
     return _out_of_bases(e1, acc, e3)
 
 
 def func_calc_pair(f, A, B) -> np.ndarray:
     """``f(A, B) = sum f(lam_j, mu_k) P_j Q_k`` for a pair of Hermitian
     matrices."""
-    ea = from_hermitian(A)
-    eb = from_hermitian(B)
+    ea, eb = map(_measure, (A, B))
     return doi(grid_eval(f, ea.values, eb.values), ea, np.eye(ea.dim), eb)
 
 
 def func_calc_triple(f, A, B, C) -> np.ndarray:
     """``f(A, B, C) = sum f(lam, mu, nu) E_A E_B E_C`` for a Hermitian
     triple."""
-    ea = from_hermitian(A)
-    eb = from_hermitian(B)
-    ec = from_hermitian(C)
+    ea, eb, ec = map(_measure, (A, B, C))
     eye = np.eye(ea.dim)
     return toi(grid_eval(f, ea.values, eb.values, ec.values), ea, eye, eb, eye, ec)
 
@@ -161,8 +163,9 @@ def s2_contraction_check(fgrid, e1: SpectralMeasure, e2: SpectralMeasure, t) -> 
     Returns ``(lhs, rhs)`` with ``lhs = ||doi(fgrid, E1, T, E2)||_S2`` and
     ``rhs = max |fgrid| * ||T||_S2``, from the one grid.  The contraction
     says ``lhs <= rhs``; the caller judges the pair against its own tolerance.
+    Two floats, or two arrays for a stack, ``max |fgrid|`` taken per member.
     """
     tmat = as_matrix(t)
     lhs = schatten_norm(doi(fgrid, e1, tmat, e2), 2)
-    rhs = float(np.abs(fgrid).max()) * schatten_norm(tmat, 2)
-    return lhs, rhs
+    rhs = np.abs(fgrid).max(axis=(-2, -1)) * schatten_norm(tmat, 2)
+    return lhs, rhs if rhs.ndim else float(rhs)

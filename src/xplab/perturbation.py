@@ -19,7 +19,7 @@ import numpy as np
 
 from .hermitian import HermitianMatrix, _real_or_complex, schatten_norm
 from .opint import doi, grid_eval
-from .spectral import apply_scalar, from_hermitian
+from .spectral import _measure, apply_scalar
 
 __all__ = [
     "divided_difference",
@@ -57,12 +57,11 @@ def perturbation_identity_residual(f, A, B):
 
     Vanishes (to roundoff) for every ``f`` on matrices with finite spectra;
     the contract is residual ``<= 1e-9 * (1 + ||A|| + ||B||)``.  A float;
-    for a stacked ``f`` (see :mod:`xplab.opint`), the array of the
-    residuals of its fields, from one batched SVD.
+    for a stacked ``f`` or stacked matrices (see :mod:`xplab.opint`), the
+    array of the residuals of its fields and members, from one batched SVD.
     """
-    A = HermitianMatrix.wrap(A)
-    B = HermitianMatrix.wrap(B)
-    lhs = apply_scalar(from_hermitian(A), f) - apply_scalar(from_hermitian(B), f)
+    A, B = map(HermitianMatrix.wrap, (A, B))
+    lhs = apply_scalar(_measure(A), f) - apply_scalar(_measure(B), f)
     return schatten_norm(lhs - psi_difference(f, A, B), 1)
 
 
@@ -74,10 +73,8 @@ def psi_difference(psi, B1, B2) -> np.ndarray:
 
     that is, the double integral of :func:`divided_difference`'s atom grid.
     """
-    B1 = HermitianMatrix.wrap(B1)
-    B2 = HermitianMatrix.wrap(B2)
-    e1 = from_hermitian(B1)
-    e2 = from_hermitian(B2)
+    B1, B2 = map(HermitianMatrix.wrap, (B1, B2))
+    e1, e2 = map(_measure, (B1, B2))
     return doi(grid_eval(divided_difference(psi), e1.values, e2.values), e1, B1.mat - B2.mat, e2)
 
 
@@ -86,9 +83,6 @@ def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:
 
     Equals ``f(A, B1, C) - f(A, B2, C)`` for ``f(x, y, z) = phi(x, z) psi(y)``.
     """
-    ea = from_hermitian(A)
-    ec = from_hermitian(C)
-    e1 = from_hermitian(B1)
-    e2 = from_hermitian(B2)
+    ea, ec, e1, e2 = map(_measure, (A, C, B1, B2))
     q = apply_scalar(e1, psi) - apply_scalar(e2, psi)
     return doi(grid_eval(phi, ea.values, ec.values), ea, q, ec)

@@ -174,24 +174,38 @@ class TestVerify:
             "[PASS] Schatten norm invariances: max residual 1.066e-14 (tol 1.0e-10)",
         ]
 
-    def test_contraction_suite_evaluates_each_field_twice(self, monkeypatch):
-        # once on the atoms of the random measures, once on the coordinate grid
-        counts = []
-        make = experiment._random_bivariate
+    def test_lines_pinned_at_benchmark_size(self):
+        # the benchmark's trial count, where every size is computed in stacks
+        assert experiment.cmd_verify(seed=1, trials=250).lines() == [
+            "[PASS] perturbation identity (trace norm): max residual 8.654e-14 (tol 1.0e-09)",
+            "[PASS] separated triple difference: max residual 5.333e-14 (tol 1.0e-09)",
+            "[PASS] Hilbert-Schmidt contraction: max residual 3.553e-15 (tol 1.0e-10)",
+            "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
+            "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
+            "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
+            "[PASS] Schatten norm invariances: max residual 1.421e-14 (tol 1.0e-10)",
+        ]
 
-        def counted(rng):
-            field, k = make(rng), len(counts)
-            counts.append(0)
+    def test_contraction_suite_evaluates_each_field_twice(self, monkeypatch):
+        # each stack's field once on the atoms of the random measures, once on
+        # the coordinate grid; every trial's coefficients are in one stack
+        fields = []
+        make = experiment._bivariate
+
+        def counted(coeffs):
+            field, k = make(coeffs), len(fields)
+            fields.append([coeffs[..., 0, 0].size, 0])
 
             def fn(x, y):
-                counts[k] += 1
+                fields[k][1] += 1
                 return field(x, y)
 
             return fn
 
-        monkeypatch.setattr(experiment, "_random_bivariate", counted)
-        assert experiment._suite_hs_contraction(np.random.default_rng(3), 4).passed
-        assert counts == [2] * 4
+        monkeypatch.setattr(experiment, "_bivariate", counted)
+        assert experiment._suite_hs_contraction(np.random.default_rng(3), 40).passed
+        assert sum(members for members, _ in fields) == 40 and len(fields) < 40
+        assert all(calls == 2 for _, calls in fields)
 
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
         def failing(rng, trials):

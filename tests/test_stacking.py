@@ -1,18 +1,25 @@
-"""Stacked fields: a field whose value has leading stack axes gives the stack
-of the results of its fields, bit for bit, through the code that handles
-one field."""
+"""Stacked fields and stacked matrices: a field whose value has leading
+stack axes, or matrices and measures with leading member axes, give the
+stack of the results of their fields and members, bit for bit, through the
+code that handles one field and one matrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
 from xplab.counterexample import TWO_PI, eta_field
+from xplab import experiment
 from xplab.experiment import _suite_perturbation, _test_fields
 from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
-from xplab.opint import doi, grid_eval, toi
-from xplab.perturbation import divided_difference, perturbation_identity_residual
+from xplab.opint import doi, func_calc_triple, grid_eval, s2_contraction_check, toi
+from xplab.perturbation import (
+    divided_difference,
+    perturbation_identity_residual,
+    separated_difference,
+)
 from xplab.spectral import apply_scalar, from_hermitian
 
 from conftest import random_complex, random_hermitian, random_unitary
@@ -143,14 +150,21 @@ def test_singular_values_rejects_non_square_stack():
 
 
 def test_suite_sees_every_field_once_per_trial(monkeypatch):
+    # every trial is one member of one stack, and every member gets 7 fields
     from xplab import experiment
 
-    calls = []
+    members = []
     residual = experiment.perturbation_identity_residual
-    monkeypatch.setattr(experiment, "perturbation_identity_residual",
-                        lambda *args: calls.append(1) or residual(*args))
-    result = _suite_perturbation(np.random.default_rng(3), 4)
-    assert len(calls) == 4 and result.passed
+
+    def counted(f, a, b):
+        out = residual(f, a, b)
+        assert out.shape == (7,) + a.mat.shape[:-2]
+        members.append(a.mat[..., 0, 0].size)
+        return out
+
+    monkeypatch.setattr(experiment, "perturbation_identity_residual", counted)
+    result = _suite_perturbation(np.random.default_rng(3), 40)
+    assert sum(members) == 40 and len(members) < 40 and result.passed
 
 
 def test_apply_scalar_tests_each_field_for_realness(rng):
@@ -161,3 +175,140 @@ def test_apply_scalar_tests_each_field_for_realness(rng):
     for k, f in enumerate(fields):
         assert _same(got[k], apply_scalar(e, f))
     assert np.array_equal(got[0], got[0].conj().T) and not np.array_equal(got[1], got[1].conj().T)
+
+
+# ---------------------------------------------------------------------------
+# member axes: a stack of matrices gives each member's own result
+
+
+KINDS = ["dense", "none", "clustered", "clustered-none"]
+
+
+def _stacks(rng, kind, k):
+    """``k`` pairs of one kind of ``_pairs``, as the two member lists and
+    the two stacks; the members of each stack share their atoms."""
+    pairs = [_pairs(rng)[kind] for _ in range(k)]
+    members = [[p[0] for p in pairs], [p[1] for p in pairs]]
+    return members, [HermitianMatrix(np.stack([h.mat for h in hs])) for hs in members]
+
+
+def _member(x, m, fields):
+    """Member ``m`` of a result; the stack axis of a stacked field comes first."""
+    return x[:, m] if fields else x[m]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("kind", KINDS)
+class TestMembersEqualMatrices:
+    def test_from_hermitian(self, rng, kind, k):
+        (hs, _), (h, _) = _stacks(rng, kind, k)
+        e = from_hermitian(h)
+        assert e.values.shape == (k, e.atom_count)
+        for m, hm in enumerate(hs):
+            one = from_hermitian(hm)
+            assert _same(e.values[m], one.values) and _same(e.starts, one.starts)
+            assert (e.basis is None) == (one.basis is None)
+            assert one.basis is None or _same(e.basis[m], one.basis)
+
+    @pytest.mark.parametrize("fields", [False, True])
+    def test_apply_scalar_grid_eval_doi(self, rng, kind, k, fields):
+        f = _fields(7)[0] if fields else eta_field(TWO_PI)
+        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        e1, e2 = from_hermitian(a), from_hermitian(b)
+        t = np.stack([random_complex(rng, 6) for _ in range(k)])
+        calc, grid = apply_scalar(e1, f), grid_eval(f, e1.values)
+        got = doi(grid_eval(divided_difference(f), e1.values, e2.values), e1, t, e2)
+        for m in range(k):
+            o1, o2 = from_hermitian(as_[m]), from_hermitian(bs[m])
+            assert _same(_member(calc, m, fields), apply_scalar(o1, f))
+            assert _same(_member(grid, m, fields), grid_eval(f, o1.values))
+            one = doi(grid_eval(divided_difference(f), o1.values, o2.values), o1, t[m], o2)
+            assert _same(_member(got, m, fields), one)
+
+    @pytest.mark.parametrize("fields", [False, True])
+    def test_toi_and_func_calc_triple(self, rng, kind, k, fields):
+        if fields:
+            f = lambda x, y, z: np.stack((np.cos(x - z) * y, x + y * z + 0j))
+        else:
+            f = lambda x, y, z: np.cos(x - z) * y
+        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        e1, e2 = from_hermitian(a), from_hermitian(b)
+        t1, t2 = (np.stack([random_complex(rng, 6) for _ in range(k)]) for _ in range(2))
+        got = toi(grid_eval(f, e1.values, e2.values, e1.values), e1, t1, e2, t2, e1)
+        calc = func_calc_triple(f, a, b, a)
+        for m in range(k):
+            o1, o2 = from_hermitian(as_[m]), from_hermitian(bs[m])
+            one = toi(grid_eval(f, o1.values, o2.values, o1.values), o1, t1[m], o2, t2[m], o1)
+            assert _same(_member(got, m, fields), one)
+            assert _same(_member(calc, m, fields), func_calc_triple(f, as_[m], bs[m], as_[m]))
+
+    @pytest.mark.parametrize("fields", [False, True])
+    def test_perturbation(self, rng, kind, k, fields):
+        f = _fields(8)[0] if fields else eta_field(TWO_PI)
+        phi = lambda x, z: np.cos(x - z) + x * z
+        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        residual = perturbation_identity_residual(f, a, b)
+        assert np.all(residual < 1e-9)
+        sep = separated_difference(phi, f, a, b, a, b)
+        for m in range(k):
+            assert _same(_member(residual, m, fields), perturbation_identity_residual(f, as_[m], bs[m]))
+            one = separated_difference(phi, f, as_[m], bs[m], as_[m], bs[m])
+            assert _same(_member(sep, m, fields), one)
+
+    @pytest.mark.parametrize("fields", [False, True])
+    def test_s2_contraction_check(self, rng, kind, k, fields):
+        f = (lambda x, y: np.stack((x - y * y, np.sin(x * y)))) if fields else (lambda x, y: x - y * y)
+        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        e1, e2 = from_hermitian(a), from_hermitian(b)
+        t = np.stack([random_complex(rng, 6) for _ in range(k)])
+        lhs, rhs = s2_contraction_check(grid_eval(f, e1.values, e2.values), e1, e2, t)
+        assert lhs.shape == rhs.shape == ((2, k) if fields else (k,))
+        for m in range(k):
+            o1, o2 = from_hermitian(as_[m]), from_hermitian(bs[m])
+            one = s2_contraction_check(grid_eval(f, o1.values, o2.values), o1, o2, t[m])
+            assert _same(_member(lhs, m, fields), one[0]) and _same(_member(rhs, m, fields), one[1])
+
+
+def test_stack_of_unsorted_diagonals_has_member_permutations():
+    # one sorted and one unsorted member: the sorted one gets the identity
+    e = from_hermitian(HermitianMatrix(np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 2.0])])))
+    assert np.array_equal(e.values, [[1.0, 2.0, 3.0]] * 2)
+    assert np.array_equal(e.basis[0], np.eye(3))
+    assert np.array_equal(e.basis[1], np.eye(3)[:, [1, 2, 0]])
+
+
+def test_members_must_share_atoms():
+    h = HermitianMatrix(np.stack([np.diag([0.0, 0.0, 1.0]), np.diag([0.0, 1.0, 1.0])]))
+    with pytest.raises(ValueError, match="share their atoms"):
+        from_hermitian(h)
+
+
+def test_stack_with_a_non_hermitian_member_is_refused(rng):
+    mats = np.stack([random_hermitian(rng, 4).mat for _ in range(3)])
+    mats[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix(mats)
+
+
+# ---------------------------------------------------------------------------
+# verify's stacks: bounded memory
+
+
+def test_perturbation_suite_memory_does_not_grow_with_trials():
+    # queues are computed as they fill, so ten times the trials is not ten
+    # times the memory; drawing every trial first would be
+    _suite_perturbation(np.random.default_rng(2), 20)
+    peaks = []
+    for trials in (200, 2000):
+        tracemalloc.start()
+        try:
+            _suite_perturbation(np.random.default_rng(1), trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_one_trial_verify_passes():
+    summary = experiment.cmd_verify(seed=0, trials=1)
+    assert summary.all_passed and len(summary.suites) == 7
