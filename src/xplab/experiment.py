@@ -390,10 +390,7 @@ def _in_stacks(rng, trials: int, sizes: int, draw: Callable, residuals: Callable
     (a lone trial as it is), once its largest stacked array, the largest
     input times ``fields``, would pass ``_STACK_BYTES``, and at the end."""
     queues, worst = {}, 0.0
-
-    def run(queue):
-        return residuals(*(queue[0] if len(queue) == 1 else map(np.stack, zip(*queue))))
-
+    run = lambda queue: residuals(*(queue[0] if len(queue) == 1 else map(np.stack, zip(*queue))))
     for _ in range(trials):
         n = int(rng.integers(2, sizes))
         queue = queues.setdefault(n, [])

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import _real_or_complex, as_matrix, schatten_norm
+from .hermitian import _real_or_complex, as_matrix
 from .spectral import SpectralMeasure, _measure
 
 __all__ = [
@@ -161,11 +161,14 @@ def s2_contraction_check(fgrid, e1: SpectralMeasure, e2: SpectralMeasure, t) -> 
     """Hilbert-Schmidt contraction of the double integral.
 
     Returns ``(lhs, rhs)`` with ``lhs = ||doi(fgrid, E1, T, E2)||_S2`` and
-    ``rhs = max |fgrid| * ||T||_S2``, from the one grid.  The contraction
+    ``rhs = max |fgrid| * ||T||_S2``, from the one grid; ``||M||_S2`` is the
+    Frobenius norm ``sqrt(sum |m_ij|^2)``, so no SVD runs.  The contraction
     says ``lhs <= rhs``; the caller judges the pair against its own tolerance.
     Two floats, or two arrays for a stack, ``max |fgrid|`` taken per member.
     """
     tmat = as_matrix(t)
-    lhs = schatten_norm(doi(fgrid, e1, tmat, e2), 2)
-    rhs = np.abs(fgrid).max(axis=(-2, -1)) * schatten_norm(tmat, 2)
-    return lhs, rhs if rhs.ndim else float(rhs)
+    # one contiguous row of |m_ij|^2 per matrix: a member of a stack sums as it would alone
+    lhs, t_s2 = (np.sqrt(np.ravel(m.real**2 + m.imag**2).reshape(m.shape[:-2] + (-1,)).sum(-1))
+                 for m in (doi(fgrid, e1, tmat, e2), tmat))
+    rhs = np.abs(fgrid).max(axis=(-2, -1)) * t_s2
+    return (lhs, rhs) if rhs.ndim else (float(lhs), float(rhs))

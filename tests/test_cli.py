@@ -179,7 +179,7 @@ class TestVerify:
         assert experiment.cmd_verify(seed=1, trials=250).lines() == [
             "[PASS] perturbation identity (trace norm): max residual 8.654e-14 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 5.333e-14 (tol 1.0e-09)",
-            "[PASS] Hilbert-Schmidt contraction: max residual 3.553e-15 (tol 1.0e-10)",
+            "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
             "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
             "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",

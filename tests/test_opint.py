@@ -322,6 +322,22 @@ class TestS2Contraction:
         lhs, rhs = s2_contraction_check(symbol, e, e, unit)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    def test_equality_at_real_matrix_unit_is_exact(self, rng):
+        # ||g E_jk||_F = sqrt(g^2) = |g| in floating point, with no SVD rounding
+        e = from_hermitian(HermitianMatrix.diag(np.arange(6)))
+        symbol = rng.standard_normal((6, 6))
+        unit = (np.abs(symbol) == np.abs(symbol).max()).astype(complex)
+        lhs, rhs = s2_contraction_check(symbol, e, e, unit)
+        assert type(lhs) is float and lhs == rhs
+
+    def test_frobenius_agrees_with_singular_values(self, rng):
+        e1, e2 = (from_hermitian(random_hermitian(rng, 7)) for _ in range(2))
+        t = random_complex(rng, 7)
+        fgrid = grid_eval(lambda x, y: np.sin(x * y), e1.values, e2.values)
+        lhs, rhs = s2_contraction_check(fgrid, e1, e2, t)
+        assert lhs == pytest.approx(schatten_norm(doi(fgrid, e1, t, e2), 2), rel=1e-14)
+        assert rhs == pytest.approx(np.abs(fgrid).max() * schatten_norm(t, 2), rel=1e-14)
+
 
 class TestGridEval:
     def test_vectorized_field(self):
