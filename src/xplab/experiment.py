@@ -384,11 +384,10 @@ _STACK_BYTES = 64 * 1024
 
 def _in_stacks(rng, trials: int, sizes: int, draw: Callable, residuals: Callable,
                fields: int = 1) -> float:
-    """Worst residual of ``trials`` trials, each of a size ``n`` in
-    ``[2, sizes)`` with inputs ``draw(n)``, drawn as a per-trial loop draws
-    them.  ``residuals`` takes a queue of one ``n`` stacked on a member axis
-    (a lone trial as it is), once its largest stacked array, the largest
-    input times ``fields``, would pass ``_STACK_BYTES``, and at the end."""
+    """Worst residual of ``trials`` trials of sizes ``n`` in ``[2, sizes)``, inputs
+    ``draw(n)``, drawn as a per-trial loop draws them.  ``residuals`` takes a queue of
+    one ``n`` stacked on a member axis (a lone trial as it is) once its largest stacked
+    array, the largest input times ``fields``, would pass ``_STACK_BYTES``, and at the end."""
     queues, worst = {}, 0.0
     run = lambda queue: residuals(*(queue[0] if len(queue) == 1 else map(np.stack, zip(*queue))))
     for _ in range(trials):

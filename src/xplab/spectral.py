@@ -98,9 +98,10 @@ def from_hermitian(H) -> SpectralMeasure:
     diagonalised by ``eigh``.
 
     A stack gets one batched ``eigh``, or the diagonal path when every member
-    is diagonal (``None`` when every member is sorted), and each member's own
-    measure bit for bit when all take one path.  Members must share their
-    atoms (clusters of sorted eigenvalues), or ``ValueError`` is raised.
+    is diagonal: ``None`` when every member is sorted, else each member's
+    permutation matrix.  Each member gets its own measure bit for bit when all
+    take one path and share one basis kind.  Members must share their atoms
+    (clusters of sorted eigenvalues), or ``ValueError`` is raised.
 
     There is one measure per :class:`HermitianMatrix`: the first call
     stores it on the matrix and later calls return that same, read-only
@@ -111,7 +112,7 @@ def from_hermitian(H) -> SpectralMeasure:
 
 
 def _measure(H) -> SpectralMeasure:
-    """:func:`from_hermitian`; a stack skips that name, whose perfbench trace reads one matrix."""
+    """:func:`from_hermitian`; a stack skips the name, whose perfbench trace reads one matrix."""
     h = HermitianMatrix.wrap(H)
     return from_hermitian(h) if h.mat.ndim == 2 else _stored_measure(h)
 

@@ -213,13 +213,13 @@ class TestMembersEqualMatrices:
     @pytest.mark.parametrize("fields", [False, True])
     def test_apply_scalar_grid_eval_doi(self, rng, kind, k, fields):
         f = _fields(7)[0] if fields else eta_field(TWO_PI)
-        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        (a_list, b_list), (a, b) = _stacks(rng, kind, k)
         e1, e2 = from_hermitian(a), from_hermitian(b)
         t = np.stack([random_complex(rng, 6) for _ in range(k)])
         calc, grid = apply_scalar(e1, f), grid_eval(f, e1.values)
         got = doi(grid_eval(divided_difference(f), e1.values, e2.values), e1, t, e2)
         for m in range(k):
-            o1, o2 = from_hermitian(as_[m]), from_hermitian(bs[m])
+            o1, o2 = from_hermitian(a_list[m]), from_hermitian(b_list[m])
             assert _same(_member(calc, m, fields), apply_scalar(o1, f))
             assert _same(_member(grid, m, fields), grid_eval(f, o1.values))
             one = doi(grid_eval(divided_difference(f), o1.values, o2.values), o1, t[m], o2)
@@ -231,47 +231,50 @@ class TestMembersEqualMatrices:
             f = lambda x, y, z: np.stack((np.cos(x - z) * y, x + y * z + 0j))
         else:
             f = lambda x, y, z: np.cos(x - z) * y
-        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        (a_list, b_list), (a, b) = _stacks(rng, kind, k)
         e1, e2 = from_hermitian(a), from_hermitian(b)
         t1, t2 = (np.stack([random_complex(rng, 6) for _ in range(k)]) for _ in range(2))
         got = toi(grid_eval(f, e1.values, e2.values, e1.values), e1, t1, e2, t2, e1)
         calc = func_calc_triple(f, a, b, a)
         for m in range(k):
-            o1, o2 = from_hermitian(as_[m]), from_hermitian(bs[m])
+            o1, o2 = from_hermitian(a_list[m]), from_hermitian(b_list[m])
             one = toi(grid_eval(f, o1.values, o2.values, o1.values), o1, t1[m], o2, t2[m], o1)
             assert _same(_member(got, m, fields), one)
-            assert _same(_member(calc, m, fields), func_calc_triple(f, as_[m], bs[m], as_[m]))
+            one = func_calc_triple(f, a_list[m], b_list[m], a_list[m])
+            assert _same(_member(calc, m, fields), one)
 
     @pytest.mark.parametrize("fields", [False, True])
     def test_perturbation(self, rng, kind, k, fields):
         f = _fields(8)[0] if fields else eta_field(TWO_PI)
         phi = lambda x, z: np.cos(x - z) + x * z
-        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        (a_list, b_list), (a, b) = _stacks(rng, kind, k)
         residual = perturbation_identity_residual(f, a, b)
         assert np.all(residual < 1e-9)
         sep = separated_difference(phi, f, a, b, a, b)
         for m in range(k):
-            assert _same(_member(residual, m, fields), perturbation_identity_residual(f, as_[m], bs[m]))
-            one = separated_difference(phi, f, as_[m], bs[m], as_[m], bs[m])
+            one = perturbation_identity_residual(f, a_list[m], b_list[m])
+            assert _same(_member(residual, m, fields), one)
+            one = separated_difference(phi, f, a_list[m], b_list[m], a_list[m], b_list[m])
             assert _same(_member(sep, m, fields), one)
 
     @pytest.mark.parametrize("fields", [False, True])
     def test_s2_contraction_check(self, rng, kind, k, fields):
-        f = (lambda x, y: np.stack((x - y * y, np.sin(x * y)))) if fields else (lambda x, y: x - y * y)
-        (as_, bs), (a, b) = _stacks(rng, kind, k)
+        f = lambda x, y: np.stack((x - y * y, np.sin(x * y))) if fields else x - y * y
+        (a_list, b_list), (a, b) = _stacks(rng, kind, k)
         e1, e2 = from_hermitian(a), from_hermitian(b)
         t = np.stack([random_complex(rng, 6) for _ in range(k)])
         lhs, rhs = s2_contraction_check(grid_eval(f, e1.values, e2.values), e1, e2, t)
         assert lhs.shape == rhs.shape == ((2, k) if fields else (k,))
         for m in range(k):
-            o1, o2 = from_hermitian(as_[m]), from_hermitian(bs[m])
+            o1, o2 = from_hermitian(a_list[m]), from_hermitian(b_list[m])
             one = s2_contraction_check(grid_eval(f, o1.values, o2.values), o1, o2, t[m])
             assert _same(_member(lhs, m, fields), one[0]) and _same(_member(rhs, m, fields), one[1])
 
 
 def test_stack_of_unsorted_diagonals_has_member_permutations():
     # one sorted and one unsorted member: the sorted one gets the identity
-    e = from_hermitian(HermitianMatrix(np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 2.0])])))
+    mats = np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1.0, 2.0])])
+    e = from_hermitian(HermitianMatrix(mats))
     assert np.array_equal(e.values, [[1.0, 2.0, 3.0]] * 2)
     assert np.array_equal(e.basis[0], np.eye(3))
     assert np.array_equal(e.basis[1], np.eye(3)[:, [1, 2, 0]])
