@@ -1,6 +1,6 @@
 """Command-line driver.
 
-    xplab growth --sizes 4,8,16,32 --eps constant --out report.csv [--json report.json]
+    xplab growth --sizes 4,8,16,32 --out report.csv [--json report.json]
     xplab verify --seed 42 --trials 100
     xplab besov --fn f3:32 [--json out.json]
 
@@ -22,15 +22,6 @@ from .experiment import (
     cmd_growth,
     cmd_verify,
 )
-
-_EPS_ALIASES = {
-    "constant": "constant",
-    "1/n": "one_over_size",
-    "one_over_size": "one_over_size",
-    "1/loglog": "one_over_loglog",
-    "one_over_loglog": "one_over_loglog",
-}
-
 
 def _parse_sizes(text: str) -> tuple:
     try:
@@ -61,14 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     growth = sub.add_parser("growth", help=growth_help, description=growth_help)
     growth.add_argument("--sizes", type=_parse_sizes, required=True,
                         help="comma-separated instance sizes, ascending")
-    growth.add_argument("--eps", default="constant", choices=sorted(_EPS_ALIASES),
-                        help="epsilon schedule")
     growth.add_argument("--out", default=None, help="CSV output path")
     growth.add_argument("--json", dest="json_path", default=None, help="JSON output path")
     growth.add_argument("--besov-max-size", type=int, default=64,
                         help="largest size for which besov_estimate is computed: an estimate "
-                             "of the unscaled f on a periodized grid, the same under every "
-                             "--eps, neither an upper nor a lower bound")
+                             "of f on a periodized grid, neither an upper nor a lower bound")
 
     verify = sub.add_parser("verify", help="run the randomized identity suites")
     verify.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
@@ -84,11 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_growth(args) -> int:
-    config = ExperimentConfig(
-        sizes=args.sizes,
-        epsilon_schedule=_EPS_ALIASES[args.eps],
-        besov_max_size=args.besov_max_size,
-    )
+    config = ExperimentConfig(sizes=args.sizes, besov_max_size=args.besov_max_size)
     try:
         config.validate()
         _check_outputs(args.out, args.json_path)

@@ -42,7 +42,6 @@ from .sampling import (
 from .spectral import _measure, from_hermitian
 
 __all__ = [
-    "EPSILON_SCHEDULES",
     "ExperimentConfig",
     "SizeRow",
     "ExperimentReport",
@@ -55,29 +54,19 @@ __all__ = [
     "cmd_besov",
 ]
 
-# epsilon of each schedule as a function of the size n
-EPSILON_SCHEDULES = {
-    "constant": lambda n: 1.0,
-    "one_over_size": lambda n: 1.0 / n,
-    "one_over_loglog": lambda n: 1.0 / math.log(math.log(n)),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration for the growth experiment.
 
-    ``sizes`` must be ascending; ``epsilon_schedule`` is one of
-    ``constant | one_over_size | one_over_loglog``; Besov estimates are
-    computed for sizes up to ``besov_max_size`` (larger grids would not fit
-    the run budget) and reported as missing beyond it; they use the fixed
-    grid of :mod:`xplab.sampling` and :func:`~xplab.besov.besov_breakdown`.
+    ``sizes`` must be ascending; Besov estimates are computed for sizes up
+    to ``besov_max_size`` (larger grids would not fit the run budget) and
+    reported as missing beyond it; they use the fixed grid of
+    :mod:`xplab.sampling` and :func:`~xplab.besov.besov_breakdown`.
     :meth:`validate` rejects a ``besov_max_size`` that lets a size's grid
     exceed the Besov slice budget, before any size runs.
     """
 
     sizes: tuple
-    epsilon_schedule: str = "constant"
     besov_max_size: int = 64
 
     def validate(self) -> None:
@@ -93,13 +82,6 @@ class ExperimentConfig:
             raise ValueError("instance sizes must be at least 2")
         if list(sizes) != sorted(set(sizes)):
             raise ValueError("sizes must be strictly ascending")
-        if self.epsilon_schedule not in EPSILON_SCHEDULES:
-            raise ValueError(
-                f"unknown epsilon schedule {self.epsilon_schedule!r}; "
-                f"choose one of {', '.join(EPSILON_SCHEDULES)}"
-            )
-        if self.epsilon_schedule == "one_over_loglog" and min(sizes) < 3:
-            raise ValueError("the 1/loglog schedule needs sizes >= 3")
         if self.besov_max_size < 0:
             raise ValueError(f"besov max size must be an integer >= 0, got {self.besov_max_size!r}")
         besov_sizes = [n for n in sizes if n <= self.besov_max_size]
@@ -137,16 +119,14 @@ def _check_outputs(*paths) -> None:
 @dataclass(frozen=True)
 class SizeRow:
     """``s1_diff_norm`` is a certified lower bound on the trace norm of the
-    difference matrix the TOI path computed and ``perturbation_s1`` a
-    certified upper bound on ``||B1 - B2||_S1``; both, and ``sup_norm``, are
-    ``eps`` times their unscaled values, the first rounded down and the second
-    up (``sup_norm`` to nearest).  The unscaled ``ratio`` is then a lower
-    bound, about ``n^2 u / 2`` (``u = 2^-53``) relative below ``closed_form_ratio``.
+    difference matrix as computed, rounded down, ``perturbation_s1`` a
+    certified upper bound on ``||B1 - B2||_S1``, rounded up, and ``sup_norm``
+    the exact ``sup |f|``.  ``ratio`` is then a lower bound, about ``n^2 u / 2``
+    (``u = 2^-53``) relative below ``closed_form_ratio``.
 
     ``besov_estimate`` (``None`` above ``besov_max_size``) estimates the
-    ``B^1_{inf,1}`` norm of the unscaled ``f`` on a periodized grid, so it is
-    the same under every ``eps`` schedule; each piece is a grid maximum of a
-    periodized sample, so it is neither an upper nor a lower bound."""
+    ``B^1_{inf,1}`` norm of ``f`` on a periodized grid; each piece is a grid
+    maximum of a periodized sample, so it is neither an upper nor a lower bound."""
 
     n: int
     s1_diff_norm: float
@@ -217,26 +197,11 @@ def log_fit(ns, ys) -> tuple[float | None, float | None, float | None]:
     return float(a), float(b), r2
 
 
-def _scaled(eps: float, bound: float, toward: float) -> float:
-    """``eps * bound`` rounded toward ``toward`` (``-inf`` or ``inf``), so a
-    certified lower or upper bound stays one; an exact product is kept."""
-    product = eps * bound
-    (a, b), (c, d), (p, q) = (x.as_integer_ratio() for x in (eps, bound, product))
-    error = p * b * d - a * c * q  # product - eps * bound, times b d q > 0
-    if error and (error > 0) == (toward < 0):
-        product = math.nextafter(product, toward)
-    return product
-
-
 def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     t0 = time.perf_counter()
     inst = build_instance(n)
     s1_diff, pert, ratio = growth_ratio(inst)
     closed = closed_form_ratio(inst)
-    # exact homogeneity in eps; scale_instance is the reference in the tests
-    eps = EPSILON_SCHEDULES[config.epsilon_schedule](n)
-    s1_diff, pert = _scaled(eps, s1_diff, -math.inf), _scaled(eps, pert, math.inf)
-    sup = eps * inst.sup_bound
 
     if n <= config.besov_max_size:
         besov = besov_breakdown(sample_instance(inst)).total
@@ -248,7 +213,7 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
         n=n,
         s1_diff_norm=float(s1_diff),
         perturbation_s1=float(pert),
-        sup_norm=float(sup),
+        sup_norm=float(inst.sup_bound),
         besov_estimate=None if besov is None else float(besov),
         ratio=float(ratio),
         closed_form_ratio=float(closed),
@@ -321,10 +286,6 @@ def _random_hermitian(rng, n: int, scale: float = 1.0) -> HermitianMatrix:
     raw = _random_complex(rng, n)
     # raw + raw^H is exactly Hermitian, and real scalings keep it so
     return HermitianMatrix._symmetric(scale * (raw + raw.conj().T) / (2.0 * math.sqrt(n)))
-
-
-def _random_unitary(rng, n: int) -> np.ndarray:
-    return _unitary(_random_complex(rng, n))
 
 
 def _unitary(raw: np.ndarray) -> np.ndarray:
@@ -558,10 +519,11 @@ class BesovScalarReport:
 
 
 def _parse_size(token: str, name: str) -> int:
-    try:
-        n = int(token)
-    except ValueError:
-        raise ValueError(f"bad size in function name {name!r}") from None
+    # plain digits without a leading zero: int() also reads "1_6", "+8", " 8" and "08",
+    # which would report one function under several names
+    if not (token.isascii() and token.isdigit() and token[0] != "0"):
+        raise ValueError(f"bad size in function name {name!r}")
+    n = int(token)
     if n < 2:
         raise ValueError(f"size in {name!r} must be at least 2")
     return n

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xplab.experiment import _random_hermitian as random_hermitian
-from xplab.experiment import _random_unitary as random_unitary
+from xplab.experiment import _unitary
 
 __all__ = ["random_complex", "random_hermitian", "random_unitary"]
 
@@ -14,3 +14,7 @@ def rng():
 
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def random_unitary(rng, n):
+    return _unitary(random_complex(rng, n))

@@ -5,7 +5,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +56,7 @@ class TestGrowth:
                 else:
                     assert float(c[key]) == value
             assert abs(j["ratio"] - u_n_ratio(j["n"])) <= 1e-9
-        assert set(report["config"]) == {"sizes", "epsilon_schedule", "besov_max_size"}
+        assert set(report["config"]) == {"sizes", "besov_max_size"}
 
     def test_runs_identical_apart_from_timings(self, tmp_path):
         runs = [run_growth(tmp_path, tag) for tag in ("a", "b")]
@@ -66,12 +65,7 @@ class TestGrowth:
                 r.pop("wall_time_ms")
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("schedule, eps", [
-        ("constant", lambda n: 1.0),
-        ("1/n", lambda n: 1.0 / n),
-        ("1/loglog", lambda n: 1.0 / math.log(math.log(n))),
-    ])
-    def test_eps_schedules_against_oracle(self, tmp_path, monkeypatch, schedule, eps):
+    def test_rows_against_oracle(self, tmp_path, monkeypatch):
         calls = []
         original = counterexample.difference_matrix
 
@@ -81,32 +75,17 @@ class TestGrowth:
 
         for module in (counterexample, experiment):
             monkeypatch.setattr(module, "difference_matrix", counted, raising=False)
-        _, report = run_growth(tmp_path, "eps", "--eps", schedule, sizes="4,8,16")
-        assert calls == [4, 8, 16]  # one triple operator integral per size
+        _, report = run_growth(tmp_path, "oracle", sizes="4,8,16")
+        assert calls == [4, 8, 16]  # one operator integral per size
         for row in report["rows"]:
-            n, e = row["n"], eps(row["n"])
+            n = row["n"]
             # ||U_n||_S1 / n = 2 pi times the closed-form ratio
-            assert row["s1_diff_norm"] == pytest.approx(e * 2.0 * math.pi * u_n_ratio(n), rel=1e-12)
-            assert row["perturbation_s1"] == pytest.approx(2.0 * math.pi * e, rel=1e-12)
-            assert row["sup_norm"] == pytest.approx(e, rel=1e-12)  # sup |g| = eps sup |f|
-            # all three columns scale by eps; the ratio is the unscaled one
+            assert row["s1_diff_norm"] == pytest.approx(2.0 * math.pi * u_n_ratio(n), rel=1e-12)
+            assert row["perturbation_s1"] == pytest.approx(2.0 * math.pi, rel=1e-12)
+            assert row["sup_norm"] == 1.0
             assert row["ratio"] == pytest.approx(
-                e * row["s1_diff_norm"] / (row["sup_norm"] * row["perturbation_s1"]), rel=1e-12)
+                row["s1_diff_norm"] / (row["sup_norm"] * row["perturbation_s1"]), rel=1e-12)
             assert abs(row["ratio"] - u_n_ratio(n)) <= 1e-9
-
-    @pytest.mark.parametrize("schedule", ["one_over_size", "one_over_loglog"])
-    def test_scaled_bounds_keep_their_direction(self, schedule):
-        # at these sizes eps times the unscaled bound rounds to nearest on the
-        # wrong side of the exact product for both columns under both schedules
-        sizes = (3, 4, 13)
-        report = experiment.cmd_growth(
-            experiment.ExperimentConfig(sizes=sizes, epsilon_schedule=schedule, besov_max_size=0))
-        for row in report.rows:
-            s1_diff, pert, _ = counterexample.growth_ratio(counterexample.build_instance(row.n))
-            eps = Fraction(experiment.EPSILON_SCHEDULES[schedule](row.n))
-            low, high = eps * Fraction(s1_diff), eps * Fraction(pert)
-            assert row.s1_diff_norm <= low < math.nextafter(row.s1_diff_norm, math.inf)
-            assert math.nextafter(row.perturbation_s1, -math.inf) < high <= row.perturbation_s1
 
     def test_besov_column(self, tmp_path, capsys):
         # the column is the f3 Besov report of each size up to --besov-max-size
@@ -118,15 +97,6 @@ class TestGrowth:
         assert csv_rows[2]["besov_estimate"] == ""
         out = capsys.readouterr().out.splitlines()
         assert [line.startswith("n=16") and "besov=-" in line for line in out[:3]] == [False, False, True]
-
-    def test_besov_column_independent_of_schedule(self, tmp_path):
-        # the column estimates the unscaled f, so eps does not reach it
-        columns = []
-        for schedule in ("constant", "1/n", "1/loglog"):
-            _, report = run_growth(tmp_path, "sched", "--eps", schedule,
-                                   "--besov-max-size", "8", sizes="4,8")
-            columns.append([row["besov_estimate"] for row in report["rows"]])
-        assert columns == [[0.687561787328343, 0.689278114658612]] * 3
 
     def test_single_size_writes_null_fit(self, tmp_path, capsys):
         json_path = tmp_path / "one.json"
@@ -269,6 +239,14 @@ class TestBesov:
         else:
             assert reached
 
+    @pytest.mark.parametrize("name", ["f3:x", "f3:1_6", "f3:+8", "f3:08", "phi_tri: 8", "gauss"])
+    def test_bad_function_name_exits_two(self, monkeypatch, capsys, name):
+        # int() reads "1_6", "+8", "08" and " 8", but each would be a second name for one function
+        for fn in ("build_instance", "sample_eta_1d", "sample_phi_2d", "sample_instance"):
+            monkeypatch.setattr(experiment, fn, _no_computation)
+        assert main(["besov", "--fn", name]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_slice_budget_checked_before_sampling(self, monkeypatch, capsys):
         # the 4096^2 plane of f3:250 is never sampled
         monkeypatch.setattr(experiment, "sample_instance", _no_computation)
@@ -402,8 +380,7 @@ def test_numpy_integer_sizes_reach_the_json(tmp_path):
                                          besov_max_size=np.int64(0))
     path = tmp_path / "g.json"
     report = experiment.cmd_growth(config, json_path=str(path))
-    assert load_json(path)["config"] == {"sizes": [4, 8], "epsilon_schedule": "constant",
-                                         "besov_max_size": 0}
+    assert load_json(path)["config"] == {"sizes": [4, 8], "besov_max_size": 0}
     assert all(type(n) is int for n in (*report.config.sizes, report.config.besov_max_size))
 
 
@@ -424,14 +401,14 @@ def _validate(**kwargs):
     pytest.param(lambda: _validate(sizes=(1, 4)), "at least 2", id="size-below-2"),
     pytest.param(lambda: _validate(sizes=(8, 4)), "strictly ascending", id="descending"),
     pytest.param(lambda: _validate(sizes=(4, 4)), "strictly ascending", id="repeated"),
-    pytest.param(lambda: _validate(sizes=(4,), epsilon_schedule="1/n"),
-                 "unknown epsilon schedule", id="unknown-schedule"),
-    pytest.param(lambda: _validate(sizes=(2, 4), epsilon_schedule="one_over_loglog"),
-                 "sizes >= 3", id="loglog-size-2"),
     pytest.param(lambda: experiment._check_outputs(""), "output path is empty", id="empty-path"),
     pytest.param(lambda: experiment.cmd_verify(trials=0), "trials must be at least 1",
                  id="zero-trials"),
     pytest.param(lambda: experiment.cmd_besov("f3:x"), "bad size", id="besov-bad-size"),
+    pytest.param(lambda: experiment.cmd_besov("f3:1_6"), "bad size", id="besov-underscore"),
+    pytest.param(lambda: experiment.cmd_besov("f3:+8"), "bad size", id="besov-plus-sign"),
+    pytest.param(lambda: experiment.cmd_besov("f3:08"), "bad size", id="besov-leading-zero"),
+    pytest.param(lambda: experiment.cmd_besov("phi_tri: 8"), "bad size", id="besov-inner-space"),
     pytest.param(lambda: experiment.cmd_besov("phi_tri:1"), "at least 2", id="besov-size-1"),
     pytest.param(lambda: experiment.cmd_besov("gauss"), "unknown function name",
                  id="besov-unknown"),
