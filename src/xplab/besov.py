@@ -19,7 +19,9 @@ radial multiplier, so each piece takes one 2-D inverse transform per shell
 plus a small dense transform along the middle axis.  The first pass of
 that transform runs only on the columns the window reaches, and a piece
 with a single active shell is reduced in closed form, without the product
-along the middle axis.  The factors are real, so the plane takes
+along the middle axis.  With several shells that product runs only on the
+plane rows that a certified bound, from each shell's row maxima, cannot
+rule out.  The factors are real, so the plane takes
 ``rfft2``/``irfft2`` and the products along the middle axis are real;
 dense samples may be real or complex.
 """
@@ -98,8 +100,8 @@ class _Grid:
 
 @dataclass(frozen=True)
 class SampledField(_Grid):
-    """Samples of a function on a uniform Cartesian grid of shape
-    ``samples.shape``."""
+    """Finite samples of a function on a uniform Cartesian grid of shape
+    ``samples.shape``; a NaN or infinite sample raises ``ValueError``."""
 
     starts: tuple
     steps: tuple
@@ -116,6 +118,8 @@ class SampledField(_Grid):
             raise ValueError("only 1-, 2- or 3-dimensional grids are supported")
         if any(s <= 0 for s in self.steps):
             raise ValueError("grid steps must be positive")
+        if not np.isfinite(arr).all():
+            raise ValueError("samples must be finite")
 
     @property
     def shape(self) -> tuple:
@@ -218,37 +222,59 @@ def _separable_piece_sup(
     row-0 radius is within ``2^(n+1)`` is zero; the window and the first
     pass run on the leading columns only, into one zeroed half-spectrum
     buffer whose rest stays zero, and the row pass runs on that buffer.
+    ``fftfreq`` is odd, so rows ``i`` and ``nx - i`` of ``rr`` are bitwise
+    equal: the window runs on rows ``0 .. nx/2`` and is mirrored.
     A piece with one active shell is the outer product
     ``S_j(x, z) g[y, j]`` of single rounded products, and rounding is
-    monotone, so its sup is the rounded product of the two factors' sups;
-    with several shells the product along the middle axis runs one plane
-    row ``x`` at a time.  The sup is bitwise what a full ``irfft2`` per
-    shell and the row loop give.
+    monotone, so its sup is the rounded product of the two factors' sups.
+    With several shells the product along the middle axis runs one plane
+    row ``x`` at a time, only on rows that may hold the sup: the row maxima
+    ``M_j(x) = max_z |S_j(x, z)|`` give ``bound(x) = sum_j max_y |g[y, j]|
+    M_j(x)``; the row of largest bound gives ``best``, and every row with
+    ``bound * (1 + 1e-12) >= best`` runs, ties included.  The margin is
+    rigorous for ``k`` shells below about 4000: a computed ``k``-term product
+    is at most ``(1 + gamma_k)`` times the true ``sum |g||S|`` and the
+    computed bound at least ``(1 - gamma_k)`` times the true one, ``gamma_k
+    ~ k u``.  The sup is bitwise that of a full ``irfft2`` and every row.
     """
     scale = 2.0**n
     rr_max = rr.max()
     stack = np.empty((len(xi2),) + shape, dtype=g.dtype)
+    rowmax = np.empty((len(xi2), shape[0]))
     half = np.zeros(phat.shape, dtype=phat.dtype)
     width = 0  # leading columns of half written by the last shell
+    top = shape[0] // 2 + 1  # rows i and nx - i of rr are equal
     cols = []
     for j, x2 in enumerate(xi2):
         if np.sqrt(rr_max + x2 * x2) < scale / 2.0 or abs(x2) > 2.0 * scale:
             continue
         reach = int(np.count_nonzero(np.sqrt(rr[0] + x2 * x2) / scale <= 2.0))
-        mult = window(np.sqrt(rr[:, :reach] + x2 * x2) / scale)
-        if not mult.any():
+        upper = window(np.sqrt(rr[:top, :reach] + x2 * x2) / scale)
+        if not upper.any():
             continue
+        mult = np.concatenate((upper, upper[-2:0:-1]))
         half[:, reach:width] = 0.0
         half[:, :reach] = np.fft.ifft(phat[:, :reach] * mult, axis=0)
         width = reach
         stack[len(cols)] = np.fft.irfft(half, n=shape[1], axis=1)
+        rowmax[len(cols)] = np.abs(stack[len(cols)]).max(axis=1)
         cols.append(j)
-    if not cols:
+    k = len(cols)
+    if k == 0:
         return 0.0
-    if len(cols) == 1:
-        return float(np.abs(stack[0]).max()) * float(np.abs(g[:, cols[0]]).max())
+    if k == 1:
+        return float(rowmax[0].max()) * float(np.abs(g[:, cols[0]]).max())
     gs = g[:, cols]
-    return max(float(np.abs(gs @ stack[: len(cols), x, :]).max()) for x in range(shape[0]))
+    bound = np.abs(gs).max(axis=0) @ rowmax[:k]
+    first = int(np.argmax(bound))
+    best = _row_sup(gs, stack[:k], first)
+    keep = np.flatnonzero(bound * (1.0 + 1e-12) >= best)
+    return max([best] + [_row_sup(gs, stack[:k], x) for x in keep if x != first])
+
+
+def _row_sup(gs: np.ndarray, planes: np.ndarray, x: int) -> float:
+    """Sup over plane row ``x`` of the piece ``sum_j gs[y, j] planes[j, x, z]``."""
+    return float(np.abs(gs @ planes[:, x, :]).max())
 
 
 def _active_bins(lhat: np.ndarray, plane_shape: tuple) -> np.ndarray:

@@ -174,7 +174,9 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     propagate unchanged.  The result is exactly Hermitian whenever ``g`` is
     real on the atom values.  It is float64 when the values of ``g`` and
     the basis are real, complex128 otherwise (the dtype rule of
-    :mod:`xplab.hermitian`).
+    :mod:`xplab.hermitian`).  Basis columns whose ``g`` is zero in every
+    member are dropped before the product, so an atom where ``g`` vanishes
+    costs nothing: on the instance's ``B1`` the product is one outer product.
     """
     gvals = _real_or_complex(g(E.values))
     if gvals.shape[-1:] != (E.atom_count,):
@@ -182,7 +184,9 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     gvals = gvals[..., E.columns]
     if E.basis is None:
         return _diagonal_matrices(gvals)
-    out = (E.basis * gvals[..., None, :]) @ np.swapaxes(E.basis, -1, -2).conj()
+    keep = np.any(gvals != 0, axis=tuple(range(gvals.ndim - 1)))
+    V, gvals = (E.basis, gvals) if keep.all() else (E.basis[..., keep], gvals[..., keep])
+    out = (V * gvals[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
     sym = (out + np.swapaxes(out, -1, -2).conj()) / 2
     if gvals.dtype.kind != "c":
         return sym

@@ -78,6 +78,20 @@ class TestSampledField:
         with pytest.raises(ValueError):
             SampledField((0.0,), (1.0, 1.0), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        samples = np.zeros((4, 4))
+        samples[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SampledField((0.0, 0.0), (1.0, 1.0), samples)
+
+    def test_separable_factor_rejects_non_finite_samples(self):
+        line = np.ones(8)
+        line[3] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            SeparableField3(SampledField((0.0, 0.0), (1.0, 1.0), np.ones((4, 4))),
+                            SampledField((0.0,), (1.0,), line))
+
     def test_pow2_required_for_transforms(self):
         f = SampledField((0.0,), (0.1,), np.zeros(12))
         with pytest.raises(ValueError, match="power-of-two"):
@@ -240,11 +254,36 @@ def _single_shell_separable() -> SeparableField3:
     )
 
 
+def _x_constant_separable() -> SeparableField3:
+    # a plane constant in x gives bitwise-equal rows in every shell, so every
+    # row's bound ties with the best row's and every row runs the product
+    rng = np.random.default_rng(11)
+    step = math.pi / 4
+    return SeparableField3(
+        plane=SampledField((0.0, 0.0), (step, step), np.tile(rng.standard_normal(32), (16, 1))),
+        line=SampledField((0.0,), (step,), rng.standard_normal(16)),
+    )
+
+
+def _alternating_separable() -> SeparableField3:
+    # a spike at y = ny / 2 has the line spectrum (-1)^k, so the g columns
+    # alternate in sign and cancel: the triangle bound on each row is loose
+    rng = np.random.default_rng(12)
+    step = math.pi / 4
+    return SeparableField3(
+        plane=SampledField((0.0, 0.0), (step, step), rng.standard_normal((32, 32))),
+        line=SampledField((0.0,), (step,), np.eye(16)[8]),
+    )
+
+
 def _named_separable(name: str, instance: SeparableField3) -> SeparableField3:
     if name == "instance":
         return instance
     return {
         "f3:8": lambda: sample_instance(build_instance(8)),
+        "f3:16": lambda: sample_instance(build_instance(16)),
+        "x-constant": _x_constant_separable,
+        "alternating": _alternating_separable,
         "random": _random_separable,
         "oblong": _random_separable_oblong,
         "single-shell": _single_shell_separable,
@@ -352,16 +391,49 @@ class TestSeparable:
         spread = (max(totals) - min(totals)) / min(totals)
         assert spread < 0.10
 
-    @pytest.mark.parametrize("field", ["f3:8", "instance", "random", "oblong", "single-shell"])
+    @pytest.mark.parametrize("field", ["f3:8", "f3:16", "instance", "random", "oblong",
+                                       "single-shell", "x-constant", "alternating"])
     def test_piece_sup_matches_reference(self, monkeypatch, small_instance_field, field):
-        # the pruned first pass and the single-shell rule give bitwise the
-        # values of a full irfft2 per shell and of the row loop
+        # the pruned first pass, the mirrored window, the single-shell rule
+        # and the row bound give bitwise the values of a full irfft2 per
+        # shell and of the row loop
         f = _named_separable(field, small_instance_field)
         got = besov_breakdown(f).piece_sup
         monkeypatch.setattr(besov, "_separable_piece_sup", besov_reference.separable_piece_sup)
         want = besov_breakdown(f).piece_sup
         assert {n: v.hex() for n, v in got.items()} == {n: v.hex() for n, v in want.items()}
         assert any(got.values())
+
+    @staticmethod
+    def _rows_run(monkeypatch, f) -> tuple:
+        """Rows that run the product along the middle axis, and plane rows
+        of the pieces that run it at all (the pieces with several shells)."""
+        runs, rows = [0], [0]
+        piece, row = besov._separable_piece_sup, besov._row_sup
+
+        def piece_spy(phat, rr, xi2, g, shape, n):
+            before = runs[0]
+            out = piece(phat, rr, xi2, g, shape, n)
+            rows[0] += shape[0] if runs[0] > before else 0
+            return out
+
+        def row_spy(gs, planes, x):
+            runs[0] += 1
+            return row(gs, planes, x)
+
+        monkeypatch.setattr(besov, "_separable_piece_sup", piece_spy)
+        monkeypatch.setattr(besov, "_row_sup", row_spy)
+        besov_breakdown(f)
+        return runs[0], rows[0]
+
+    def test_row_bound_prunes_rows(self, monkeypatch):
+        # f3:16 runs 40 of the 1280 rows of its pieces with several shells
+        runs, rows = self._rows_run(monkeypatch, sample_instance(build_instance(16)))
+        assert 0 < runs < 0.1 * rows
+
+    def test_tied_rows_all_run(self, monkeypatch):
+        runs, rows = self._rows_run(monkeypatch, _x_constant_separable())
+        assert runs == rows > 0
 
     def test_single_shell_field_has_one_shell(self, monkeypatch):
         # so the single-shell case of the reference check runs only that rule

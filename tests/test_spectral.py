@@ -9,7 +9,7 @@ from xplab.hermitian import HermitianMatrix
 from xplab.spectral import CLUSTER_TOL, SpectralMeasure, apply_scalar, from_hermitian, rank_one
 
 from conftest import random_hermitian
-from spectral_reference import atoms, projection
+from spectral_reference import atoms, full_apply_scalar, projection
 
 
 @pytest.fixture
@@ -282,6 +282,22 @@ class TestApplyScalar:
         assert apply_scalar(e, lambda x: np.exp(1j * x)).dtype == np.complex128
         complex_basis = from_hermitian(random_hermitian(rng, 5))
         assert apply_scalar(complex_basis, np.cos).dtype == np.complex128
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_zero_columns_dropped_on_instance(self, n):
+        # psi(0) = 0 on B1's rank-(n-1) atom leaves one column: the outer
+        # product gives the full product's bytes
+        inst = build_instance(n)
+        e = from_hermitian(inst.B1)
+        assert np.count_nonzero(inst.psi(e.values)[e.columns]) == 1
+        assert apply_scalar(e, inst.psi).tobytes() == full_apply_scalar(e, inst.psi).tobytes()
+
+    def test_zero_atom_matches_atom_sum(self, rng):
+        # on a generic measure the kept columns may round differently
+        e = from_hermitian(random_hermitian(rng, 7, 2.0))
+        g = lambda x: np.where(x == e.values[2], 0.0, np.cos(x))
+        want = sum(g(v) * p for v, p in atoms(e))
+        assert np.abs(apply_scalar(e, g) - want).max() < 1e-15
 
     def test_one_call_on_atom_values(self):
         e = from_hermitian(HermitianMatrix.diag([1.0, 4.0, 4.0]))
