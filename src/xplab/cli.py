@@ -17,6 +17,7 @@ import sys
 from .experiment import (
     ExperimentConfig,
     _check_outputs,
+    _plain_int,
     _write_json,
     cmd_besov,
     cmd_growth,
@@ -24,22 +25,16 @@ from .experiment import (
 )
 
 def _parse_sizes(text: str) -> tuple:
-    try:
-        sizes = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
+    error = argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
+    sizes = tuple(_plain_int(tok.strip(), 0, error) for tok in text.split(",") if tok.strip())
     if not sizes:
         raise argparse.ArgumentTypeError("need at least one size")
     return sizes
 
 
 def _int_at_least(name: str, low: int):
-    def parse(text: str) -> int:
-        if not text.strip().isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {low}, got {text!r}")
-        return int(text)
-
-    return parse
+    return lambda text: _plain_int(text.strip(), low, argparse.ArgumentTypeError(
+        f"{name} must be an integer >= {low}, got {text!r}"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated instance sizes, ascending")
     growth.add_argument("--out", default=None, help="CSV output path")
     growth.add_argument("--json", dest="json_path", default=None, help="JSON output path")
-    growth.add_argument("--besov-max-size", type=int, default=64,
+    growth.add_argument("--besov-max-size", type=_int_at_least("besov max size", 0), default=64,
                         help="largest size for which besov_estimate is computed: an estimate "
                              "of f on a periodized grid, neither an upper nor a lower bound")
 

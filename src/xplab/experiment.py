@@ -30,7 +30,7 @@ from .counterexample import (
     triangular_coeffs,
 )
 from .hermitian import HermitianMatrix, _schatten, schatten_norm, singular_values
-from .opint import doi, func_calc_triple, grid_eval, s2_contraction_check
+from .opint import func_calc_triple, grid_eval, s2_contraction_check
 from .perturbation import perturbation_identity_residual, separated_difference
 from .sampling import (
     check_instance_budget,
@@ -39,7 +39,7 @@ from .sampling import (
     sample_instance,
     sample_phi_2d,
 )
-from .spectral import _measure, from_hermitian
+from .spectral import _measure
 
 __all__ = [
     "ExperimentConfig",
@@ -394,34 +394,14 @@ def _suite_separated(rng, trials: int) -> SuiteResult:
 
 
 def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
-    coords = {n: from_hermitian(HermitianMatrix.diag(np.arange(n))) for n in range(2, 9)}
-
     def residuals(h1, h2, t, coeffs):
         e1, e2 = (_measure(HermitianMatrix._symmetric(h)) for h in (h1, h2))
         phi = _bivariate(coeffs)
         lhs, rhs = s2_contraction_check(grid_eval(phi, e1.values, e2.values), e1, e2, t)
-        # equality at each member's maximizing matrix unit over coordinate measures
-        ec = coords[e1.dim]
-        grid = grid_eval(phi, *[np.broadcast_to(ec.values, coeffs.shape[:-2] + ec.values.shape)] * 2)
-        flat = np.abs(grid).reshape(grid.shape[:-2] + (-1,))
-        unit = np.arange(flat.shape[-1]) == flat.argmax(axis=-1)[..., None]
-        lhs_u, rhs_u = s2_contraction_check(grid, ec, ec, unit.reshape(grid.shape).astype(complex))
-        return lhs - rhs, np.abs(lhs_u - rhs_u)
+        return lhs - rhs
 
     draw = lambda n: _hermitians(rng, n, 2) + (_random_complex(rng, n), rng.standard_normal((3, 3)))
     return SuiteResult("Hilbert-Schmidt contraction", _in_stacks(rng, trials, 9, draw, residuals), 1e-10)
-
-
-def _suite_hadamard(rng, trials: int) -> SuiteResult:
-    worst = 0.0
-    for n in range(1, 9):
-        e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
-        for _ in range(max(1, trials // 8)):
-            t = _random_complex(rng, n)
-            symbol = _random_complex(rng, n)
-            got = doi(symbol, e, t, e)
-            worst = _worst(worst, float(np.abs(got - symbol * t).max()))
-    return SuiteResult("coordinate-atom Hadamard product", worst, 1e-12)
 
 
 def _suite_window(rng, trials: int) -> SuiteResult:
@@ -457,7 +437,6 @@ _SUITES = (
     _suite_perturbation,
     _suite_separated,
     _suite_hs_contraction,
-    _suite_hadamard,
     _suite_window,
     _suite_eta,
     _suite_schatten,
@@ -465,10 +444,10 @@ _SUITES = (
 
 
 def cmd_verify(seed: int = 42, trials: int = 100) -> VerifySummary:
-    """Run every identity suite on seeded random data, each suite from its
-    own generator.  The trial suites draw as a per-trial loop does and compute
-    the trials of one size in stacks (:func:`_in_stacks`), each member's
-    residual its own bit for bit, so the report is that of the loop."""
+    """Run the six identity suites, each from its own generator seeded with ``seed``: the
+    perturbation, separated-difference, Hilbert-Schmidt and Schatten suites on random trials,
+    in stacks that report as a per-trial loop (:func:`_in_stacks`), and the window and eta
+    suites on fixed grids, which can fail too: they rest on the platform's ``exp`` and ``cos``."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     results = []
@@ -518,12 +497,16 @@ class BesovScalarReport:
         ]
 
 
+def _plain_int(token: str, low: int, error: Exception) -> int:
+    """``token`` as an int, or raise ``error`` unless it is plain ASCII digits, at least ``low``,
+    with no leading zero: one spelling per number, where int() also reads "1_6", "+8" and "08"."""
+    if not (token.isascii() and token.isdigit() and str(int(token)) == token and int(token) >= low):
+        raise error
+    return int(token)
+
+
 def _parse_size(token: str, name: str) -> int:
-    # plain digits without a leading zero: int() also reads "1_6", "+8", " 8" and "08",
-    # which would report one function under several names
-    if not (token.isascii() and token.isdigit() and token[0] != "0"):
-        raise ValueError(f"bad size in function name {name!r}")
-    n = int(token)
+    n = _plain_int(token, 0, ValueError(f"bad size in function name {name!r}"))
     if n < 2:
         raise ValueError(f"size in {name!r} must be at least 2")
     return n

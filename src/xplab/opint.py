@@ -110,7 +110,9 @@ def _operator(name: str, t, dim: int) -> np.ndarray:
 
 def doi(fgrid, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
     """Double operator integral ``sum fgrid[..., j, k] P_j T Q_k`` of the
-    symbol's atom grid ``fgrid[..., j, k] = Phi(a_j, b_k)``, stacked or not."""
+    symbol's atom grid ``fgrid[..., j, k] = Phi(a_j, b_k)``, stacked or not.  Over
+    ``None``-basis measures it is by definition the Schur product of ``T`` and the grid
+    spread over the atoms' columns, so a check of that identity must permute atoms."""
     tmat = _operator("T", t, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
     fgrid = _atom_grid(fgrid, e1, e2)

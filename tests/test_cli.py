@@ -127,7 +127,6 @@ class TestVerify:
             "[PASS] perturbation identity (trace norm): max residual 4.826e-14 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 3.519e-14 (tol 1.0e-09)",
             "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
-            "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
             "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] Schatten norm invariances: max residual 7.105e-15 (tol 1.0e-10)",
@@ -138,7 +137,6 @@ class TestVerify:
             "[PASS] perturbation identity (trace norm): max residual 1.257e-13 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 3.458e-14 (tol 1.0e-09)",
             "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
-            "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
             "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] Schatten norm invariances: max residual 1.066e-14 (tol 1.0e-10)",
@@ -150,15 +148,14 @@ class TestVerify:
             "[PASS] perturbation identity (trace norm): max residual 8.654e-14 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 5.333e-14 (tol 1.0e-09)",
             "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
-            "[PASS] coordinate-atom Hadamard product: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
             "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] Schatten norm invariances: max residual 1.421e-14 (tol 1.0e-10)",
         ]
 
-    def test_contraction_suite_evaluates_each_field_twice(self, monkeypatch):
-        # each stack's field once on the atoms of the random measures, once on
-        # the coordinate grid; every trial's coefficients are in one stack
+    def test_contraction_suite_evaluates_each_field_once(self, monkeypatch):
+        # each stack's field once, on the atoms of its random measures; every
+        # trial's coefficients are in one stack
         fields = []
         make = experiment._bivariate
 
@@ -175,7 +172,7 @@ class TestVerify:
         monkeypatch.setattr(experiment, "_bivariate", counted)
         assert experiment._suite_hs_contraction(np.random.default_rng(3), 40).passed
         assert sum(members for members, _ in fields) == 40 and len(fields) < 40
-        assert all(calls == 2 for _, calls in fields)
+        assert all(calls == 1 for _, calls in fields)
 
     def test_failing_suite_exits_one(self, monkeypatch, capsys):
         def failing(rng, trials):
@@ -205,8 +202,25 @@ class TestVerify:
         assert main(["verify", "--trials", "4"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] Hilbert-Schmidt contraction" in out
-        assert "[PASS] coordinate-atom Hadamard product" in out
         assert "all suites passed" not in out
+
+    @pytest.mark.parametrize("module, kernel, wrong, name", [
+        (perturbation, "psi_difference", lambda f: lambda *a: f(*a) * (1 + 1e-6),
+         "perturbation identity (trace norm)"),
+        (experiment, "separated_difference", lambda f: lambda *a: f(*a) * (1 + 1e-6),
+         "separated triple difference"),
+        # an inequality fails only past its slack: the worst lhs / rhs here is 0.88
+        (opint, "doi", lambda f: lambda *a: f(*a) * 1.25, "Hilbert-Schmidt contraction"),
+        (experiment, "window", lambda f: lambda s: f(s) * (1 + 1e-6), "window partition of unity"),
+        (experiment, "eta", lambda f: lambda x: f(x) * (1 + 1e-6), "eta lattice certificate"),
+        (experiment, "singular_values", lambda f: lambda m: f(m.real + 1j * (1 + 1e-6) * m.imag),
+         "Schatten norm invariances"),
+    ], ids=["perturbation", "separated", "contraction", "window", "eta", "schatten"])
+    def test_each_suite_can_fail(self, monkeypatch, module, kernel, wrong, name):
+        # verify prints only checks that can fail: a slightly wrong kernel fails its suite
+        monkeypatch.setattr(module, kernel, wrong(getattr(module, kernel)))
+        lines = experiment.cmd_verify(seed=1, trials=25).lines()
+        assert [line for line in lines if f"] {name}:" in line][0].startswith("[FAIL]")
 
     def test_internal_error_propagates(self, monkeypatch):
         # a ValueError raised inside a suite is a bug, not a configuration error
@@ -300,8 +314,33 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
 
     def test_negative_besov_max_size(self, capsys):
-        assert main(["growth", "--sizes", "4,8", "--besov-max-size", "-1"]) == 2
-        assert "besov max size" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", "--sizes", "4,8", "--besov-max-size=-1"])
+        assert exc.value.code == 2
+        assert ("argument --besov-max-size: besov max size must be an integer >= 0, got '-1'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("token", ["1 6", "1_6", "+32", "٣", " +0_0", "08"])
+    @pytest.mark.parametrize("argv, message", [
+        (["growth", "--sizes"], "sizes must be comma-separated integers"),
+        (["growth", "--sizes", "4,8", "--besov-max-size"],
+         "besov max size must be an integer >= 0"),
+        (["verify", "--trials"], "trials must be an integer >= 1"),
+        (["verify", "--seed"], "seed must be an integer >= 0"),
+    ], ids=["sizes", "besov-max-size", "trials", "seed"])
+    def test_integers_are_plain_digits(self, capsys, argv, message, token):
+        # int(), or int() after deleting spaces, reads each token as a second spelling of a number
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:-1], f"{argv[-1]}={token}"])
+        assert exc.value.code == 2
+        assert f"{message}, got {token!r}" in capsys.readouterr().err
+
+    def test_plain_integers_parse(self):
+        parse = cli._build_parser().parse_args
+        args = parse(["growth", "--sizes", " 4, 8 ,,", "--besov-max-size", " 0"])
+        assert (args.sizes, args.besov_max_size) == ((4, 8), 0)
+        args = parse(["verify", "--seed", "0", "--trials", "10 "])
+        assert (args.seed, args.trials) == (0, 10)
 
     @pytest.mark.parametrize("json_name", ["same.out", "sub/../same.out", "link.out"])
     def test_growth_outputs_name_one_file(self, tmp_path, capsys, json_name):

@@ -50,12 +50,18 @@ class TestDoi:
         got = doi(grid_eval(lambda x, y: x, e1.values, e2.values), e1, t, e2)
         assert np.abs(got - h1.mat @ t).max() < 1e-10
 
-    def test_coordinate_measures_give_hadamard(self, rng):
+    @pytest.mark.parametrize("permuted", [False, True], ids=["sorted", "permuted"])
+    def test_coordinate_measures_give_hadamard(self, rng, permuted):
+        # A = diag(d) for a permutation d of 0..n-1 has atom d[i] on e_i, so the
+        # integral is Phi(a_i, a_j) T_ij; sorted, its basis is None and the identity
+        # holds by construction, permuted it goes through the permutation basis
         for n in range(1, 7):
-            e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
+            d = rng.permutation(n) if permuted else np.arange(n)
+            e = from_hermitian(HermitianMatrix.diag(d))
+            assert (e.basis is None) == (d == np.arange(n)).all()
             t = random_complex(rng, n)
             symbol = random_complex(rng, n)
-            assert np.abs(doi(symbol, e, t, e) - symbol * t).max() < 1e-12
+            assert np.abs(doi(symbol, e, t, e) - symbol[np.ix_(d, d)] * t).max() < 1e-12
 
     def test_matches_naive_sum(self, rng):
         e1 = from_hermitian(random_hermitian(rng, 4))

@@ -314,4 +314,4 @@ def test_perturbation_suite_memory_does_not_grow_with_trials():
 
 def test_one_trial_verify_passes():
     summary = experiment.cmd_verify(seed=0, trials=1)
-    assert summary.all_passed and len(summary.suites) == 7
+    assert summary.all_passed and len(summary.suites) == 6
