@@ -224,11 +224,8 @@ def _separable_piece_sup(
     buffer whose rest stays zero, and the row pass runs on that buffer.
     ``fftfreq`` is odd, so rows ``i`` and ``nx - i`` of ``rr`` are bitwise
     equal: the window runs on rows ``0 .. nx/2`` and is mirrored.
-    A piece with one active shell is the outer product
-    ``S_j(x, z) g[y, j]`` of single rounded products, and rounding is
-    monotone, so its sup is the rounded product of the two factors' sups.
-    With several shells the product along the middle axis runs one plane
-    row ``x`` at a time, only on rows that may hold the sup: the row maxima
+    The product along the middle axis runs one plane row ``x`` at a time,
+    only on rows that may hold the sup: the row maxima
     ``M_j(x) = max_z |S_j(x, z)|`` give ``bound(x) = sum_j max_y |g[y, j]|
     M_j(x)``; the row of largest bound gives ``best``, and every row with
     ``bound * (1 + 1e-12) >= best`` runs, ties included.  The margin is
@@ -262,8 +259,6 @@ def _separable_piece_sup(
     k = len(cols)
     if k == 0:
         return 0.0
-    if k == 1:
-        return float(rowmax[0].max()) * float(np.abs(g[:, cols[0]]).max())
     gs = g[:, cols]
     bound = np.abs(gs).max(axis=0) @ rowmax[:k]
     first = int(np.argmax(bound))

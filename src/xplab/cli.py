@@ -4,25 +4,23 @@
     xplab verify --seed 42 --trials 100
     xplab besov --fn f3:32 [--json out.json]
 
-Exit codes: 0 success, 1 suite failure, 2 configuration error (including
-an output path whose directory is missing or not writable, or two outputs
-that name the same file).
+The commands compute and return reports; this module prints them and
+writes every file.  Exit codes: 0 success, 1 suite failure, 2 configuration
+error: a bad argument, any ``ValueError`` that ``growth`` or ``besov``
+raises, an output path whose directory is missing or not writable, or two
+outputs that name the same file.  The output paths are checked before the
+command runs, so a bad path fails fast instead of after the whole run.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
+import os
 import sys
 
-from .experiment import (
-    ExperimentConfig,
-    _check_outputs,
-    _plain_int,
-    _write_json,
-    cmd_besov,
-    cmd_growth,
-    cmd_verify,
-)
+from .experiment import ExperimentConfig, _plain_int, cmd_besov, cmd_growth, cmd_verify
 
 def _parse_sizes(text: str) -> tuple:
     error = argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
@@ -66,60 +64,74 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_growth(args) -> int:
-    config = ExperimentConfig(sizes=args.sizes, besov_max_size=args.besov_max_size)
+def _check_outputs(*paths) -> None:
+    """Raise ``ValueError`` unless an output file can be created at each
+    path (``None`` means no output) and no two paths name the same file."""
+    for path in paths:
+        if path is None:
+            continue
+        if not path:
+            raise ValueError("output path is empty")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ValueError(f"output directory {parent!r} does not exist")
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path!r} is a directory")
+        if not os.access(parent, os.W_OK):
+            raise ValueError(f"output directory {parent!r} is not writable")
+    real = [os.path.realpath(p) for p in paths if p is not None]
+    if len(set(real)) < len(real):
+        raise ValueError(f"output paths {paths!r} name the same file; each report needs its own")
+
+
+def _write_json(path, data) -> None:
+    """Write ``data`` as indented JSON.  It is serialized before the file is
+    opened, so a value JSON cannot hold leaves no truncated file behind."""
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_csv(path, rows) -> None:
+    """Write the JSON report's growth rows as CSV, one column per key.  A
+    cell is the ``repr`` of its value, the string JSON holds, and empty for
+    ``None``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(["" if v is None else repr(v) for v in r.values()] for r in rows)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    if args.command == "verify":
+        summary = cmd_verify(seed=args.seed, trials=args.trials)
+        for line in summary.lines():
+            print(line)
+        if summary.all_passed:
+            print("all suites passed")
+            return 0
+        print("suite failure", file=sys.stderr)
+        return 1
+
+    csv_path = getattr(args, "out", None)
     try:
-        config.validate()
-        _check_outputs(args.out, args.json_path)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    report = cmd_growth(config, csv_path=args.out, json_path=args.json_path)
-    for row in report.rows:
-        besov = "-" if row.besov_estimate is None else f"{row.besov_estimate:.6f}"
-        print(
-            f"n={row.n:<5d} s1_diff={row.s1_diff_norm:.6f} pert={row.perturbation_s1:.6f} "
-            f"sup={row.sup_norm:.6f} besov={besov} ratio={row.ratio:.6f}"
-        )
-    if report.fit_a is None:
-        print("fit: needs at least two sizes")
-    else:
-        print(f"fit: ratio ~ {report.fit_a:.4f} + {report.fit_b:.4f} ln n  (r^2 = {report.fit_r2:.6f})")
-    return 0
-
-
-def _run_verify(args) -> int:
-    summary = cmd_verify(seed=args.seed, trials=args.trials)
-    for line in summary.lines():
-        print(line)
-    if summary.all_passed:
-        print("all suites passed")
-        return 0
-    print("suite failure", file=sys.stderr)
-    return 1
-
-
-def _run_besov(args) -> int:
-    try:
-        _check_outputs(args.json_path)
-        report = cmd_besov(args.fn)
+        _check_outputs(csv_path, args.json_path)
+        if args.command == "growth":
+            report = cmd_growth(ExperimentConfig(sizes=args.sizes, besov_max_size=args.besov_max_size))
+        else:
+            report = cmd_besov(args.fn)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for line in report.lines():
         print(line)
+    data = report.to_dict()
+    if csv_path is not None:
+        _write_csv(csv_path, data["rows"])
     if args.json_path is not None:
-        _write_json(args.json_path, report.to_dict())
+        _write_json(args.json_path, data)
     return 0
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "growth":
-        return _run_growth(args)
-    if args.command == "verify":
-        return _run_verify(args)
-    return _run_besov(args)
 
 
 if __name__ == "__main__":

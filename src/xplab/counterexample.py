@@ -27,6 +27,7 @@ runs no SVD or eigendecomposition, as ``B1`` carries its spectral measure.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -59,6 +60,7 @@ __all__ = [
     "certified_sup_norm",
     "measured_sup_norm",
     "growth_ratio",
+    "check_matrix_budget",
     "closed_form_ratio",
     "scale_instance",
 ]
@@ -372,6 +374,16 @@ def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
     pert = _up(_up(n * abs(c)) + _up(_up(math.sqrt(n)) * resid))
     den = _up(certified_sup_norm(inst) * pert)
     return s1_diff, pert, math.nextafter(s1_diff / den, -math.inf)
+
+
+def check_matrix_budget(n: int) -> None:
+    """Raise ``ValueError`` when :func:`growth_ratio` at size ``n`` cannot fit in
+    physical memory: its numpy buffers alone peak at up to ``11 n^2`` float64 (a test pins it)."""
+    need = 11 * n * n * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"the matrix path at size {n} needs {need / 1e9:.1f} GB "
+                         f"(11 n^2 float64), over this machine's {have / 1e9:.1f} GB of memory")
 
 
 def closed_form_ratio(inst: CounterexampleInstance) -> float:

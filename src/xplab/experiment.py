@@ -2,19 +2,15 @@
 identity suites, and scalar Besov reports.
 
 Everything is deterministic for a fixed configuration; randomized suites
-draw from one seeded generator.  Reports are written as CSV (one row per
-size) and JSON (rows plus the log fit and the configuration); both carry
-the same shortest-round-trip float strings.
+draw from one seeded generator.  The commands compute and return reports;
+:mod:`xplab.cli` prints their ``lines()`` and writes their files.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,6 +19,7 @@ from .besov import bandlimit_check, besov_breakdown, window
 from .counterexample import (
     TWO_PI,
     build_instance,
+    check_matrix_budget,
     closed_form_ratio,
     eta,
     eta_field,
@@ -62,8 +59,9 @@ class ExperimentConfig:
     to ``besov_max_size`` (larger grids would not fit the run budget) and
     reported as missing beyond it; they use the fixed grid of
     :mod:`xplab.sampling` and :func:`~xplab.besov.besov_breakdown`.
-    :meth:`validate` rejects a ``besov_max_size`` that lets a size's grid
-    exceed the Besov slice budget, before any size runs.
+    :meth:`validate` rejects, before any size runs, a size whose matrix
+    path cannot fit in physical memory and a ``besov_max_size`` that lets a
+    size's grid exceed the Besov slice budget.
     """
 
     sizes: tuple
@@ -84,6 +82,7 @@ class ExperimentConfig:
             raise ValueError("sizes must be strictly ascending")
         if self.besov_max_size < 0:
             raise ValueError(f"besov max size must be an integer >= 0, got {self.besov_max_size!r}")
+        check_matrix_budget(sizes[-1])
         besov_sizes = [n for n in sizes if n <= self.besov_max_size]
         if besov_sizes:
             # the largest sampled plane decides, so no size runs before a late failure
@@ -92,28 +91,6 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"besov estimate at size {besov_sizes[-1]} "
                                  f"(besov max size {self.besov_max_size}): {exc}") from exc
-
-
-def _check_outputs(*paths) -> None:
-    """Raise ``ValueError`` unless an output file can be created at each
-    path (``None`` means no output) and no two paths name the same file.
-    Called before any computation, so a bad path fails fast instead of
-    after the whole run."""
-    for path in paths:
-        if path is None:
-            continue
-        if not path:
-            raise ValueError("output path is empty")
-        parent = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(parent):
-            raise ValueError(f"output directory {parent!r} does not exist")
-        if os.path.isdir(path):
-            raise ValueError(f"output path {path!r} is a directory")
-        if not os.access(parent, os.W_OK):
-            raise ValueError(f"output directory {parent!r} is not writable")
-    real = [os.path.realpath(p) for p in paths if p is not None]
-    if len(set(real)) < len(real):
-        raise ValueError(f"output paths {paths!r} name the same file; each report needs its own")
 
 
 @dataclass(frozen=True)
@@ -138,12 +115,11 @@ class SizeRow:
     wall_time_ms: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(SizeRow))
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Growth rows plus the log fit; the fit is ``None`` below two sizes."""
+    """Growth rows plus the log fit; the fit is ``None`` below two sizes.
+    ``lines()`` is the console report, one line per size and one for the
+    fit, and ``to_dict()`` the JSON report: rows, fit and configuration."""
 
     rows: tuple
     fit_a: float | None
@@ -158,28 +134,18 @@ class ExperimentReport:
             "fit": {"a": self.fit_a, "b": self.fit_b, "r_squared": self.fit_r2},
         }
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([_cell(getattr(r, c)) for c in CSV_COLUMNS])
-
-
-def _write_json(path, data) -> None:
-    """Write ``data`` as indented JSON.  It is serialized before the file is
-    opened, so a value JSON cannot hold leaves no truncated file behind."""
-    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    return repr(float(value))
+    def lines(self) -> list[str]:
+        out = []
+        for r in self.rows:
+            besov = "-" if r.besov_estimate is None else f"{r.besov_estimate:.6f}"
+            out.append(f"n={r.n:<5d} s1_diff={r.s1_diff_norm:.6f} pert={r.perturbation_s1:.6f} "
+                       f"sup={r.sup_norm:.6f} besov={besov} ratio={r.ratio:.6f}")
+        if self.fit_a is None:
+            out.append("fit: needs at least two sizes")
+        else:
+            out.append(f"fit: ratio ~ {self.fit_a:.4f} + {self.fit_b:.4f} ln n  "
+                       f"(r^2 = {self.fit_r2:.6f})")
+        return out
 
 
 def log_fit(ns, ys) -> tuple[float | None, float | None, float | None]:
@@ -221,28 +187,21 @@ def _grow_one(n: int, config: ExperimentConfig) -> SizeRow:
     )
 
 
-def cmd_growth(config: ExperimentConfig, csv_path=None, json_path=None) -> ExperimentReport:
-    """Run the growth experiment over the configured sizes.
+def cmd_growth(config: ExperimentConfig) -> ExperimentReport:
+    """Run the growth experiment over the configured sizes and return its report.
 
     Sizes run one after another in ascending order, so each row's
     ``wall_time_ms`` is that size's own time and the report is
     deterministic for a fixed configuration (apart from those timings).
-    The configuration and the output paths are checked before any size
-    runs.
+    The configuration is checked before any size runs.
     """
     config.validate()
-    _check_outputs(csv_path, json_path)
     # the report holds plain ints, which JSON can write, for numpy integer sizes too
     config = replace(config, sizes=tuple(int(n) for n in config.sizes),
                      besov_max_size=int(config.besov_max_size))
     rows = [_grow_one(n, config) for n in config.sizes]
     a, b, r2 = log_fit([r.n for r in rows], [r.ratio for r in rows])
-    report = ExperimentReport(rows=tuple(rows), fit_a=a, fit_b=b, fit_r2=r2, config=config)
-    if csv_path is not None:
-        report.write_csv(csv_path)
-    if json_path is not None:
-        _write_json(json_path, report.to_dict())
-    return report
+    return ExperimentReport(rows=tuple(rows), fit_a=a, fit_b=b, fit_r2=r2, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +357,11 @@ def _suite_hs_contraction(rng, trials: int) -> SuiteResult:
         e1, e2 = (_measure(HermitianMatrix._symmetric(h)) for h in (h1, h2))
         phi = _bivariate(coeffs)
         lhs, rhs = s2_contraction_check(grid_eval(phi, e1.values, e2.values), e1, e2, t)
-        return lhs - rhs
+        # the contraction says lhs <= rhs: the worst ratio against 1 shows the slack
+        return lhs / rhs
 
     draw = lambda n: _hermitians(rng, n, 2) + (_random_complex(rng, n), rng.standard_normal((3, 3)))
-    return SuiteResult("Hilbert-Schmidt contraction", _in_stacks(rng, trials, 9, draw, residuals), 1e-10)
+    return SuiteResult("Hilbert-Schmidt contraction", _in_stacks(rng, trials, 9, draw, residuals), 1.0)
 
 
 def _suite_window(rng, trials: int) -> SuiteResult:

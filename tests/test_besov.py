@@ -394,9 +394,8 @@ class TestSeparable:
     @pytest.mark.parametrize("field", ["f3:8", "f3:16", "instance", "random", "oblong",
                                        "single-shell", "x-constant", "alternating"])
     def test_piece_sup_matches_reference(self, monkeypatch, small_instance_field, field):
-        # the pruned first pass, the mirrored window, the single-shell rule
-        # and the row bound give bitwise the values of a full irfft2 per
-        # shell and of the row loop
+        # the pruned first pass, the mirrored window and the row bound give
+        # bitwise the values of a full irfft2 per shell and of the row loop
         f = _named_separable(field, small_instance_field)
         got = besov_breakdown(f).piece_sup
         monkeypatch.setattr(besov, "_separable_piece_sup", besov_reference.separable_piece_sup)
@@ -407,7 +406,7 @@ class TestSeparable:
     @staticmethod
     def _rows_run(monkeypatch, f) -> tuple:
         """Rows that run the product along the middle axis, and plane rows
-        of the pieces that run it at all (the pieces with several shells)."""
+        of the pieces that run it at all (the pieces with an active shell)."""
         runs, rows = [0], [0]
         piece, row = besov._separable_piece_sup, besov._row_sup
 
@@ -427,7 +426,7 @@ class TestSeparable:
         return runs[0], rows[0]
 
     def test_row_bound_prunes_rows(self, monkeypatch):
-        # f3:16 runs 40 of the 1280 rows of its pieces with several shells
+        # f3:16 runs 42 of the 1792 rows of its pieces with an active shell
         runs, rows = self._rows_run(monkeypatch, sample_instance(build_instance(16)))
         assert 0 < runs < 0.1 * rows
 
@@ -436,7 +435,7 @@ class TestSeparable:
         assert runs == rows > 0
 
     def test_single_shell_field_has_one_shell(self, monkeypatch):
-        # so the single-shell case of the reference check runs only that rule
+        # so the single-shell case of the reference check runs the row bound on one shell
         shells = []
         original = besov._separable_piece_sup
 

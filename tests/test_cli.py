@@ -98,6 +98,11 @@ class TestGrowth:
         out = capsys.readouterr().out.splitlines()
         assert [line.startswith("n=16") and "besov=-" in line for line in out[:3]] == [False, False, True]
 
+    def test_stdout_is_the_report_lines(self, capsys):
+        config = experiment.ExperimentConfig(sizes=(4, 8, 16), besov_max_size=8)
+        assert main(["growth", "--sizes", "4,8,16", "--besov-max-size", "8"]) == 0
+        assert capsys.readouterr().out == "\n".join(experiment.cmd_growth(config).lines()) + "\n"
+
     def test_single_size_writes_null_fit(self, tmp_path, capsys):
         json_path = tmp_path / "one.json"
         code = main(["growth", "--sizes", "8", "--besov-max-size", "0", "--json", str(json_path)])
@@ -126,7 +131,7 @@ class TestVerify:
         assert experiment.cmd_verify(seed=1, trials=25).lines() == [
             "[PASS] perturbation identity (trace norm): max residual 4.826e-14 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 3.519e-14 (tol 1.0e-09)",
-            "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
+            "[PASS] Hilbert-Schmidt contraction: max residual 8.820e-01 (tol 1.0e+00)",
             "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
             "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] Schatten norm invariances: max residual 7.105e-15 (tol 1.0e-10)",
@@ -136,7 +141,7 @@ class TestVerify:
         assert experiment.cmd_verify(seed=42, trials=60).lines() == [
             "[PASS] perturbation identity (trace norm): max residual 1.257e-13 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 3.458e-14 (tol 1.0e-09)",
-            "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
+            "[PASS] Hilbert-Schmidt contraction: max residual 6.776e-01 (tol 1.0e+00)",
             "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
             "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] Schatten norm invariances: max residual 1.066e-14 (tol 1.0e-10)",
@@ -147,7 +152,7 @@ class TestVerify:
         assert experiment.cmd_verify(seed=1, trials=250).lines() == [
             "[PASS] perturbation identity (trace norm): max residual 8.654e-14 (tol 1.0e-09)",
             "[PASS] separated triple difference: max residual 5.333e-14 (tol 1.0e-09)",
-            "[PASS] Hilbert-Schmidt contraction: max residual 0.000e+00 (tol 1.0e-10)",
+            "[PASS] Hilbert-Schmidt contraction: max residual 9.554e-01 (tol 1.0e+00)",
             "[PASS] window partition of unity: max residual 0.000e+00 (tol 1.0e-09)",
             "[PASS] eta lattice certificate: max residual 0.000e+00 (tol 1.0e-12)",
             "[PASS] Schatten norm invariances: max residual 1.421e-14 (tol 1.0e-10)",
@@ -284,7 +289,8 @@ def _no_computation(*args, **kwargs):
 class TestConfigErrors:
     @pytest.fixture(autouse=True)
     def forbid_computation(self, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_growth", _no_computation)
+        # growth still validates its configuration; no size runs
+        monkeypatch.setattr(experiment, "_grow_one", _no_computation)
         monkeypatch.setattr(cli, "cmd_besov", _no_computation)
         monkeypatch.setattr(experiment, "_SUITES", (_no_computation,))
 
@@ -372,22 +378,6 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("target", ["csv_path", "json_path"])
-def test_library_growth_checks_paths_first(tmp_path, monkeypatch, target):
-    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
-    config = experiment.ExperimentConfig(sizes=(4, 8), besov_max_size=0)
-    with pytest.raises(ValueError, match="does not exist"):
-        experiment.cmd_growth(config, **{target: str(tmp_path / "missing" / "out")})
-
-
-def test_library_growth_rejects_one_path_for_both(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
-    config = experiment.ExperimentConfig(sizes=(4, 8), besov_max_size=0)
-    path = str(tmp_path / "report")
-    with pytest.raises(ValueError, match="name the same file"):
-        experiment.cmd_growth(config, csv_path=path, json_path=path)
-
-
 def test_growth_besov_budget_checked_before_any_size(monkeypatch, capsys):
     # the 4096^2 plane of size 250 fails the slice budget of the besov cross-check
     monkeypatch.setattr(experiment, "_grow_one", _no_computation)
@@ -398,6 +388,26 @@ def test_growth_besov_budget_checked_before_any_size(monkeypatch, capsys):
     with pytest.raises(ValueError, match="over the 1.4 GB budget"):
         experiment.cmd_growth(experiment.ExperimentConfig(sizes=(8, 250), besov_max_size=250))
     experiment.ExperimentConfig(sizes=(8, 250), besov_max_size=249).validate()
+
+
+def test_growth_matrix_memory_checked_before_any_size(monkeypatch, capsys):
+    # 11 n^2 float64 at n = 100000 is 880 GB; numpy would fail only after the smaller sizes ran
+    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
+    assert main(["growth", "--sizes", "8,100000", "--besov-max-size", "0"]) == 2
+    assert "config error: the matrix path at size 100000 needs 880.0 GB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, fits", [(100, True), (101, False)])
+def test_matrix_budget_is_physical_memory(monkeypatch, n, fits):
+    # a machine of exactly 11 * 100^2 float64
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 11 * 100 * 100}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    config = experiment.ExperimentConfig(sizes=(4, n), besov_max_size=0)
+    if fits:
+        config.validate()
+    else:
+        with pytest.raises(ValueError, match="size 101 needs"):
+            config.validate()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -413,13 +423,12 @@ def test_library_growth_rejects_non_integer_sizes(monkeypatch, field, value):
         experiment.cmd_growth(config)
 
 
-def test_numpy_integer_sizes_reach_the_json(tmp_path):
+def test_numpy_integer_sizes_reach_the_json():
     # validate accepts numpy integers, so the report must hold plain ints
     config = experiment.ExperimentConfig(sizes=(np.int64(4), np.int64(8)),
                                          besov_max_size=np.int64(0))
-    path = tmp_path / "g.json"
-    report = experiment.cmd_growth(config, json_path=str(path))
-    assert load_json(path)["config"] == {"sizes": [4, 8], "besov_max_size": 0}
+    report = experiment.cmd_growth(config)
+    assert json.loads(json.dumps(report.to_dict()))["config"] == {"sizes": [4, 8], "besov_max_size": 0}
     assert all(type(n) is int for n in (*report.config.sizes, report.config.besov_max_size))
 
 
@@ -427,7 +436,7 @@ def test_json_writer_serializes_before_opening(tmp_path):
     path = tmp_path / "out.json"
     path.write_text("kept\n")
     with pytest.raises(TypeError, match="not JSON serializable"):
-        experiment._write_json(str(path), {"n": np.int64(4)})
+        cli._write_json(str(path), {"n": np.int64(4)})
     assert path.read_text() == "kept\n"
 
 
@@ -440,7 +449,7 @@ def _validate(**kwargs):
     pytest.param(lambda: _validate(sizes=(1, 4)), "at least 2", id="size-below-2"),
     pytest.param(lambda: _validate(sizes=(8, 4)), "strictly ascending", id="descending"),
     pytest.param(lambda: _validate(sizes=(4, 4)), "strictly ascending", id="repeated"),
-    pytest.param(lambda: experiment._check_outputs(""), "output path is empty", id="empty-path"),
+    pytest.param(lambda: cli._check_outputs(""), "output path is empty", id="empty-path"),
     pytest.param(lambda: experiment.cmd_verify(trials=0), "trials must be at least 1",
                  id="zero-trials"),
     pytest.param(lambda: experiment.cmd_besov("f3:x"), "bad size", id="besov-bad-size"),
