@@ -17,11 +17,10 @@ are handled without ever materializing a 3-D sample tensor: the middle
 frequencies are grouped into shells of equal ``|xi_2|``, which share one
 radial multiplier, so each piece takes one 2-D inverse transform per shell
 plus a small dense transform along the middle axis.  The first pass of
-that transform runs only on the columns the window reaches, and a piece
-with a single active shell is reduced in closed form, without the product
-along the middle axis.  With several shells that product runs only on the
-plane rows that a certified bound, from each shell's row maxima, cannot
-rule out.  The factors are real, so the plane takes
+that transform runs only on the columns the window reaches, and the
+product along the middle axis runs only on the plane rows that a certified
+bound, from each shell's row maxima, cannot rule out.  The factors are
+real, so the plane takes
 ``rfft2``/``irfft2`` and the products along the middle axis are real;
 dense samples may be real or complex.
 """

@@ -7,9 +7,9 @@
 The commands compute and return reports; this module prints them and
 writes every file.  Exit codes: 0 success, 1 suite failure, 2 configuration
 error: a bad argument, any ``ValueError`` that ``growth`` or ``besov``
-raises, an output path whose directory is missing or not writable, or two
-outputs that name the same file.  The output paths are checked before the
-command runs, so a bad path fails fast instead of after the whole run.
+raises, an output directory that is missing or not writable, an existing
+output file that is not writable, or two outputs naming one file.  Output
+paths are checked before the command runs, so a bad path fails fast.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(*paths) -> None:
-    """Raise ``ValueError`` unless an output file can be created at each
+    """Raise ``ValueError`` unless an output file can be written at each
     path (``None`` means no output) and no two paths name the same file."""
     for path in paths:
         if path is None:
@@ -79,6 +79,8 @@ def _check_outputs(*paths) -> None:
             raise ValueError(f"output path {path!r} is a directory")
         if not os.access(parent, os.W_OK):
             raise ValueError(f"output directory {parent!r} is not writable")
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise ValueError(f"output file {path!r} exists and is not writable")
     real = [os.path.realpath(p) for p in paths if p is not None]
     if len(set(real)) < len(real):
         raise ValueError(f"output paths {paths!r} name the same file; each report needs its own")

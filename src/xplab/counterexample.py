@@ -356,9 +356,10 @@ def _s1_lower_bound(d: np.ndarray, x: np.ndarray) -> float:
 
 
 def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
-    """Certified ``(s1_diff, pert, ratio)`` for the ``D = f(A, B1, C) -
-    f(A, B2, C)`` the TOI path computed, with no SVD or eigendecomposition:
-    ``s1_diff <= ||D||_S1`` by trace duality with :func:`triangular_witness`;
+    """Certified ``(s1_diff, pert, ratio)`` for the ``D = f(A, B1, C) - f(A, B2, C)``
+    of :func:`difference_matrix`, the separated double operator integral, with no
+    SVD or eigendecomposition: ``s1_diff <= ||D||_S1`` by trace duality with
+    :func:`triangular_witness`;
     ``pert >= ||Delta||_S1``, ``Delta = B1 - B2``, by ``n |c| + sqrt(n)
     ||Delta - c J||_F`` (``c = Delta[0, 0]``, ``J`` all ones, residual 0 on
     the instance, plus ``u ||Delta||_F`` for rounding ``Delta``); so ``ratio =

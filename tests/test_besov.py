@@ -182,7 +182,7 @@ class TestBesovEstimate:
     ])
     def test_dense_estimates_pinned(self, name, estimate):
         # the 1-D and 2-D dense path through the fixed window and piece range
-        assert cmd_besov(name).estimate == estimate
+        assert cmd_besov(name).breakdown.total == estimate
 
 
 class TestBandlimit:
@@ -457,15 +457,15 @@ class TestSeparable:
     def test_headline_estimates(self):
         # the f3 references of the benchmark oracle
         report = cmd_besov("f3:32")
-        assert report.estimate == 0.6922923982526068
+        assert report.breakdown.total == 0.6922923982526068
         assert 0.0 <= report.bandlimit_mass < 1e-25
-        assert cmd_besov("f3:8").estimate == pytest.approx(0.6892781146586121, rel=1e-14)
+        assert cmd_besov("f3:8").breakdown.total == pytest.approx(0.6892781146586121, rel=1e-14)
 
     def test_f3_8_pieces_pinned(self):
         # a shell skipped or kept by mistake changes a piece
         report = cmd_besov("f3:8")
-        assert report.estimate == 0.689278114658612
-        assert report.piece_sup == {
+        assert report.breakdown.total == 0.689278114658612
+        assert report.breakdown.piece_sup == {
             **{n: 0.0 for n in range(-20, -4)},
             -4: 0.07101524098275559,
             -3: 0.2626046665252505,

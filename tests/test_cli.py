@@ -92,7 +92,7 @@ class TestGrowth:
         csv_rows, report = run_growth(tmp_path, "besov", "--besov-max-size", "8", sizes="4,8,16")
         rows = report["rows"]
         for row in rows[:2]:
-            assert row["besov_estimate"] == experiment.cmd_besov(f"f3:{row['n']}").estimate
+            assert row["besov_estimate"] == experiment.cmd_besov(f"f3:{row['n']}").breakdown.total
         assert rows[2]["n"] == 16 and rows[2]["besov_estimate"] is None
         assert csv_rows[2]["besov_estimate"] == ""
         out = capsys.readouterr().out.splitlines()
@@ -361,7 +361,8 @@ class TestConfigErrors:
         ["growth", "--sizes", "4,8", "--json"],
         ["besov", "--fn", "eta", "--json"],
     ])
-    @pytest.mark.parametrize("where", ["missing_dir", "file_as_dir", "directory", "read_only"])
+    @pytest.mark.parametrize("where", ["missing_dir", "file_as_dir", "directory", "read_only",
+                                       "read_only_file"])
     def test_unwritable_output(self, tmp_path, monkeypatch, capsys, command, where):
         (tmp_path / "plain.txt").write_text("x")
         path = {
@@ -369,13 +370,19 @@ class TestConfigErrors:
             "file_as_dir": tmp_path / "plain.txt" / "out",
             "directory": tmp_path,
             "read_only": tmp_path / "out",
+            "read_only_file": tmp_path / "plain.txt",
         }[where]
+        # permission bits do not bind a superuser, so stand in for them
         if where == "read_only":
-            # permission bits do not bind a superuser, so stand in for them
             monkeypatch.setattr(os, "access", lambda p, mode: False)
+        if where == "read_only_file":
+            # the directory stays writable: open(path, "w") alone would fail after the run
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda p, mode: access(p, mode) and os.path.isdir(p))
         assert main([*command, str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert (tmp_path / "plain.txt").read_text() == "x"
 
 
 def test_growth_besov_budget_checked_before_any_size(monkeypatch, capsys):

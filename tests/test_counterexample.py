@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import mpmath
 import numpy as np
@@ -31,6 +32,9 @@ from xplab.opint import doi, func_calc_triple, grid_eval
 from xplab.spectral import from_hermitian
 
 from counterexample_reference import phi_elementwise
+
+# the certificates assume np.sin errs by at most this many ulps on their arguments
+ULP_TRIG = 1
 
 
 class TestEta:
@@ -441,6 +445,10 @@ class TestCertifiedRatio:
         assert pert >= eig_pert * (1.0 - 1e-14)
         assert ratio <= lapack * (1.0 + 1e-14)
         assert ratio >= closed_form_ratio(inst) * (1.0 - 1e-10)
+        # sin x <= x in the closed form: 1 / (2 sin x_k) >= (2n+1) / ((2k+1) pi), and the
+        # odd harmonic sum grows like ln(n) / 2, so the ratio does too, in the direction needed
+        odd_harmonic = math.fsum(1.0 / (2 * k + 1) for k in range(n))
+        assert ratio >= (2 * n + 1) / (2 * math.pi**2 * n) * odd_harmonic
 
     def test_allowance_is_about_n_squared_u(self):
         for n in (64, 512):
@@ -482,6 +490,46 @@ class TestCertifiedRatio:
             assert np.array_equal(inst.B1.mat, TWO_PI * np.full((n, n), 1 / n))
             fresh = dataclasses.replace(inst, B1=HermitianMatrix(inst.B1.mat))
             assert np.abs(difference_matrix(inst) - difference_matrix(fresh)).max() <= 1e-13
+
+
+class _SineArguments(Exception):
+    pass
+
+
+def _sine_arguments(monkeypatch, call) -> np.ndarray:
+    """The array ``call()`` passes to its first ``np.sin``; the call stops there."""
+    def record(x):
+        raise _SineArguments(np.asarray(x, dtype=np.float64))
+
+    monkeypatch.setattr(np, "sin", record)
+    with pytest.raises(_SineArguments) as exc:
+        call()
+    monkeypatch.undo()
+    return exc.value.args[0]
+
+
+class TestSineAccuracy:
+    @pytest.mark.parametrize("n", [8, 64, 512, 4096])
+    def test_certificate_sines_within_ulp_trig(self, monkeypatch, n):
+        # the witness's reduced r pi / (2N) and the closed form's (2k+1) pi / (2(2n+1)), as
+        # the code forms them and as one np.sin call each; closed_form_ratio stops at np.sin,
+        # before it reads more of its instance
+        size_only = types.SimpleNamespace(n=n)
+        calls = [_sine_arguments(monkeypatch, lambda: triangular_witness(n)),
+                 _sine_arguments(monkeypatch, lambda: closed_form_ratio(size_only))]
+        args = np.concatenate([a.ravel() for a in calls])
+        sines = np.concatenate([np.sin(a).ravel() for a in calls])
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x, got in zip(args.tolist(), sines.tolist()):
+                exact = mpmath.sin(mpmath.mpf(x))
+                if exact == 0:
+                    assert got == 0.0
+                    continue
+                # an ulp of the exact value: 2^(e - 53) for |exact| in [2^(e-1), 2^e)
+                ulp = mpmath.ldexp(1, mpmath.frexp(exact)[1] - 53)
+                worst = max(worst, float(abs(got - exact) / ulp))
+        assert worst <= ULP_TRIG
 
 
 class TestScaleInstance:

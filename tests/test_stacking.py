@@ -286,6 +286,11 @@ def test_members_must_share_atoms():
         from_hermitian(h)
 
 
+def test_stack_of_no_members_has_a_measure():
+    e = from_hermitian(HermitianMatrix(np.zeros((0, 3, 3))))
+    assert e.dim == 3 and e.values.shape[0] == 0
+
+
 def test_stack_with_a_non_hermitian_member_is_refused(rng):
     mats = np.stack([random_hermitian(rng, 4).mat for _ in range(3)])
     mats[1, 0, 1] += 1e-6
