@@ -13,7 +13,9 @@ Then ``f(A, B1, C) - f(A, B2, C) = U_n / n`` with ``U_n`` the matrix of
 ones on and above the diagonal, whose trace norm grows like ``n log n``
 while the perturbation ``B1 - B2`` has trace norm ``2*pi`` and
 ``sup |f| <= 1``.  Scaling ``g = eps f(./eps)`` on ``eps``-scaled operators
-shrinks the perturbation while the trace-norm ratio keeps growing.
+shrinks the perturbation while the trace-norm ratio keeps growing.  An
+instance stores its inputs ``c_jk``, operators and ``eps``; ``n``, ``phi``,
+``psi`` and ``sup |f|`` derive from them.
 
 As ``f`` separates, :func:`difference_matrix` is the double integral
 ``doi(phi's atom grid, E_A, psi(B1) - psi(B2), E_C)``, checked against two triple
@@ -26,9 +28,10 @@ runs no SVD or eigendecomposition, as ``B1`` carries its spectral measure.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -220,43 +223,49 @@ def sup_norm_estimate(phi, grid_radius: float, grid_step: float) -> float:
     return best
 
 
-@dataclass
+@dataclass(frozen=True)
 class CounterexampleInstance:
     """One size of the counterexample family, possibly ``eps``-scaled.
 
-    Invariants: ``phi`` is the lattice interpolant of ``coeffs``;
-    ``B1 - B2`` has rank one with trace norm ``2*pi*epsilon``; ``A = C``
-    diagonal with entries ``2*pi*epsilon*j``; ``sup_bound`` is
-    ``epsilon * sup |c_jk|``, which is exactly ``sup |f|`` and is certified
-    by :func:`certified_sup_norm`.
+    The fields are the inputs: ``B1 - B2`` has rank one with trace norm
+    ``2*pi*epsilon``; ``A = C`` diagonal with entries ``2*pi*epsilon*j``.
+    The properties derive from them, so a ``replace`` cannot leave one stale:
+    ``n`` rows of ``coeffs``, ``phi`` their lattice interpolant (built on first
+    read), ``psi`` the bump at ``2*pi``, and ``sup_bound = epsilon * sup |c_jk|``,
+    exactly ``sup |f|``, certified by :func:`certified_sup_norm`.
     """
 
-    n: int
-    phi: Callable
-    psi: Callable
     coeffs: CoeffMatrix
     A: HermitianMatrix
     B1: HermitianMatrix
     B2: HermitianMatrix
     C: HermitianMatrix
     epsilon: float = 1.0
-    sup_bound: float = 1.0
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.rows
+
+    @functools.cached_property
+    def phi(self) -> Callable:
+        return phi_from_coeffs(self.coeffs)
+
+    @property
+    def psi(self) -> Callable:
+        return eta_field(TWO_PI)
+
+    @property
+    def sup_bound(self) -> float:
+        return self.epsilon * self.coeffs.sup_abs
 
 
 def build_instance(n: int) -> CounterexampleInstance:
     """Assemble the size-``n`` instance (unscaled, ``epsilon = 1``)."""
     if n < 2:
         raise ValueError("instance size must be at least 2")
-    diag = HermitianMatrix.diag(TWO_PI * np.arange(n))
-    b1 = rank_one(TWO_PI, np.ones(n))
-    b2 = HermitianMatrix.zeros(n)
-    coeffs = triangular_coeffs(n)
-    phi = phi_from_coeffs(coeffs)
-    psi = eta_field(TWO_PI)
-    return CounterexampleInstance(
-        n=n, phi=phi, psi=psi, coeffs=coeffs, A=diag, B1=b1, B2=b2, C=diag,
-        epsilon=1.0, sup_bound=coeffs.sup_abs,
-    )
+    diag = HermitianMatrix.diag(_lattice(n))
+    return CounterexampleInstance(coeffs=triangular_coeffs(n), A=diag, B1=rank_one(TWO_PI, np.ones(n)),
+                                  B2=HermitianMatrix.zeros(n), C=diag)
 
 
 def difference_matrix(inst: CounterexampleInstance) -> np.ndarray:
@@ -274,7 +283,8 @@ def difference_matrix(inst: CounterexampleInstance) -> np.ndarray:
 
 
 def certified_sup_norm(inst: CounterexampleInstance) -> float:
-    """Exact ``sup |f|``, which is ``inst.sup_bound = eps * max |c_jk|``.
+    """Exact ``sup |f|``, which is ``inst.sup_bound = eps * max |c_jk|``; the one
+    owner of that check, which ``growth`` runs once per size, in :func:`growth_ratio`.
 
     Upper bound: ``0 <= eta <= 1`` and the Fejer identity
     ``sum_j eta(x - 2 pi j) = 1`` give ``|phi| <= max |c_jk|`` and
@@ -286,7 +296,7 @@ def certified_sup_norm(inst: CounterexampleInstance) -> float:
     """
     c = inst.coeffs
     j, k = np.unravel_index(int(np.abs(c.entries).argmax()), c.entries.shape)
-    attained = (inst.epsilon * abs(complex(inst.phi(TWO_PI * j, TWO_PI * k)))
+    attained = (inst.epsilon * abs(complex(inst.phi(_lattice(c.rows)[j], _lattice(c.cols)[k])))
                 * abs(float(inst.psi(TWO_PI))))
     if not abs(attained - inst.sup_bound) <= 1e-12 * inst.sup_bound:
         raise AssertionError(
@@ -391,13 +401,14 @@ def closed_form_ratio(inst: CounterexampleInstance) -> float:
     """Independent ratio path: ``||eps U_n / n||_S1`` over ``sup|f| * 2 pi eps``.
 
     The singular values of ``U_n`` are ``1 / (2 sin((2k+1) pi / (2(2n+1))))``
-    for ``k = 0..n-1``, so the numerator costs O(n).
+    for ``k = 0..n-1``, so the numerator costs O(n).  It reads ``inst.sup_bound``,
+    so it is independent of the certificate that :func:`growth_ratio` runs.
     """
     n = inst.n
     k = np.arange(n)
     s1 = math.fsum(1.0 / (2.0 * np.sin((2 * k + 1) * math.pi / (2.0 * (2 * n + 1)))))
     num = inst.epsilon / n * s1
-    den = certified_sup_norm(inst) * (TWO_PI * inst.epsilon)
+    den = inst.sup_bound * (TWO_PI * inst.epsilon)
     return num / den
 
 
@@ -405,22 +416,12 @@ def scale_instance(inst: CounterexampleInstance, eps: float) -> CounterexampleIn
     """Rescale: ``g = eps f(./eps)`` on ``eps``-scaled operators.
 
     The trace norm of the difference and of ``B1 - B2`` both scale by
-    exactly ``eps``; the sup norm bound scales by ``eps`` as well.
+    exactly ``eps``, and so does ``sup_bound``, through ``epsilon``.
     """
     e = float(eps)
     if not (e > 0.0) or not math.isfinite(e):
         raise ValueError(f"scale must be a positive finite number, got {eps!r}")
-    total = inst.epsilon * e
-    a = e * inst.A
-    return CounterexampleInstance(
-        n=inst.n,
-        phi=inst.phi,
-        psi=inst.psi,
-        coeffs=inst.coeffs,
-        A=a,
-        B1=e * inst.B1,
-        B2=e * inst.B2,
-        C=a if inst.C is inst.A else e * inst.C,
-        epsilon=total,
-        sup_bound=inst.sup_bound * e,
-    )
+    scaled = lambda h: HermitianMatrix(e * h.mat)
+    a = scaled(inst.A)
+    return replace(inst, A=a, B1=scaled(inst.B1), B2=scaled(inst.B2),
+                   C=a if inst.C is inst.A else scaled(inst.C), epsilon=inst.epsilon * e)

@@ -238,12 +238,6 @@ def _random_complex(rng, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def _random_hermitian(rng, n: int, scale: float = 1.0) -> HermitianMatrix:
-    raw = _random_complex(rng, n)
-    # raw + raw^H is exactly Hermitian, and real scalings keep it so
-    return HermitianMatrix._symmetric(scale * (raw + raw.conj().T) / (2.0 * math.sqrt(n)))
-
-
 def _unitary(raw: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(raw)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -318,7 +312,9 @@ def _in_stacks(rng, trials: int, sizes: int, draw: Callable, residuals: Callable
 
 
 def _hermitians(rng, n: int, count: int) -> tuple:
-    return tuple(_random_hermitian(rng, n, 2.0).mat for _ in range(count))
+    # raw + raw^H is exactly Hermitian, and real scalings keep it so
+    raws = (_random_complex(rng, n) for _ in range(count))
+    return tuple(2.0 * (raw + raw.conj().T) / (2.0 * math.sqrt(n)) for raw in raws)
 
 
 def _suite_perturbation(rng, trials: int) -> SuiteResult:

@@ -35,10 +35,9 @@ class HermitianMatrix:
     The input must be finite and satisfy ``entries[..., j, k] ==
     conj(entries[..., k, j])`` within ``1e-12`` (max-entry deviation); the
     stored matrix is the exactly symmetrized ``H / 2 + H* / 2``, which
-    cannot overflow, and is read-only.  Multiplication by a *real* scalar
-    stays inside the class.  There is no addition or subtraction: the
-    difference ``A.mat - B.mat`` of two instances is already exactly
-    Hermitian, bit for bit what a wrapper would store.
+    cannot overflow, and is read-only.  It has no arithmetic: ``A.mat - B.mat``
+    is already exactly Hermitian, bit for bit what a wrapper would store, and
+    a real multiple is ``HermitianMatrix(s * H.mat)``.
 
     The private ``_measure`` slot holds the spectral measure once
     :func:`xplab.spectral.from_hermitian` has computed it.
@@ -96,14 +95,6 @@ class HermitianMatrix:
         if isinstance(obj, cls):
             return obj
         return cls(obj)
-
-    def __mul__(self, scalar) -> "HermitianMatrix":
-        s = complex(scalar)
-        if s.imag != 0.0:
-            raise ValueError("only real scalars keep a Hermitian matrix Hermitian")
-        return HermitianMatrix(self._mat * s.real)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"HermitianMatrix(dim={self.dim})"

@@ -21,6 +21,7 @@ from .counterexample import (
     TWO_PI,
     CoeffMatrix,
     CounterexampleInstance,
+    _lattice,
     eta_periodized,
 )
 
@@ -63,8 +64,8 @@ def sample_phi_2d(c: CoeffMatrix) -> SampledField:
     z0, nz = _lattice_axis(c.cols)
     x = x0 + _STEP * np.arange(nx)
     z = z0 + _STEP * np.arange(nz)
-    bx = eta_periodized(x - TWO_PI * np.arange(c.rows)[:, None], nx * _STEP)
-    bz = eta_periodized(z - TWO_PI * np.arange(c.cols)[:, None], nz * _STEP)
+    bx = eta_periodized(x - _lattice(c.rows)[:, None], nx * _STEP)
+    bz = eta_periodized(z - _lattice(c.cols)[:, None], nz * _STEP)
     samples = bx.T @ c.entries @ bz
     return SampledField((x0, z0), (_STEP, _STEP), samples)
 

@@ -87,6 +87,19 @@ class TestGrowth:
                 row["s1_diff_norm"] / (row["sup_norm"] * row["perturbation_s1"]), rel=1e-12)
             assert abs(row["ratio"] - u_n_ratio(n)) <= 1e-9
 
+    def test_certifies_sup_norm_once_per_size(self, monkeypatch):
+        calls = []
+        original = counterexample.certified_sup_norm
+
+        def counted(inst):
+            calls.append(inst.n)
+            return original(inst)
+
+        for module in (counterexample, experiment):
+            monkeypatch.setattr(module, "certified_sup_norm", counted, raising=False)
+        experiment.cmd_growth(experiment.ExperimentConfig(sizes=(4, 8, 16), besov_max_size=0))
+        assert calls == [4, 8, 16]
+
     def test_besov_column(self, tmp_path, capsys):
         # the column is the f3 Besov report of each size up to --besov-max-size
         csv_rows, report = run_growth(tmp_path, "besov", "--besov-max-size", "8", sizes="4,8,16")

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from xplab import counterexample
 from xplab.counterexample import (
     TWO_PI,
     CoeffMatrix,
@@ -115,12 +116,12 @@ class TestEtaPeriodized:
         # sum_m 2(1 - cos u)/(u + P m)^2 = 2(1 - cos u)/P^2 *
         #   (zeta(2, u/P) + zeta(2, 1 - u/P)) for 0 < u < P
         p = 16 * math.pi
-        mpmath.mp.dps = 30
-        for u in (0.3, 2.0, math.pi, 11.0, 24.0):
-            frac = u / p
-            lattice = (mpmath.zeta(2, frac) + mpmath.zeta(2, 1 - frac)) / (p * p)
-            want = 2.0 * (1.0 - math.cos(u)) * float(lattice)
-            assert eta_periodized(u, p) == pytest.approx(want, rel=1e-12)
+        with mpmath.workdps(30):
+            for u in (0.3, 2.0, math.pi, 11.0, 24.0):
+                frac = u / p
+                lattice = (mpmath.zeta(2, frac) + mpmath.zeta(2, 1 - frac)) / (p * p)
+                want = 2.0 * (1.0 - math.cos(u)) * float(lattice)
+                assert eta_periodized(u, p) == pytest.approx(want, rel=1e-12)
 
     def test_reduces_to_brute_force_sum(self):
         p = 16 * math.pi
@@ -278,11 +279,29 @@ class TestCertifiedSupNorm:
         assert certified_sup_norm(inst) == eps
         assert certified_sup_norm(inst) == pytest.approx(measured_sup_norm(inst, step), rel=1e-12)
 
-    @pytest.mark.parametrize("bound", [2.0, 0.5])
-    def test_wrong_bound_is_a_bug(self, bound):
-        inst = dataclasses.replace(build_instance(4), sup_bound=bound)
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_wrong_bound_is_a_bug(self, monkeypatch, factor):
+        # phi misses the coefficients it interpolates, so |f| misses sup_bound
+        monkeypatch.setattr(counterexample, "phi_from_coeffs",
+                            lambda c: lambda x, y: factor * phi_from_coeffs(c)(x, y))
         with pytest.raises(AssertionError):
-            certified_sup_norm(inst)
+            certified_sup_norm(build_instance(4))
+
+    def test_follows_replaced_coefficients(self):
+        # sup |f| and the difference derive from the coefficients, so a replace cannot
+        # leave them behind: doubling every c_jk doubles both, exactly
+        inst = build_instance(6)
+        before = difference_matrix(inst)  # reads inst.phi before the replace
+        doubled = dataclasses.replace(inst, coeffs=CoeffMatrix(2 * np.triu(np.ones((6, 6)))))
+        assert certified_sup_norm(doubled) == 2.0
+        assert np.array_equal(difference_matrix(doubled), 2 * before)
+
+    def test_instance_stores_only_its_inputs(self):
+        inst = build_instance(4)
+        assert [f.name for f in dataclasses.fields(inst)] == ["coeffs", "A", "B1", "B2", "C", "epsilon"]
+        for name in ("n", "phi", "psi", "sup_bound", "epsilon"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, 1.0)
 
 
 class TestInstance:
@@ -329,19 +348,25 @@ class TestInstance:
 
 
 class TestDifferenceMatrix:
-    def test_factor_evaluations(self):
+    def test_factor_evaluations(self, monkeypatch):
         inst = build_instance(8)
         phi_calls, psi_calls = [], []
 
-        def phi(x, z):
-            phi_calls.append((np.shape(x), np.shape(z)))
-            return inst.phi(x, z)
+        def counted_phi(c):
+            def phi(x, z):
+                phi_calls.append((np.shape(x), np.shape(z)))
+                return phi_from_coeffs(c)(x, z)
+            return phi
 
-        def psi(y):
-            psi_calls.append(np.array(y))
-            return inst.psi(y)
+        def counted_psi(shift):
+            def psi(y):
+                psi_calls.append(np.array(y))
+                return eta_field(shift)(y)
+            return psi
 
-        difference_matrix(dataclasses.replace(inst, phi=phi, psi=psi))
+        monkeypatch.setattr(counterexample, "phi_from_coeffs", counted_phi)
+        monkeypatch.setattr(counterexample, "eta_field", counted_psi)
+        difference_matrix(inst)
         assert phi_calls == [((8, 1), (1, 8))]
         # B1 has the atoms 0 and 2 pi, B2 = 0 the atom 0
         assert [list(y) for y in psi_calls] == [[0.0, TWO_PI], [0.0]]
