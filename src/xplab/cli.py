@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     growth_help = ("run the trace-norm growth experiment; s1_diff and ratio are certified lower "
-                   "bounds, about n^2 2^-54 relative below exact, and pert an upper bound")
+                   "bounds, about 30 sqrt(n) 2^-53 relative below exact, and pert an upper bound")
     growth = sub.add_parser("growth", help=growth_help, description=growth_help)
     growth.add_argument("--sizes", type=_parse_sizes, required=True,
                         help="comma-separated instance sizes, ascending")

@@ -46,6 +46,7 @@ from .spectral import rank_one
 TWO_PI = 2.0 * math.pi
 _ETA_SERIES_CUTOFF = 1e-3
 _U = 2.0**-53  # unit roundoff of float64
+ULP_TRIG = 1  # np.sin errs by at most this many ulps on the certificates' arguments (audited in the tests)
 
 __all__ = [
     "TWO_PI",
@@ -173,6 +174,16 @@ def phi_from_coeffs(c: CoeffMatrix) -> Callable:
     a sparse mesh (one row axis before one column axis, as :func:`grid_eval`
     passes them), on which the evaluation is one bilinear GEMM, and raises
     ``ValueError`` on other arrays.
+
+    On the lattice mesh itself, both axes bit for bit ``fl(2 pi j)``, it
+    gathers: it returns a read-only view of the coefficients and runs no
+    ``eta`` and no GEMM.  The GEMM gives the same bits there, for finite
+    coefficients up to the sign of a zero: off the diagonal
+    ``|fl(2 pi i) - fl(2 pi j) - 2 pi (i - j)| < 1e-8`` (``fl(2 pi j)`` errs by
+    at most ``2 pi j u``, so for ``n`` up to several million), so ``1 - cos``
+    rounds to 0 and the bump is exactly 0; on the diagonal the argument is
+    exactly 0 and the series branch gives exactly 1.  The bump matrices are
+    then exact identities.
     """
     lat_x = _lattice(c.rows)
     lat_y = _lattice(c.cols)
@@ -183,13 +194,21 @@ def phi_from_coeffs(c: CoeffMatrix) -> Callable:
         ya = np.asarray(y, dtype=np.float64)
         if not _outer_pattern(xa.shape, ya.shape):
             raise ValueError(f"not a sparse mesh: shapes {xa.shape} and {ya.shape}")
+        shape = np.broadcast_shapes(xa.shape, ya.shape)
+        if _on_lattice(xa, lat_x) and _on_lattice(ya, lat_y):
+            return entries.reshape(shape)[()]
         bx = eta(xa[..., None] - lat_x)
         by = eta(ya[..., None] - lat_y)
         # scalars and sparse meshes of any rank reduce to one bilinear product
         out = (bx.reshape(-1, c.rows) @ entries) @ by.reshape(-1, c.cols).T
-        return out.reshape(np.broadcast_shapes(xa.shape, ya.shape))[()]
+        return out.reshape(shape)[()]
 
     return fn
+
+
+def _on_lattice(axis: np.ndarray, lattice: np.ndarray) -> bool:
+    """Whether a float64 mesh axis holds exactly ``lattice``, bit for bit."""
+    return axis.size == lattice.size and axis.tobytes() == lattice.tobytes()
 
 
 def _outer_pattern(xshape: tuple, yshape: tuple) -> bool:
@@ -321,6 +340,17 @@ def measured_sup_norm(inst: CounterexampleInstance, step: float = math.pi / 8) -
     return inst.epsilon * sup2 * sup1
 
 
+def _witness_g(n: int) -> np.ndarray:
+    """``g`` of :func:`triangular_witness` at its ``3n - 1`` arguments ``m = q / 2``,
+    odd ``q`` in ``[3 - 2n, 4n)``."""
+    big = 2 * n + 1
+    q = np.arange(3 - 2 * n, 4 * n, 2)
+    r = np.remainder(np.stack((q, n * q)) + 2 * big, 4 * big) - 2 * big  # in [-2N, 2N)
+    r = np.where(r > big, 2 * big - r, np.where(r < -big, -2 * big - r, r))
+    den, num = np.sin(r * (math.pi / (2 * big)))
+    return 2.0 * num * num / (big * den)
+
+
 def triangular_witness(n: int) -> np.ndarray:
     """The polar factor ``X`` of ``U_n`` (ones on and above the diagonal) in
     closed form, Hankel plus Toeplitz: ``X[j, l] = g(j + l + 3/2) +
@@ -330,12 +360,7 @@ def triangular_witness(n: int) -> np.ndarray:
     ``[-N, N]``, so a small sine keeps full relative accuracy."""
     if n < 1:
         raise ValueError("need n >= 1")
-    big = 2 * n + 1
-    q = np.arange(3 - 2 * n, 4 * n, 2)  # m = q / 2
-    r = np.remainder(np.stack((q, n * q)) + 2 * big, 4 * big) - 2 * big  # in [-2N, 2N)
-    r = np.where(r > big, 2 * big - r, np.where(r < -big, -2 * big - r, r))
-    den, num = np.sin(r * (math.pi / (2 * big)))
-    g = 2.0 * num * num / (big * den)
+    g = _witness_g(n)
     return sliding_window_view(g[n:], n) + sliding_window_view(g[: 2 * n - 1], n)[::-1]
 
 
@@ -346,37 +371,66 @@ def _up(x: float, k: int = 0) -> float:
     return math.nextafter(x * (1.0 + 2.04 * k * _U), math.inf)
 
 
-def _s1_lower_bound(d: np.ndarray, x: np.ndarray) -> float:
-    """A lower bound on ``||D||_S1`` by trace duality with any witness ``X``:
-    ``||D||_S1 >= |tr(X^T D)| / ||X||_op``, ``||X||_op^2 <= 1 +
-    ||X^T X - I||_F``.  The Gram GEMM errs by at most ``gamma_n ||X||_F^2``
-    in Frobenius norm; the trace, as ``n`` row dots and their sum, by at
-    most ``gamma_{2n} sum |X o D|``.  Overwrites ``d`` and ``x``."""
-    n = len(x)
-    gram = x.T @ x
-    gram.flat[:: n + 1] -= 1.0  # the + 2 below covers its rounding
-    gram_dev = _up(math.sqrt(_up(float(np.vdot(gram, gram)), n * n + 2)))
-    del gram
-    gram_slack = _up(1.02 * n * _U * _up(float(np.vdot(x, x)), n * n))
-    x_norm = _up(math.sqrt(_up(_up(1.0 + gram_dev) + gram_slack)))
-    trace = abs(float(np.einsum("ij,ij->i", x, d).sum()))
+def _witness_norm_bound(n: int) -> float:
+    """A certified upper bound on ``||fl(X)||_op`` for ``fl(X) = triangular_witness(n)``,
+    in O(n): the exact ``X`` is orthogonal, so ``||fl(X)||_op <= 1 + ||fl(X) - X||_F``.
+
+    Each sine's integer argument reduction is exact, and ``fl(r fl(pi / (2N)))`` is
+    ``x = r pi / (2N)`` times ``1 + theta``, ``|theta| <= gamma_3``.  As ``|r| <= N``,
+    ``|x| <= pi / 2``, where ``|x| <= (pi / 2) |sin x|``, so the sine of the rounded
+    argument is within ``(pi / 2) gamma_3`` of ``sin x`` relative, and ``np.sin`` adds
+    ``ULP_TRIG`` ulps, at most ``2 ULP_TRIG u`` relative.  The square, ``N den`` and the
+    quotient add ``gamma_3`` to ``g``, and each entry one rounding of its Hankel plus
+    Toeplitz sum; so ``|fl(X) - X| <= kappa (|fl(g_H)| + |fl(g_T)|)`` entrywise, and
+    ``||fl(X) - X||_F`` is at most ``kappa`` times the sum of the two Frobenius norms,
+    each over ``2n - 1`` diagonals of length ``n - |i - (n - 1)|``.
+    """
+    g = _witness_g(n)
+    gamma3 = 3.06 * _U
+    sine = 2.0 * ULP_TRIG * _U * (1.0 + 1.6 * gamma3) + 1.6 * gamma3  # pi / 2 < 1.6
+    # |fl(g) / g - 1| <= (1 + sine)^2 (1 + gamma3) / (1 - sine) - 1; the factors 1.01 cover
+    # the second-order terms, the division by 1 - that bound and the rounding of these lines
+    rel = 1.01 * (3.0 * sine + gamma3)
+    kappa = 1.01 * rel + _U
+    lengths = n - np.abs(np.arange(2 * n - 1) - (n - 1))
+    sq = g * g
+    norms = [_up(math.sqrt(_up(float(np.dot(lengths, sq[lo : lo + 2 * n - 1])), 2 * n)))
+             for lo in (n, 0)]
+    return _up(1.0 + _up(kappa * _up(norms[0] + norms[1])))
+
+
+_DOT_BLOCK = 64
+
+
+def _s1_lower_bound(d: np.ndarray, x: np.ndarray, x_norm: float) -> float:
+    """A lower bound on ``||D||_S1`` by trace duality with a square witness ``X``,
+    given ``x_norm >= ||X||_op``: ``||D||_S1 >= |tr(X^T D)| / ||X||_op``.  The
+    trace takes each row's dot in blocks of ``_DOT_BLOCK`` products, sums a row's
+    blocks and adds the rows by ``math.fsum``, so it errs by at most ``gamma_k sum
+    |X o D| + u |tr|``, ``k = _DOT_BLOCK + n // _DOT_BLOCK``.  Overwrites ``d`` and ``x``."""
+    n = x.shape[1]
+    cut = n - n % _DOT_BLOCK
+    rows = np.einsum("ijk,ijk->ij", *(a[:, :cut].reshape(len(a), -1, _DOT_BLOCK) for a in (x, d)))
+    rows = rows.sum(axis=1) + np.einsum("ij,ij->i", x[:, cut:], d[:, cut:])
+    trace = abs(math.fsum(rows.tolist()))
     abs_dot = float(np.vdot(np.abs(x, out=x), np.abs(d, out=d)))
-    low = math.nextafter(trace - _up(2.04 * n * _U * _up(abs_dot, n * n)), -math.inf)
+    slack = _up(1.02 * (_DOT_BLOCK + n // _DOT_BLOCK) * _U * _up(abs_dot, n * n))
+    low = math.nextafter(trace - _up(slack + _up(_U * trace, 1)), -math.inf)
     return max(0.0, math.nextafter(low / x_norm, -math.inf))
 
 
 def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
     """Certified ``(s1_diff, pert, ratio)`` for the ``D = f(A, B1, C) - f(A, B2, C)``
     of :func:`difference_matrix`, the separated double operator integral, with no
-    SVD or eigendecomposition: ``s1_diff <= ||D||_S1`` by trace duality with
-    :func:`triangular_witness`;
+    SVD, eigendecomposition or Gram product: ``s1_diff <= ||D||_S1`` by trace duality
+    with :func:`triangular_witness`, whose norm :func:`_witness_norm_bound` bounds in O(n);
     ``pert >= ||Delta||_S1``, ``Delta = B1 - B2``, by ``n |c| + sqrt(n)
     ||Delta - c J||_F`` (``c = Delta[0, 0]``, ``J`` all ones, residual 0 on
     the instance, plus ``u ||Delta||_F`` for rounding ``Delta``); so ``ratio =
-    s1_diff / (sup |f| * pert)`` is a lower bound, about ``n^2 u / 2``
-    (``u = 2^-53``) relative below exact: 1.5e-11 at n = 512."""
+    s1_diff / (sup |f| * pert)`` is a lower bound, about ``30 sqrt(n) u``
+    (``u = 2^-53``) relative below exact: 7.9e-14 at n = 512."""
     n = inst.n
-    s1_diff = _s1_lower_bound(difference_matrix(inst), triangular_witness(n))
+    s1_diff = _s1_lower_bound(difference_matrix(inst), triangular_witness(n), _witness_norm_bound(n))
     delta = inst.B1.mat - inst.B2.mat
     c = float(delta[0, 0])
     rounding = _U * _up(math.sqrt(_up(float(np.vdot(delta, delta)), n * n)))
@@ -389,12 +443,12 @@ def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
 
 def check_matrix_budget(n: int) -> None:
     """Raise ``ValueError`` when :func:`growth_ratio` at size ``n`` cannot fit in
-    physical memory: its numpy buffers alone peak at up to ``11 n^2`` float64 (a test pins it)."""
-    need = 11 * n * n * 8
+    physical memory: its numpy buffers alone peak at up to ``8 n^2`` float64 (a test pins it)."""
+    need = 8 * n * n * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"the matrix path at size {n} needs {need / 1e9:.1f} GB "
-                         f"(11 n^2 float64), over this machine's {have / 1e9:.1f} GB of memory")
+                         f"(8 n^2 float64), over this machine's {have / 1e9:.1f} GB of memory")
 
 
 def closed_form_ratio(inst: CounterexampleInstance) -> float:
@@ -403,10 +457,14 @@ def closed_form_ratio(inst: CounterexampleInstance) -> float:
     The singular values of ``U_n`` are ``1 / (2 sin((2k+1) pi / (2(2n+1))))``
     for ``k = 0..n-1``, so the numerator costs O(n).  It reads ``inst.sup_bound``,
     so it is independent of the certificate that :func:`growth_ratio` runs.
+    Raises ``ValueError`` unless ``inst.coeffs`` is the pattern ``c_jk = 1`` for
+    ``j <= k``, else 0, the one difference ``U_n / n`` it knows.
     """
     n = inst.n
     k = np.arange(n)
     s1 = math.fsum(1.0 / (2.0 * np.sin((2 * k + 1) * math.pi / (2.0 * (2 * n + 1)))))
+    if not np.array_equal(inst.coeffs.entries, ~np.tri(n, k=-1, dtype=bool)):
+        raise ValueError("closed_form_ratio needs the triangular coefficients c_jk = [j <= k]")
     num = inst.epsilon / n * s1
     den = inst.sup_bound * (TWO_PI * inst.epsilon)
     return num / den

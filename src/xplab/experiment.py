@@ -100,7 +100,7 @@ class SizeRow:
     """``s1_diff_norm`` is a certified lower bound on the trace norm of the
     difference matrix as computed, rounded down, ``perturbation_s1`` a
     certified upper bound on ``||B1 - B2||_S1``, rounded up, and ``sup_norm``
-    the exact ``sup |f|``.  ``ratio`` is then a lower bound, about ``n^2 u / 2``
+    the exact ``sup |f|``.  ``ratio`` is then a lower bound, about ``30 sqrt(n) u``
     (``u = 2^-53``) relative below ``closed_form_ratio``.
 
     ``besov_estimate`` (``None`` above ``besov_max_size``) estimates the

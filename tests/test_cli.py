@@ -411,16 +411,16 @@ def test_growth_besov_budget_checked_before_any_size(monkeypatch, capsys):
 
 
 def test_growth_matrix_memory_checked_before_any_size(monkeypatch, capsys):
-    # 11 n^2 float64 at n = 100000 is 880 GB; numpy would fail only after the smaller sizes ran
+    # 8 n^2 float64 at n = 100000 is 640 GB; numpy would fail only after the smaller sizes ran
     monkeypatch.setattr(experiment, "_grow_one", _no_computation)
     assert main(["growth", "--sizes", "8,100000", "--besov-max-size", "0"]) == 2
-    assert "config error: the matrix path at size 100000 needs 880.0 GB" in capsys.readouterr().err
+    assert "config error: the matrix path at size 100000 needs 640.0 GB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, fits", [(100, True), (101, False)])
 def test_matrix_budget_is_physical_memory(monkeypatch, n, fits):
-    # a machine of exactly 11 * 100^2 float64
-    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 11 * 100 * 100}
+    # a machine of exactly 8 * 100^2 float64
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 8 * 100 * 100}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     config = experiment.ExperimentConfig(sizes=(4, n), besov_max_size=0)
     if fits:

@@ -10,13 +10,16 @@ import pytest
 from xplab import counterexample
 from xplab.counterexample import (
     TWO_PI,
+    ULP_TRIG,
     CoeffMatrix,
     build_instance,
     certified_sup_norm,
     closed_form_ratio,
     difference_matrix,
     _ETA_SERIES_CUTOFF,
+    _lattice,
     _s1_lower_bound,
+    _witness_norm_bound,
     eta,
     eta_field,
     eta_periodized,
@@ -32,10 +35,7 @@ from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
 from xplab.opint import doi, func_calc_triple, grid_eval
 from xplab.spectral import from_hermitian
 
-from counterexample_reference import phi_elementwise
-
-# the certificates assume np.sin errs by at most this many ulps on their arguments
-ULP_TRIG = 1
+from counterexample_reference import gram_norm_bound, phi_elementwise
 
 
 class TestEta:
@@ -243,6 +243,39 @@ class TestCoeffsAndInterpolant:
             phi(np.zeros(xshape), np.zeros(yshape))
 
 
+class TestLatticeGather:
+    @pytest.mark.parametrize("n", [*range(2, 65), 512])
+    def test_difference_matches_the_bump_path(self, monkeypatch, n):
+        gathered = difference_matrix(build_instance(n))
+        monkeypatch.setattr(counterexample, "_on_lattice", lambda axis, lattice: False)
+        bumped = difference_matrix(build_instance(n))
+        assert gathered.dtype == bumped.dtype and gathered.tobytes() == bumped.tobytes()
+
+    def test_gathers_a_read_only_view(self, monkeypatch):
+        c = triangular_coeffs(5)
+        monkeypatch.setattr(counterexample, "eta", None)  # the gather runs no eta
+        lat = _lattice(5)
+        got = phi_from_coeffs(c)(lat[:, None, None], lat[None, None, :])
+        assert got.shape == (5, 1, 5)
+        assert np.shares_memory(got, c.entries) and not got.flags.writeable
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("change", ["ulp", "negative-zero"])
+    def test_off_the_lattice_takes_the_bump_path(self, monkeypatch, axis, change):
+        c = triangular_coeffs(6)
+        calls = []
+        monkeypatch.setattr(counterexample, "eta", lambda x: calls.append(1) or eta(x))
+        lat, off = _lattice(6), _lattice(6)
+        if change == "ulp":
+            off[3] = np.nextafter(off[3], math.inf)
+        else:
+            off[0] = -0.0
+        x, y = (off, lat) if axis == "x" else (lat, off)
+        got = phi_from_coeffs(c)(x[:, None], y[None, :])
+        assert len(calls) == 2 and not np.shares_memory(got, c.entries)
+        assert np.abs(got - c.entries).max() <= 1e-15
+
+
 class TestSupNorm:
     def test_zero_field(self):
         phi = phi_from_coeffs(CoeffMatrix(np.zeros((2, 2))))
@@ -399,7 +432,7 @@ class TestRatios:
     def test_two_paths_agree(self):
         for n in range(2, 65):
             inst = build_instance(n)
-            assert growth_ratio(inst)[2] == pytest.approx(closed_form_ratio(inst), rel=1e-9)
+            assert growth_ratio(inst)[2] == pytest.approx(closed_form_ratio(inst), rel=1e-12)
 
     def test_strictly_increasing_small_sizes(self):
         ratios = [growth_ratio(build_instance(n))[2] for n in (4, 8, 16, 32)]
@@ -408,7 +441,7 @@ class TestRatios:
 
     def test_matrix_path_at_512(self):
         inst = build_instance(512)
-        assert growth_ratio(inst)[2] == pytest.approx(closed_form_ratio(inst), rel=1e-9)
+        assert growth_ratio(inst)[2] == pytest.approx(closed_form_ratio(inst), rel=1e-12)
 
     def test_growth_ratio_peak_memory(self):
         # numpy buffers only (BLAS and LAPACK workspaces are not traced), so
@@ -421,7 +454,7 @@ class TestRatios:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * n * n * 8
+        assert peak <= 8 * n * n * 8
 
     def test_no_identity_built(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -440,7 +473,7 @@ class TestRatios:
             monkeypatch.setattr(np.linalg, name, fail)
         inst = build_instance(64)
         s1_diff, pert, ratio = growth_ratio(inst)
-        assert ratio == pytest.approx(closed_form_ratio(inst), rel=1e-10)
+        assert ratio == pytest.approx(closed_form_ratio(inst), rel=1e-12)
 
     def test_difference_stays_real(self):
         # real data runs real eigh, GEMMs and SVD; a complex upcast would show here
@@ -469,17 +502,22 @@ class TestCertifiedRatio:
         assert s1_diff <= svd_s1 * (1.0 + 1e-14)
         assert pert >= eig_pert * (1.0 - 1e-14)
         assert ratio <= lapack * (1.0 + 1e-14)
-        assert ratio >= closed_form_ratio(inst) * (1.0 - 1e-10)
+        assert ratio >= closed_form_ratio(inst) * (1.0 - 1e-12)
         # sin x <= x in the closed form: 1 / (2 sin x_k) >= (2n+1) / ((2k+1) pi), and the
         # odd harmonic sum grows like ln(n) / 2, so the ratio does too, in the direction needed
         odd_harmonic = math.fsum(1.0 / (2 * k + 1) for k in range(n))
         assert ratio >= (2 * n + 1) / (2 * math.pi**2 * n) * odd_harmonic
 
-    def test_allowance_is_about_n_squared_u(self):
-        for n in (64, 512):
+    def test_allowance_is_about_sqrt_n_u(self):
+        # the witness-norm bound's excess over 1 (about 30 sqrt(n) u), the trace's gamma_k
+        # with k = 64 + n // 64, pert's sqrt(n) u, and a few roundings on either side
+        u = 2.0**-53
+        for n in (2, 8, 64, 512):
+            excess = _witness_norm_bound(n) - 1.0
+            assert excess <= 32.0 * math.sqrt(n) * u
             inst = build_instance(n)
             gap = 1.0 - growth_ratio(inst)[2] / closed_form_ratio(inst)
-            assert 0.0 < gap <= 1.25 * n * n * 2.0**-54
+            assert 0.0 < gap <= excess + (1.02 * (64 + n // 64 + 1) + math.sqrt(n) + 20.0) * u
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-2, 1.0])
     def test_perturbed_witness_stays_below(self, scale):
@@ -487,13 +525,34 @@ class TestCertifiedRatio:
         d = difference_matrix(build_instance(n))
         svd_s1 = schatten_norm(d, 1)
         x = triangular_witness(n) + scale * np.random.default_rng(7).standard_normal((n, n))
-        got = _s1_lower_bound(d.copy(), x)
+        got = _s1_lower_bound(d.copy(), x, gram_norm_bound(x))
         assert 0.0 <= got <= svd_s1
 
     def test_wrong_witness_gives_a_loose_bound(self):
         d = difference_matrix(build_instance(16))
-        assert _s1_lower_bound(d.copy(), -np.eye(16)) == pytest.approx(abs(np.trace(d)), rel=1e-12)
-        assert _s1_lower_bound(d.copy(), np.zeros((16, 16))) == 0.0
+        x = -np.eye(16)
+        assert _s1_lower_bound(d.copy(), x, gram_norm_bound(x)) == pytest.approx(abs(np.trace(d)), rel=1e-12)
+        x = np.zeros((16, 16))
+        assert _s1_lower_bound(d.copy(), x, gram_norm_bound(x)) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 100, 200])
+    def test_trace_within_its_allowance(self, n):
+        # whole blocks of 64 products, a remainder, or both; nonnegative, so no cancellation
+        rng = np.random.default_rng(n)
+        x, d = rng.uniform(0.5, 2.0, (2, n, n))
+        with mpmath.workdps(60):
+            exact = mpmath.fsum(mpmath.mpf(a) * mpmath.mpf(b) for a, b in zip(x.ravel().tolist(), d.ravel().tolist()))
+        slack = (1.02 * (64 + n // 64) + 3.0) * 2.0**-53 * float(exact)
+        got = _s1_lower_bound(d.copy(), x.copy(), 1.0)
+        # below the exact trace, by at most the rounding error plus the slack that covers it
+        assert 0.0 <= float(exact) - got <= 2.0 * slack
+
+    @pytest.mark.parametrize("coeffs", [np.eye(6), 2.0 * np.triu(np.ones((6, 6))), np.ones((6, 6))],
+                             ids=["identity", "doubled", "full"])
+    def test_closed_form_needs_the_triangular_coefficients(self, coeffs):
+        inst = dataclasses.replace(build_instance(6), coeffs=CoeffMatrix(coeffs))
+        with pytest.raises(ValueError, match="triangular coefficients"):
+            closed_form_ratio(inst)
 
     @pytest.mark.parametrize("n", [2, 5, 32])
     def test_perturbation_bound_with_a_residual(self, n):
@@ -515,6 +574,13 @@ class TestCertifiedRatio:
             assert np.array_equal(inst.B1.mat, TWO_PI * np.full((n, n), 1 / n))
             fresh = dataclasses.replace(inst, B1=HermitianMatrix(inst.B1.mat))
             assert np.abs(difference_matrix(inst) - difference_matrix(fresh)).max() <= 1e-13
+
+
+class TestWitnessNormBound:
+    @pytest.mark.parametrize("n", [*range(1, 65), 512])
+    def test_bounds_the_computed_witness(self, n):
+        bound = _witness_norm_bound(n)
+        assert np.linalg.norm(triangular_witness(n), 2) <= bound <= 1.0 + 1e-12
 
 
 class _SineArguments(Exception):
