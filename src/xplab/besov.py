@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hermitian import _gamma, _up
+
 __all__ = [
     "window",
     "SampledField",
@@ -227,11 +229,11 @@ def _separable_piece_sup(
     only on rows that may hold the sup: the row maxima
     ``M_j(x) = max_z |S_j(x, z)|`` give ``bound(x) = sum_j max_y |g[y, j]|
     M_j(x)``; the row of largest bound gives ``best``, and every row with
-    ``bound * (1 + 1e-12) >= best`` runs, ties included.  The margin is
-    rigorous for ``k`` shells below about 4000: a computed ``k``-term product
-    is at most ``(1 + gamma_k)`` times the true ``sum |g||S|`` and the
-    computed bound at least ``(1 - gamma_k)`` times the true one, ``gamma_k
-    ~ k u``.  The sup is bitwise that of a full ``irfft2`` and every row.
+    ``bound * margin >= best`` runs, ties included, for ``margin`` at least
+    ``(1 + gamma_k) / (1 - gamma_k)`` over ``k`` shells: a computed ``k``-term
+    product is at most ``(1 + gamma_k)`` times the true ``sum |g||S|`` and the
+    computed bound at least ``(1 - gamma_k)`` times the true one.  The sup is
+    bitwise that of a full ``irfft2`` and every row.
     """
     scale = 2.0**n
     rr_max = rr.max()
@@ -262,7 +264,7 @@ def _separable_piece_sup(
     bound = np.abs(gs).max(axis=0) @ rowmax[:k]
     first = int(np.argmax(bound))
     best = _row_sup(gs, stack[:k], first)
-    keep = np.flatnonzero(bound * (1.0 + 1e-12) >= best)
+    keep = np.flatnonzero(bound * _up((1.0 + _gamma(k)) / (1.0 - _gamma(k)), 3) >= best)
     return max([best] + [_row_sup(gs, stack[:k], x) for x in keep if x != first])
 
 
@@ -274,15 +276,16 @@ def _row_sup(gs: np.ndarray, planes: np.ndarray, x: int) -> float:
 def _active_bins(lhat: np.ndarray, plane_shape: tuple) -> np.ndarray:
     """Middle-frequency bins of the line spectrum ``lhat`` with nonnegligible
     weight; raises ``ValueError`` when their slices of a plane of
-    ``plane_shape`` exceed the slice budget."""
+    ``plane_shape`` exceed the slice budget.  Building ``g`` holds up to two ``len(lhat) x
+    len(active)`` complex matrices, so each active bin also counts three line lengths."""
     active = np.flatnonzero(np.abs(lhat) > _SLICE_FLOOR * max(np.abs(lhat).max(), 1e-300))
-    need = len(active) * math.prod(plane_shape) * 16
+    need = len(active) * (math.prod(plane_shape) + 3 * len(lhat)) * 16
     if need > _SLICE_BYTES_BUDGET:
         nx, nz = plane_shape
         raise ValueError(
             f"separable Besov pieces need {need / 1e9:.1f} GB for {len(active)} "
-            f"middle-frequency slices of the {nx} x {nz} plane, over the "
-            f"{_SLICE_BYTES_BUDGET / 1e9:.1f} GB budget"
+            f"middle-frequency slices of the {nx} x {nz} plane and a {len(lhat)}-sample "
+            f"middle axis, over the {_SLICE_BYTES_BUDGET / 1e9:.1f} GB budget"
         )
     return active
 

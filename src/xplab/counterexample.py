@@ -38,15 +38,13 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hermitian import HermitianMatrix, _real_or_complex
+from .hermitian import ULP_TRIG, HermitianMatrix, _U, _gamma, _real_or_complex, _s1_lower_bound, _up
 from .opint import grid_eval
 from .perturbation import separated_difference
 from .spectral import rank_one
 
 TWO_PI = 2.0 * math.pi
 _ETA_SERIES_CUTOFF = 1e-3
-_U = 2.0**-53  # unit roundoff of float64
-ULP_TRIG = 1  # np.sin errs by at most this many ulps on the certificates' arguments (audited in the tests)
 
 __all__ = [
     "TWO_PI",
@@ -132,19 +130,22 @@ def eta_field(shift: float = 0.0) -> Callable:
 
 @dataclass(frozen=True)
 class CoeffMatrix:
-    """Finite coefficient family ``{c_jk}`` with its sup norm; the entries
-    are float64, or complex128 when the input is complex."""
+    """Finite coefficient family ``{c_jk}`` with its sup norm, first attained at ``peak
+    = (j, k)``; the entries are float64, or complex128 when the input is complex."""
 
     entries: np.ndarray
     sup_abs: float = field(init=False)
+    peak: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.array(_real_or_complex(self.entries))
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("coefficient matrix must be 2-D and nonempty")
         arr.setflags(write=False)
+        mags = np.abs(arr)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "sup_abs", float(np.abs(arr).max()))
+        object.__setattr__(self, "peak", divmod(int(mags.argmax()), arr.shape[1]))
+        object.__setattr__(self, "sup_abs", float(mags[self.peak]))
 
     @property
     def rows(self) -> int:
@@ -314,7 +315,7 @@ def certified_sup_norm(inst: CounterexampleInstance) -> float:
     is a bug and raises ``AssertionError``.
     """
     c = inst.coeffs
-    j, k = np.unravel_index(int(np.abs(c.entries).argmax()), c.entries.shape)
+    j, k = c.peak
     attained = (inst.epsilon * abs(complex(inst.phi(_lattice(c.rows)[j], _lattice(c.cols)[k])))
                 * abs(float(inst.psi(TWO_PI))))
     if not abs(attained - inst.sup_bound) <= 1e-12 * inst.sup_bound:
@@ -364,13 +365,6 @@ def triangular_witness(n: int) -> np.ndarray:
     return sliding_window_view(g[n:], n) + sliding_window_view(g[: 2 * n - 1], n)[::-1]
 
 
-def _up(x: float, k: int = 0) -> float:
-    """An upper bound on the exact value of ``x >= 0``, the result of one rounded
-    step (``k = 0``) or of a sum or dot product of ``k`` terms in any order, with
-    relative error ``<= gamma_k = k u / (1 - k u) <= 1.02 k u`` while ``k u < 0.019``."""
-    return math.nextafter(x * (1.0 + 2.04 * k * _U), math.inf)
-
-
 def _witness_norm_bound(n: int) -> float:
     """A certified upper bound on ``||fl(X)||_op`` for ``fl(X) = triangular_witness(n)``,
     in O(n): the exact ``X`` is orthogonal, so ``||fl(X)||_op <= 1 + ||fl(X) - X||_F``.
@@ -386,7 +380,7 @@ def _witness_norm_bound(n: int) -> float:
     each over ``2n - 1`` diagonals of length ``n - |i - (n - 1)|``.
     """
     g = _witness_g(n)
-    gamma3 = 3.06 * _U
+    gamma3 = _gamma(3)
     sine = 2.0 * ULP_TRIG * _U * (1.0 + 1.6 * gamma3) + 1.6 * gamma3  # pi / 2 < 1.6
     # |fl(g) / g - 1| <= (1 + sine)^2 (1 + gamma3) / (1 - sine) - 1; the factors 1.01 cover
     # the second-order terms, the division by 1 - that bound and the rounding of these lines
@@ -397,26 +391,6 @@ def _witness_norm_bound(n: int) -> float:
     norms = [_up(math.sqrt(_up(float(np.dot(lengths, sq[lo : lo + 2 * n - 1])), 2 * n)))
              for lo in (n, 0)]
     return _up(1.0 + _up(kappa * _up(norms[0] + norms[1])))
-
-
-_DOT_BLOCK = 64
-
-
-def _s1_lower_bound(d: np.ndarray, x: np.ndarray, x_norm: float) -> float:
-    """A lower bound on ``||D||_S1`` by trace duality with a square witness ``X``,
-    given ``x_norm >= ||X||_op``: ``||D||_S1 >= |tr(X^T D)| / ||X||_op``.  The
-    trace takes each row's dot in blocks of ``_DOT_BLOCK`` products, sums a row's
-    blocks and adds the rows by ``math.fsum``, so it errs by at most ``gamma_k sum
-    |X o D| + u |tr|``, ``k = _DOT_BLOCK + n // _DOT_BLOCK``.  Overwrites ``d`` and ``x``."""
-    n = x.shape[1]
-    cut = n - n % _DOT_BLOCK
-    rows = np.einsum("ijk,ijk->ij", *(a[:, :cut].reshape(len(a), -1, _DOT_BLOCK) for a in (x, d)))
-    rows = rows.sum(axis=1) + np.einsum("ij,ij->i", x[:, cut:], d[:, cut:])
-    trace = abs(math.fsum(rows.tolist()))
-    abs_dot = float(np.vdot(np.abs(x, out=x), np.abs(d, out=d)))
-    slack = _up(1.02 * (_DOT_BLOCK + n // _DOT_BLOCK) * _U * _up(abs_dot, n * n))
-    low = math.nextafter(trace - _up(slack + _up(_U * trace, 1)), -math.inf)
-    return max(0.0, math.nextafter(low / x_norm, -math.inf))
 
 
 def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:

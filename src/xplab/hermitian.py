@@ -1,5 +1,6 @@
 """Dense matrix numerics: Hermitian eigendecompositions, singular values
-and Schatten norms.
+and Schatten norms.  It owns the rounding model of every certified bound,
+:func:`_gamma` and :func:`_up` (Higham, *Accuracy and Stability*, ch. 3).
 
 Everything here is a pure function of its inputs.  Matrices are plain
 ``numpy`` arrays except for :class:`HermitianMatrix`, a thin immutable
@@ -17,6 +18,9 @@ import math
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
+_U = 2.0**-53  # unit roundoff of float64
+ULP_TRIG = 1  # np.sin errs by at most this many ulps on the certificates' arguments (audited in the tests)
+_DOT_BLOCK = 64  # products per block of each row's dot in _s1_lower_bound
 
 __all__ = [
     "HERMITIAN_TOL",
@@ -191,3 +195,32 @@ def _schatten(s: np.ndarray, p: float):
         # a scalar power per norm, as one matrix takes it: numpy's array power rounds otherwise
         norm = smax[..., 0] * np.reshape([t ** (1.0 / p) for t in np.ravel(total)], total.shape)
     return float(norm) if norm.ndim == 0 else norm
+
+
+def _gamma(k: int) -> float:
+    """``1.02 k u >= gamma_k = k u / (1 - k u)`` while ``k u < 0.019``: a sum or dot product
+    of ``k`` terms, in any order, errs by at most ``gamma_k`` times the terms' magnitudes."""
+    return 1.02 * k * _U
+
+
+def _up(x: float, k: int = 0) -> float:
+    """An upper bound on the exact value of ``x >= 0``, the result of one rounded step
+    (``k = 0``) or of a sum or dot product of ``k`` terms, relative error ``<= gamma_k``."""
+    return math.nextafter(x * (1.0 + 2.0 * _gamma(k)), math.inf)
+
+
+def _s1_lower_bound(d: np.ndarray, x: np.ndarray, x_norm: float) -> float:
+    """A lower bound on ``||D||_S1`` by trace duality with a square witness ``X``,
+    given ``x_norm >= ||X||_op``: ``||D||_S1 >= |tr(X^T D)| / ||X||_op``.  The
+    trace takes each row's dot in blocks of ``_DOT_BLOCK`` products, sums a row's
+    blocks and adds the rows by ``math.fsum``, so it errs by at most ``gamma_k sum
+    |X o D| + u |tr|``, ``k = _DOT_BLOCK + n // _DOT_BLOCK``.  Overwrites ``d`` and ``x``."""
+    n = x.shape[1]
+    cut = n - n % _DOT_BLOCK
+    rows = np.einsum("ijk,ijk->ij", *(a[:, :cut].reshape(len(a), -1, _DOT_BLOCK) for a in (x, d)))
+    rows = rows.sum(axis=1) + np.einsum("ij,ij->i", x[:, cut:], d[:, cut:])
+    trace = abs(math.fsum(rows.tolist()))
+    abs_dot = float(np.vdot(np.abs(x, out=x), np.abs(d, out=d)))
+    slack = _up(_gamma(_DOT_BLOCK + n // _DOT_BLOCK) * _up(abs_dot, n * n))
+    low = math.nextafter(trace - _up(slack + _up(_U * trace, 1)), -math.inf)
+    return max(0.0, math.nextafter(low / x_norm, -math.inf))

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 
-from xplab.counterexample import _U, CoeffMatrix, _lattice, _up, eta
+from xplab.counterexample import CoeffMatrix, _lattice, eta
+from xplab.hermitian import _gamma, _up
 
 
 def phi_elementwise(c: CoeffMatrix, x, y) -> np.ndarray:
@@ -32,5 +33,5 @@ def gram_norm_bound(x: np.ndarray) -> float:
     gram = x.T @ x
     gram.flat[:: n + 1] -= 1.0  # the + 2 below covers its rounding
     gram_dev = _up(math.sqrt(_up(float(np.vdot(gram, gram)), n * n + 2)))
-    gram_slack = _up(1.02 * n * _U * _up(float(np.vdot(x, x)), n * n))
+    gram_slack = _up(_gamma(n) * _up(float(np.vdot(x, x)), n * n))
     return _up(math.sqrt(_up(_up(1.0 + gram_dev) + gram_slack)))

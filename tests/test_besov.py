@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,6 +430,27 @@ class TestSeparable:
         # f3:16 runs 42 of the 1792 rows of its pieces with an active shell
         runs, rows = self._rows_run(monkeypatch, sample_instance(build_instance(16)))
         assert 0 < runs < 0.1 * rows
+
+    def test_budget_counts_the_middle_axis(self, monkeypatch):
+        # a long random line over an 8 x 8 plane: the middle-axis matrices that build g,
+        # not the slices, set the peak, and the budget counts them
+        rng = np.random.default_rng(13)
+        plane = SampledField((0.0, 0.0), (1.0, 1.0), rng.standard_normal((8, 8)))
+        line = SampledField((0.0,), (1.0,), rng.standard_normal(512))
+        tracemalloc.start()
+        try:
+            besov_breakdown(SeparableField3(plane, line))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(besov, "_SLICE_BYTES_BUDGET", peak)
+        with pytest.raises(ValueError, match="512-sample middle axis"):
+            besov.check_slice_budget(line, plane.shape)
+        # 4096 samples would take about 0.5 GB; they are refused before any of it
+        monkeypatch.setattr(besov, "_SLICE_BYTES_BUDGET", 100_000_000)
+        long_line = SampledField((0.0,), (1.0,), rng.standard_normal(4096))
+        with pytest.raises(ValueError, match="over the 0.1 GB budget"):
+            besov_breakdown(SeparableField3(plane, long_line))
 
     def test_tied_rows_all_run(self, monkeypatch):
         runs, rows = self._rows_run(monkeypatch, _x_constant_separable())

@@ -116,6 +116,14 @@ class TestGrowth:
         assert main(["growth", "--sizes", "4,8,16", "--besov-max-size", "8"]) == 0
         assert capsys.readouterr().out == "\n".join(experiment.cmd_growth(config).lines()) + "\n"
 
+    def test_headline_fit_grows_like_log_n(self):
+        # the ROADMAP's headline sizes: a slope below the asymptotic 1 / (2 pi^2) and a
+        # straight line in ln n (b = 0.04758 and r^2 = 0.99944 here)
+        a, b, r_squared = experiment.cmd_growth(
+            experiment.ExperimentConfig(sizes=(8, 16, 32, 64, 128, 256), besov_max_size=0)).fit
+        assert 0.045 <= b <= 1.0 / (2.0 * math.pi**2)
+        assert r_squared >= 0.999
+
     def test_single_size_writes_null_fit(self, tmp_path, capsys):
         json_path = tmp_path / "one.json"
         code = main(["growth", "--sizes", "8", "--besov-max-size", "0", "--json", str(json_path)])

@@ -10,7 +10,6 @@ import pytest
 from xplab import counterexample
 from xplab.counterexample import (
     TWO_PI,
-    ULP_TRIG,
     CoeffMatrix,
     build_instance,
     certified_sup_norm,
@@ -18,7 +17,6 @@ from xplab.counterexample import (
     difference_matrix,
     _ETA_SERIES_CUTOFF,
     _lattice,
-    _s1_lower_bound,
     _witness_norm_bound,
     eta,
     eta_field,
@@ -31,7 +29,7 @@ from xplab.counterexample import (
     triangular_coeffs,
     triangular_witness,
 )
-from xplab.hermitian import HermitianMatrix, schatten_norm, singular_values
+from xplab.hermitian import ULP_TRIG, HermitianMatrix, _gamma, _s1_lower_bound, schatten_norm, singular_values
 from xplab.opint import doi, func_calc_triple, grid_eval
 from xplab.spectral import from_hermitian
 
@@ -179,6 +177,10 @@ class TestCoeffsAndInterpolant:
     def test_sup_abs_stored(self):
         c = CoeffMatrix([[1.0, -3.0j], [0.0, 2.0]])
         assert c.sup_abs == 3.0
+        # the first largest |c_jk| in row-major order, where certified_sup_norm checks f
+        assert c.peak == (0, 1)
+        assert CoeffMatrix([[1.0, 2.0], [-2.0, 0.5]]).peak == (0, 1)
+        assert math.isnan(CoeffMatrix([[1.0, np.nan]]).sup_abs)
 
     def test_single_coefficient_interpolation(self):
         phi = phi_from_coeffs(CoeffMatrix([[1.0]]))
@@ -517,7 +519,7 @@ class TestCertifiedRatio:
             assert excess <= 32.0 * math.sqrt(n) * u
             inst = build_instance(n)
             gap = 1.0 - growth_ratio(inst)[2] / closed_form_ratio(inst)
-            assert 0.0 < gap <= excess + (1.02 * (64 + n // 64 + 1) + math.sqrt(n) + 20.0) * u
+            assert 0.0 < gap <= excess + _gamma(64 + n // 64 + 1) + (math.sqrt(n) + 20.0) * u
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-2, 1.0])
     def test_perturbed_witness_stays_below(self, scale):
@@ -542,7 +544,7 @@ class TestCertifiedRatio:
         x, d = rng.uniform(0.5, 2.0, (2, n, n))
         with mpmath.workdps(60):
             exact = mpmath.fsum(mpmath.mpf(a) * mpmath.mpf(b) for a, b in zip(x.ravel().tolist(), d.ravel().tolist()))
-        slack = (1.02 * (64 + n // 64) + 3.0) * 2.0**-53 * float(exact)
+        slack = (_gamma(64 + n // 64) + 3.0 * 2.0**-53) * float(exact)
         got = _s1_lower_bound(d.copy(), x.copy(), 1.0)
         # below the exact trace, by at most the rounding error plus the slack that covers it
         assert 0.0 <= float(exact) - got <= 2.0 * slack

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 
 from xplab.counterexample import TWO_PI
 from xplab.experiment import _hermitians
-from xplab.hermitian import HermitianMatrix, as_matrix, schatten_norm, singular_values
+from xplab.hermitian import (
+    _DOT_BLOCK,
+    _U,
+    HermitianMatrix,
+    _gamma,
+    _s1_lower_bound,
+    _up,
+    as_matrix,
+    schatten_norm,
+    singular_values,
+)
 from xplab.spectral import rank_one
 
 from conftest import random_complex, random_hermitian, random_unitary
@@ -178,3 +189,53 @@ def test_schatten_monotone_in_p(p, q, seed):
     m = random_complex(np.random.default_rng(seed), 4)
     # p >= q implies the p-norm is the smaller one
     assert schatten_norm(m, p) <= schatten_norm(m, q) + 1e-10
+
+
+def _exact_gamma(k: int) -> Fraction:
+    ku = Fraction(k) * Fraction(_U)
+    return ku / (1 - ku)
+
+
+def _cancelling_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Square ``X`` and ``D`` with mixed signs and magnitudes over ``2^-20 .. 2^20``,
+    whose products cancel in pairs up to rounding but for ``n`` of them, so
+    ``tr(X^T D)`` is well below ``sum |X o D|`` and above the bound's allowance."""
+    rng = np.random.default_rng(seed)
+    x, d = (rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(1.0, 2.0, (n, n))
+            * np.exp2(rng.integers(-20, 21, (n, n))) for _ in range(2))
+    xf, df = x.ravel(), d.ravel()
+    half = (n * n - n) // 2
+    df[half : 2 * half] = -xf[:half] * df[:half] / xf[half : 2 * half]
+    return x, d
+
+
+class TestRoundingModel:
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 130, 10**6, 2**40, 10**14])
+    def test_gamma_bounds_the_exact_gamma(self, k):
+        assert Fraction(_gamma(k)) >= _exact_gamma(k)
+
+    def test_up_bounds_the_exact_value(self):
+        # a computed x with relative error <= gamma_k (u for one rounded step, k = 0)
+        # comes from an exact value of at most x / (1 - gamma_k), itself >= x (1 + gamma_k)
+        rng = np.random.default_rng(3)
+        xs = [1.0, math.nextafter(2.0, 0.0), 3.0, 2.0**-1000, 1e300,
+              *(rng.uniform(1.0, 2.0, 50) * np.exp2(rng.integers(-60, 61, 50))).tolist()]
+        for k in (0, 1, 2, 3, 7, 64, 65, 130, 4096, 10**6, 2**40):
+            err = Fraction(_U) if k == 0 else _exact_gamma(k)
+            for x in xs:
+                assert Fraction(_up(x, k)) >= Fraction(x) / (1 - err)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_s1_lower_bound_at_the_block_edges(self, n):
+        # one partial block, one whole block short of a block, exactly one, one and a
+        # remainder, two and a remainder, against the trace computed exactly
+        x, d = _cancelling_pair(n, n)
+        products = [Fraction(a) * Fraction(b) for a, b in zip(x.ravel().tolist(), d.ravel().tolist())]
+        exact = abs(sum(products))
+        allowance = (Fraction(_gamma(_DOT_BLOCK + n // _DOT_BLOCK)) * sum(abs(p) for p in products)
+                     + Fraction(_U) * exact)
+        got = Fraction(_s1_lower_bound(d, x, 1.0))
+        assert 0 < got <= exact
+        # the allowance is spent twice at most: once by the trace's own error, once by
+        # the slack subtracted to cover it, which its upward roundings raise by < 1e-9
+        assert exact - got <= 2 * allowance * (1 + Fraction(1, 10**9))
