@@ -15,7 +15,7 @@ while the perturbation ``B1 - B2`` has trace norm ``2*pi`` and
 ``sup |f| <= 1``.  Scaling ``g = eps f(./eps)`` on ``eps``-scaled operators
 shrinks the perturbation while the trace-norm ratio keeps growing.  An
 instance stores its inputs ``c_jk``, operators and ``eps``; ``n``, ``phi``,
-``psi`` and ``sup |f|`` derive from them.
+``psi`` and ``sup |f|`` derive from them; its operators are O(n) spectral measures.
 
 As ``f`` separates, :func:`difference_matrix` is the double integral
 ``doi(phi's atom grid, E_A, psi(B1) - psi(B2), E_C)``, checked against two triple
@@ -23,7 +23,7 @@ integrals in the tests and by ``verify``'s separated triple difference suite.
 
 :func:`growth_ratio` bounds the difference's trace norm from below and
 that of ``B1 - B2`` from above, so its ratio is a certified lower bound; it
-runs no SVD or eigendecomposition, as ``B1`` carries its spectral measure.
+runs no SVD or eigendecomposition, as the operators are spectral measures.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hermitian import ULP_TRIG, HermitianMatrix, _U, _gamma, _real_or_complex, _s1_lower_bound, _up
+from .hermitian import ULP_TRIG, _U, _gamma, _real_or_complex, _s1_lower_bound, _up
 from .opint import grid_eval
 from .perturbation import separated_difference
-from .spectral import rank_one
+from .spectral import SpectralMeasure, _measure, rank_one
 
 TWO_PI = 2.0 * math.pi
 _ETA_SERIES_CUTOFF = 1e-3
@@ -138,7 +138,16 @@ class CoeffMatrix:
     peak: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(_real_or_complex(self.entries))
+        self._adopt(np.array(_real_or_complex(self.entries)))
+
+    @classmethod
+    def _owning(cls, arr: np.ndarray) -> CoeffMatrix:
+        """Wrap a fresh float64 or complex128 array that a builder hands over: no copy."""
+        c = cls.__new__(cls)
+        c._adopt(arr)
+        return c
+
+    def _adopt(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("coefficient matrix must be 2-D and nonempty")
         arr.setflags(write=False)
@@ -160,7 +169,7 @@ def triangular_coeffs(n: int) -> CoeffMatrix:
     """Coefficients ``c_jk = 1`` for ``j <= k``, else 0 (0-indexed, n x n)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return CoeffMatrix(np.triu(np.ones((n, n))))
+    return CoeffMatrix._owning(np.triu(np.ones((n, n))))
 
 
 def _lattice(count: int) -> np.ndarray:
@@ -247,8 +256,9 @@ def sup_norm_estimate(phi, grid_radius: float, grid_step: float) -> float:
 class CounterexampleInstance:
     """One size of the counterexample family, possibly ``eps``-scaled.
 
-    The fields are the inputs: ``B1 - B2`` has rank one with trace norm
-    ``2*pi*epsilon``; ``A = C`` diagonal with entries ``2*pi*epsilon*j``.
+    The fields are the inputs, the operators as spectral measures: ``A = C`` the values
+    ``2*pi*epsilon*j`` on the identity basis, ``B1`` the :func:`~xplab.spectral.rank_one`
+    measure of ``2*pi*epsilon*P``, ``B2 = 0`` one atom at 0 on the identity basis.
     The properties derive from them, so a ``replace`` cannot leave one stale:
     ``n`` rows of ``coeffs``, ``phi`` their lattice interpolant (built on first
     read), ``psi`` the bump at ``2*pi``, and ``sup_bound = epsilon * sup |c_jk|``,
@@ -256,10 +266,10 @@ class CounterexampleInstance:
     """
 
     coeffs: CoeffMatrix
-    A: HermitianMatrix
-    B1: HermitianMatrix
-    B2: HermitianMatrix
-    C: HermitianMatrix
+    A: SpectralMeasure
+    B1: SpectralMeasure
+    B2: SpectralMeasure
+    C: SpectralMeasure
     epsilon: float = 1.0
 
     @property
@@ -283,9 +293,9 @@ def build_instance(n: int) -> CounterexampleInstance:
     """Assemble the size-``n`` instance (unscaled, ``epsilon = 1``)."""
     if n < 2:
         raise ValueError("instance size must be at least 2")
-    diag = HermitianMatrix.diag(_lattice(n))
-    return CounterexampleInstance(coeffs=triangular_coeffs(n), A=diag, B1=rank_one(TWO_PI, np.ones(n)),
-                                  B2=HermitianMatrix.zeros(n), C=diag)
+    lattice = SpectralMeasure(_lattice(n), None, np.arange(n + 1))
+    return CounterexampleInstance(coeffs=triangular_coeffs(n), A=lattice, B1=rank_one(TWO_PI, np.ones(n)),
+                                  B2=SpectralMeasure([0.0], None, [0, n]), C=lattice)
 
 
 def difference_matrix(inst: CounterexampleInstance) -> np.ndarray:
@@ -398,31 +408,35 @@ def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
     of :func:`difference_matrix`, the separated double operator integral, with no
     SVD, eigendecomposition or Gram product: ``s1_diff <= ||D||_S1`` by trace duality
     with :func:`triangular_witness`, whose norm :func:`_witness_norm_bound` bounds in O(n);
-    ``pert >= ||Delta||_S1``, ``Delta = B1 - B2``, by ``n |c| + sqrt(n)
-    ||Delta - c J||_F`` (``c = Delta[0, 0]``, ``J`` all ones, residual 0 on
-    the instance, plus ``u ||Delta||_F`` for rounding ``Delta``); so ``ratio =
-    s1_diff / (sup |f| * pert)`` is a lower bound, about ``30 sqrt(n) u``
-    (``u = 2^-53``) relative below exact: 7.9e-14 at n = 512."""
+    ``pert >= ||B1 - B2||_S1`` for the operators the measures define, which ``D`` is computed
+    from: by the triangle inequality over rank-one terms, ``sum |value| ||V_col||^2`` over both
+    measures' basis columns, ``2 pi ||v||^2`` on the instance (``v`` the last column of ``B1``'s
+    reflector), each ``||V_col||^2`` a ``math.fsum`` of ``re^2 + im^2`` within ``gamma_3``;
+    so ``ratio = s1_diff / (sup |f| * pert)`` is a lower bound, about ``30 sqrt(n) u``
+    (``u = 2^-53``) relative below exact: 7.7e-14 at n = 512."""
     n = inst.n
     s1_diff = _s1_lower_bound(difference_matrix(inst), triangular_witness(n), _witness_norm_bound(n))
-    delta = inst.B1.mat - inst.B2.mat
-    c = float(delta[0, 0])
-    rounding = _U * _up(math.sqrt(_up(float(np.vdot(delta, delta)), n * n)))
-    delta -= c
-    resid = _up(_up(math.sqrt(_up(float(np.vdot(delta, delta)), n * n + 2))) + rounding)
-    pert = _up(_up(n * abs(c)) + _up(_up(math.sqrt(n)) * resid))
+    terms = []
+    for e in map(_measure, (inst.B1, inst.B2)):
+        mags = np.abs(e.values)[e.columns]
+        keep = np.flatnonzero(mags)
+        cols = e.basis  # a reflector measure forms its basis on each read
+        cols = np.ones((len(keep), 1)) if cols is None else cols[:, keep].T
+        terms += [_up(m * _up(math.fsum((c.real**2 + c.imag**2).tolist()), 3))
+                  for m, c in zip(mags[keep].tolist(), cols)]
+    pert = _up(math.fsum(terms))
     den = _up(certified_sup_norm(inst) * pert)
     return s1_diff, pert, math.nextafter(s1_diff / den, -math.inf)
 
 
 def check_matrix_budget(n: int) -> None:
-    """Raise ``ValueError`` when :func:`growth_ratio` at size ``n`` cannot fit in
-    physical memory: its numpy buffers alone peak at up to ``8 n^2`` float64 (a test pins it)."""
-    need = 8 * n * n * 8
+    """Raise ``ValueError`` when :func:`growth_ratio` at size ``n`` cannot fit in physical memory:
+    its numpy buffers peak at about ``3 n^2`` float64 (a test pins ``3.5 n^2``); it asks ``4 n^2``."""
+    need = 4 * n * n * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"the matrix path at size {n} needs {need / 1e9:.1f} GB "
-                         f"(8 n^2 float64), over this machine's {have / 1e9:.1f} GB of memory")
+                         f"(4 n^2 float64), over this machine's {have / 1e9:.1f} GB of memory")
 
 
 def closed_form_ratio(inst: CounterexampleInstance) -> float:
@@ -445,7 +459,7 @@ def closed_form_ratio(inst: CounterexampleInstance) -> float:
 
 
 def scale_instance(inst: CounterexampleInstance, eps: float) -> CounterexampleInstance:
-    """Rescale: ``g = eps f(./eps)`` on ``eps``-scaled operators.
+    """Rescale: ``g = eps f(./eps)`` on ``eps``-scaled operators (their measures' values).
 
     The trace norm of the difference and of ``B1 - B2`` both scale by
     exactly ``eps``, and so does ``sup_bound``, through ``epsilon``.
@@ -453,7 +467,6 @@ def scale_instance(inst: CounterexampleInstance, eps: float) -> CounterexampleIn
     e = float(eps)
     if not (e > 0.0) or not math.isfinite(e):
         raise ValueError(f"scale must be a positive finite number, got {eps!r}")
-    scaled = lambda h: HermitianMatrix(e * h.mat)
-    a = scaled(inst.A)
-    return replace(inst, A=a, B1=scaled(inst.B1), B2=scaled(inst.B2),
-                   C=a if inst.C is inst.A else scaled(inst.C), epsilon=inst.epsilon * e)
+    a = inst.A.scaled(e)
+    return replace(inst, A=a, B1=inst.B1.scaled(e), B2=inst.B2.scaled(e),
+                   C=a if inst.C is inst.A else inst.C.scaled(e), epsilon=inst.epsilon * e)

@@ -85,15 +85,6 @@ class HermitianMatrix:
         return self._mat.shape[-1]
 
     @classmethod
-    def diag(cls, values) -> "HermitianMatrix":
-        """Diagonal Hermitian matrix from a sequence of real values."""
-        return cls._symmetric(np.diag(np.asarray(values, dtype=np.float64)))
-
-    @classmethod
-    def zeros(cls, dim: int) -> "HermitianMatrix":
-        return cls._symmetric(np.zeros((dim, dim)))
-
-    @classmethod
     def wrap(cls, obj) -> "HermitianMatrix":
         """Coerce an array-like (or pass through a HermitianMatrix)."""
         if isinstance(obj, cls):

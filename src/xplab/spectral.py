@@ -5,7 +5,7 @@ whose orthogonal projections resolve the identity.  The measure stores one
 orthonormal basis of eigenvectors grouped by atom, or ``None`` when that
 basis is the identity (a diagonal matrix with a sorted diagonal); the
 projections themselves are never materialized, which keeps memory at one
-``n x n`` basis at most even when every atom has rank one.
+``n x n`` basis at most, and at O(n) for a rank-one measure (see :func:`rank_one`).
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class SpectralMeasure:
     C-contiguous, whose columns are grouped by atom, or ``None``, which
     means the identity; atom ``j`` projects onto columns ``starts[j]`` to
     ``starts[j + 1]``, so the atom projections are orthogonal and sum to
-    the identity.  A dense basis comes from ``eigh``, is a permutation
-    matrix for an unsorted diagonal (see :func:`from_hermitian`), or is a
-    Householder reflector (see :func:`rank_one`).  For a stack of members,
+    the identity.  A dense basis comes from ``eigh``, or is a permutation
+    matrix for an unsorted diagonal (see :func:`from_hermitian`); a :func:`rank_one`
+    measure stores its Householder reflector as a vector.  For a stack of members,
     ``values`` has shape ``(..., atoms)`` and ``basis`` ``(..., n, n)``, and
     the members share ``starts`` and ``columns``.  The constructor checks
     that every atom has positive rank and that atom values are finite and
@@ -55,6 +55,14 @@ class SpectralMeasure:
     __slots__ = ("values", "basis", "starts", "dim", "columns")
 
     def __init__(self, values, basis, starts) -> None:
+        self._set_atoms(values, starts)
+        self.basis = None
+        if basis is not None:
+            self.basis = _read_only(np.ascontiguousarray(basis))
+            if self.basis.shape[-2:] != (self.dim, self.dim):
+                raise ValueError("basis must be a square matrix of size dim")
+
+    def _set_atoms(self, values, starts) -> None:
         self.values = _read_only(np.asarray(values, dtype=np.float64))
         self.starts = _read_only(np.asarray(starts, dtype=np.intp))
         if len(self.starts) != self.values.shape[-1] + 1:
@@ -62,11 +70,6 @@ class SpectralMeasure:
         if self.starts[0] != 0:
             raise ValueError("starts must run from 0 to dim")
         self.dim = int(self.starts[-1])
-        self.basis = None
-        if basis is not None:
-            self.basis = _read_only(np.ascontiguousarray(basis))
-            if self.basis.shape[-2:] != (self.dim, self.dim):
-                raise ValueError("basis must be a square matrix of size dim")
         ranks = self.starts[1:] - self.starts[:-1]
         if (ranks <= 0).any():
             raise ValueError("every atom must have positive rank")
@@ -81,8 +84,33 @@ class SpectralMeasure:
     def atom_count(self) -> int:
         return self.values.shape[-1]
 
+    def scaled(self, e: float) -> SpectralMeasure:
+        """The measure of ``e > 0`` times the operator: the values times ``e``, the same basis."""
+        return SpectralMeasure(e * self.values, self.basis, self.starts)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralMeasure(dim={self.dim}, atoms={self.atom_count})"
+
+
+class _ReflectorMeasure(SpectralMeasure):
+    """A measure whose basis is the Householder reflector ``I - 2 w w^T / |w|^2``, stored
+    as ``w``: ``basis`` forms it, read-only, on each read, so the measure holds O(n)."""
+
+    __slots__ = ("w",)
+
+    def __init__(self, values, w, starts) -> None:
+        self._set_atoms(values, starts)
+        self.w = _read_only(w)
+
+    @property
+    def basis(self) -> np.ndarray:
+        basis = np.outer(self.w, self.w * (-2.0 / float(self.w @ self.w)))
+        basis.flat[:: self.dim + 1] += 1.0
+        basis.setflags(write=False)
+        return basis
+
+    def scaled(self, e: float) -> SpectralMeasure:
+        return _ReflectorMeasure(e * self.values, self.w, self.starts)
 
 
 def from_hermitian(H) -> SpectralMeasure:
@@ -112,7 +140,9 @@ def from_hermitian(H) -> SpectralMeasure:
 
 
 def _measure(H) -> SpectralMeasure:
-    """:func:`from_hermitian`; a stack skips the name, whose perfbench trace reads one matrix."""
+    """``H`` if a measure, else :func:`from_hermitian`; a stack skips the name, which perfbench traces."""
+    if isinstance(H, SpectralMeasure):
+        return H
     h = HermitianMatrix.wrap(H)
     return from_hermitian(h) if h.mat.ndim == 2 else _stored_measure(h)
 
@@ -142,25 +172,21 @@ def _stored_measure(h: HermitianMatrix) -> SpectralMeasure:
     return h._measure
 
 
-def rank_one(r: float, v) -> HermitianMatrix:
-    """``r * (outer(v, v) / |v|^2)`` with its measure attached, so
-    :func:`from_hermitian` runs no ``eigh``: atoms ``0`` (rank ``n - 1``) and
-    ``r``, and as basis the O(n^2) Householder reflector ``I - 2 w w^T / |w|^2``,
-    ``w = e_{n-1} + s v/|v|``, ``s`` the sign of ``v[-1]``, which maps
-    ``e_{n-1}`` to ``-s v/|v|``.  Needs ``n >= 2``, a finite nonzero ``v`` and
-    ``r > CLUSTER_TOL``, so the atoms are those :func:`from_hermitian` finds."""
+def rank_one(r: float, v) -> SpectralMeasure:
+    """The spectral measure of ``r * (outer(v, v) / |v|^2)``, no matrix formed: atoms ``0``
+    (rank ``n - 1``) and ``r``, and as basis the Householder reflector ``I - 2 w w^T / |w|^2``,
+    ``w = e_{n-1} + s v/|v|``, ``s`` the sign of ``v[-1]``, which maps ``e_{n-1}`` to
+    ``-s v/|v|``; it stores ``w`` and forms the reflector when ``basis`` is read.  Needs
+    ``n >= 2``, a finite nonzero ``v`` and ``r > CLUSTER_TOL``, so the atoms are those
+    :func:`from_hermitian` finds."""
     v = np.asarray(v, dtype=np.float64)
     r = float(r)
     vv = float(v @ v) if v.ndim == 1 and len(v) >= 2 else 0.0
     if not (0.0 < vv < np.inf and CLUSTER_TOL < r < np.inf):
         raise ValueError("need r > CLUSTER_TOL and a finite nonzero v of length >= 2")
-    h = HermitianMatrix._symmetric(r * (np.outer(v, v) / vv))
     w = v * (np.copysign(1.0, v[-1]) / np.sqrt(vv))
     w[-1] += 1.0
-    basis = np.outer(w, w * (-2.0 / float(w @ w)))
-    basis.flat[:: len(v) + 1] += 1.0
-    h._measure = SpectralMeasure([0.0, r], basis, [0, len(v) - 1, len(v)])
-    return h
+    return _ReflectorMeasure([0.0, r], w, [0, len(v) - 1, len(v)])
 
 
 def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
@@ -180,10 +206,12 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     if gvals.shape[-1:] != (E.atom_count,):
         gvals = np.broadcast_to(gvals, gvals.shape[:-1] + (E.atom_count,))
     gvals = gvals[..., E.columns]
-    if E.basis is None:
+    V = E.basis  # a reflector measure forms its basis on each read
+    if V is None:
         return _diagonal_matrices(gvals)
     keep = np.any(gvals != 0, axis=tuple(range(gvals.ndim - 1)))
-    V, gvals = (E.basis, gvals) if keep.all() else (E.basis[..., keep], gvals[..., keep])
+    if not keep.all():  # drops a formed basis once its kept columns are sliced
+        V, gvals = V[..., keep], gvals[..., keep]
     out = (V * gvals[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
     sym = (out + np.swapaxes(out, -1, -2).conj()) / 2
     if gvals.dtype.kind != "c":

@@ -1,7 +1,7 @@
-"""The literal atom sum of a spectral measure: dense projections and
-``(value, projection)`` pairs built from its basis, for the tests that
-check the eigenbasis fast paths against it, and the full-basis product of
-``apply_scalar`` from before it dropped zero columns."""
+"""The literal atom sum of a spectral measure: dense projections,
+``(value, projection)`` pairs and the operator they sum to, built from its
+basis, for the tests that check the eigenbasis fast paths against it, and
+the full-basis product of ``apply_scalar`` from before it dropped zero columns."""
 
 import numpy as np
 
@@ -21,6 +21,11 @@ def projection(e, j: int) -> np.ndarray:
 def atoms(e) -> list:
     """Materialized ``(value, projection)`` pairs of ``e``."""
     return [(float(e.values[j]), projection(e, j)) for j in range(e.atom_count)]
+
+
+def operator(e) -> np.ndarray:
+    """The dense operator ``sum value_j P_j`` that ``e`` defines."""
+    return sum(value * p for value, p in atoms(e))
 
 
 def full_apply_scalar(e, g) -> np.ndarray:

@@ -419,16 +419,28 @@ def test_growth_besov_budget_checked_before_any_size(monkeypatch, capsys):
 
 
 def test_growth_matrix_memory_checked_before_any_size(monkeypatch, capsys):
-    # 8 n^2 float64 at n = 100000 is 640 GB; numpy would fail only after the smaller sizes ran
+    # 4 n^2 float64 at n = 100000 is 320 GB; numpy would fail only after the smaller sizes ran
     monkeypatch.setattr(experiment, "_grow_one", _no_computation)
     assert main(["growth", "--sizes", "8,100000", "--besov-max-size", "0"]) == 2
-    assert "config error: the matrix path at size 100000 needs 640.0 GB" in capsys.readouterr().err
+    assert "config error: the matrix path at size 100000 needs 320.0 GB (4 n^2 float64)" in capsys.readouterr().err
+
+
+def test_matrix_budget_follows_the_measured_peak(monkeypatch, capsys):
+    # a machine of 4 * 100^2 float64: size 100 fits, although 8 n^2 would not; 101 exits 2
+    # before any size runs
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4 * 100 * 100}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert 8 * 100 * 100 * 8 > pages["SC_PAGE_SIZE"] * pages["SC_PHYS_PAGES"]
+    assert main(["growth", "--sizes", "4,100", "--besov-max-size", "0"]) == 0
+    monkeypatch.setattr(experiment, "_grow_one", _no_computation)
+    assert main(["growth", "--sizes", "4,101", "--besov-max-size", "0"]) == 2
+    assert "config error: the matrix path at size 101 needs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, fits", [(100, True), (101, False)])
 def test_matrix_budget_is_physical_memory(monkeypatch, n, fits):
-    # a machine of exactly 8 * 100^2 float64
-    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 8 * 100 * 100}
+    # a machine of exactly 4 * 100^2 float64
+    pages = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4 * 100 * 100}
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     config = experiment.ExperimentConfig(sizes=(4, n), besov_max_size=0)
     if fits:

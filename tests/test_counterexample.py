@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 import tracemalloc
 import types
 
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from xplab import counterexample
+from xplab import counterexample, spectral
 from xplab.counterexample import (
     TWO_PI,
     CoeffMatrix,
@@ -31,9 +32,9 @@ from xplab.counterexample import (
 )
 from xplab.hermitian import ULP_TRIG, HermitianMatrix, _gamma, _s1_lower_bound, schatten_norm, singular_values
 from xplab.opint import doi, func_calc_triple, grid_eval
-from xplab.spectral import from_hermitian
 
-from counterexample_reference import gram_norm_bound, phi_elementwise
+from counterexample_reference import dense_difference, gram_norm_bound, phi_elementwise
+from spectral_reference import operator
 
 
 class TestEta:
@@ -173,6 +174,18 @@ class TestCoeffsAndInterpolant:
     def test_rejects_bad_input(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    def test_copies_a_callers_array_and_owns_its_builders(self, monkeypatch):
+        raw = np.triu(np.ones((4, 4)))
+        c = CoeffMatrix(raw)
+        raw[0, 1] = 7.0
+        assert c.entries[0, 1] == 1.0 and not c.entries.flags.writeable
+        built = []
+        triu = np.triu
+        monkeypatch.setattr(np, "triu", lambda m: built.append(triu(m)) or built[-1])
+        c = triangular_coeffs(5)
+        assert c.entries is built[0] and not c.entries.flags.writeable
+        assert c.sup_abs == 1.0 and c.peak == (0, 0)
 
     def test_sup_abs_stored(self):
         c = CoeffMatrix([[1.0, -3.0j], [0.0, 2.0]])
@@ -346,9 +359,10 @@ class TestInstance:
 
     def test_operator_shapes_and_norms(self):
         inst = build_instance(6)
-        assert np.allclose(np.diag(inst.A.mat).real, TWO_PI * np.arange(6))
+        assert np.array_equal(inst.A.values, TWO_PI * np.arange(6)) and inst.A.basis is None
         assert inst.C is inst.A
-        delta = inst.B1.mat - inst.B2.mat
+        assert np.array_equal(inst.B2.values, [0.0]) and inst.B2.basis is None
+        delta = operator(inst.B1) - operator(inst.B2)
         s = singular_values(delta)
         assert abs(s[0] - TWO_PI) < 1e-10
         assert np.all(s[1:] < 1e-10)  # rank one
@@ -375,14 +389,29 @@ class TestInstance:
         # {c_jk P_jk}; with the uniform witness every P_jk = 1/n
         for n in (2, 3, 5, 8):
             inst = build_instance(n)
-            ea = from_hermitian(inst.A)
-            p = inst.B1.mat / TWO_PI
+            ea = inst.A
+            p = operator(inst.B1) / TWO_PI
             got = doi(grid_eval(inst.phi, ea.values, ea.values), ea, p, ea)
             want = triangular_coeffs(n).entries * p
             assert np.abs(got - want).max() < 1e-12
 
 
 class TestDifferenceMatrix:
+    @pytest.mark.parametrize("n", [*range(2, 65), 512])
+    def test_measures_give_the_dense_operators_bits(self, n):
+        assert difference_matrix(build_instance(n)).tobytes() == dense_difference(n).tobytes()
+
+    def test_no_measure_reaches_from_hermitian(self, monkeypatch):
+        # from_hermitian is the name a trace wraps and reads as a matrix; the instance's
+        # measures pass through _measure without it
+        seen = []
+        monkeypatch.setattr(spectral, "from_hermitian", lambda h: seen.append(h))
+        inst = build_instance(8)
+        difference_matrix(inst)
+        func_calc_triple(lambda x, y, z: x + y + z, inst.A, inst.B1, inst.C)
+        growth_ratio(inst)
+        assert seen == []
+
     def test_factor_evaluations(self, monkeypatch):
         inst = build_instance(8)
         phi_calls, psi_calls = [], []
@@ -447,8 +476,9 @@ class TestRatios:
 
     def test_growth_ratio_peak_memory(self):
         # numpy buffers only (BLAS and LAPACK workspaces are not traced), so
-        # the peak is deterministic; the arrays that live through the
-        # integrals are A, B1, B2, the coefficients and B1's basis
+        # the peak is deterministic; the operators are O(n) measures, and the
+        # arrays that live through the integral are the coefficients,
+        # psi(B1) - psi(B2) and D (3.31 n^2 at n = 256)
         n = 256
         tracemalloc.start()
         try:
@@ -456,7 +486,7 @@ class TestRatios:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * n * 8
+        assert peak <= 3.5 * n * n * 8
 
     def test_no_identity_built(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -486,8 +516,16 @@ class TestRatios:
 def _lapack_ratio(inst):
     """The SVD / eigvalsh ratio that growth_ratio certified bounds replace."""
     s1 = schatten_norm(difference_matrix(inst), 1)
-    pert = float(np.abs(np.linalg.eigvalsh(inst.B1.mat - inst.B2.mat)).sum())
+    b1, b2 = (b.mat if isinstance(b, HermitianMatrix) else operator(b) for b in (inst.B1, inst.B2))
+    pert = float(np.abs(np.linalg.eigvalsh(b1 - b2)).sum())
     return s1, pert, s1 / (certified_sup_norm(inst) * pert)
+
+
+def _exact_pert(inst) -> Fraction:
+    """``||B1 - B2||_S1`` of the unscaled instance's operators, exactly: ``B2 = 0`` and
+    ``B1 = r v v^T``, ``v`` the last column of its reflector."""
+    assert inst.B2.values.tolist() == [0.0] and inst.B1.values.tolist() == [0.0, TWO_PI]
+    return Fraction(TWO_PI) * sum(Fraction(x) ** 2 for x in inst.B1.basis[:, -1].tolist())
 
 
 class TestCertifiedRatio:
@@ -502,7 +540,10 @@ class TestCertifiedRatio:
         s1_diff, pert, ratio = growth_ratio(inst)
         svd_s1, eig_pert, lapack = _lapack_ratio(inst)
         assert s1_diff <= svd_s1 * (1.0 + 1e-14)
-        assert pert >= eig_pert * (1.0 - 1e-14)
+        # pert against the exact trace norm: eigvalsh's sum over a dense rank-one matrix
+        # errs by about n u, 1.5e-14 at n = 512, more than pert's own rounding
+        exact = _exact_pert(inst)
+        assert exact <= Fraction(pert) <= exact * (1 + Fraction(16, 2**53))
         assert ratio <= lapack * (1.0 + 1e-14)
         assert ratio >= closed_form_ratio(inst) * (1.0 - 1e-12)
         # sin x <= x in the closed form: 1 / (2 sin x_k) >= (2n+1) / ((2k+1) pi), and the
@@ -512,7 +553,7 @@ class TestCertifiedRatio:
 
     def test_allowance_is_about_sqrt_n_u(self):
         # the witness-norm bound's excess over 1 (about 30 sqrt(n) u), the trace's gamma_k
-        # with k = 64 + n // 64, pert's sqrt(n) u, and a few roundings on either side
+        # with k = 64 + n // 64, pert's roundings (about 13 u), and a few more on either side
         u = 2.0**-53
         for n in (2, 8, 64, 512):
             excess = _witness_norm_bound(n) - 1.0
@@ -573,8 +614,9 @@ class TestCertifiedRatio:
     def test_b1_carries_its_measure(self):
         for n in (2, 3, 64, 512):
             inst = build_instance(n)
-            assert np.array_equal(inst.B1.mat, TWO_PI * np.full((n, n), 1 / n))
-            fresh = dataclasses.replace(inst, B1=HermitianMatrix(inst.B1.mat))
+            b1 = operator(inst.B1)
+            assert np.abs(b1 - TWO_PI * np.full((n, n), 1 / n)).max() <= 1e-15
+            fresh = dataclasses.replace(inst, B1=HermitianMatrix(b1))
             assert np.abs(difference_matrix(inst) - difference_matrix(fresh)).max() <= 1e-13
 
 
@@ -638,7 +680,7 @@ class TestScaleInstance:
         scaled = scale_instance(inst, 0.5)
         got = schatten_norm(difference_matrix(scaled), 1)
         assert abs(got - 0.5 * base) < 1e-10
-        assert abs(schatten_norm(scaled.B1.mat - scaled.B2.mat, 1) - TWO_PI * 0.5) < 1e-10
+        assert abs(schatten_norm(operator(scaled.B1) - operator(scaled.B2), 1) - TWO_PI * 0.5) < 1e-10
 
     def test_eighth_scale_and_composition(self):
         inst = build_instance(4)
@@ -656,7 +698,7 @@ class TestScaleInstance:
     def test_keeps_the_a_c_alias(self):
         scaled = scale_instance(build_instance(4), 0.5)
         assert scaled.C is scaled.A
-        assert from_hermitian(scaled.C) is from_hermitian(scaled.A)
+        assert np.array_equal(scaled.A.values, 0.5 * (TWO_PI * np.arange(4)))
 
     def test_rejects_bad_scale(self):
         inst = build_instance(2)
@@ -669,7 +711,7 @@ class TestScaleInstance:
         for n in (4, 8, 16):
             inst = build_instance(n)
             scaled = scale_instance(inst, 1.0 / n)
-            pert = schatten_norm(scaled.B1.mat - scaled.B2.mat, 1)
+            pert = schatten_norm(operator(scaled.B1) - operator(scaled.B2), 1)
             assert pert == pytest.approx(TWO_PI / n, abs=1e-12)
             diff = schatten_norm(difference_matrix(scaled), 1)
             want = schatten_norm(np.triu(np.ones((n, n))), 1) / n**2

@@ -20,7 +20,6 @@ from xplab.hermitian import (
     schatten_norm,
     singular_values,
 )
-from xplab.spectral import rank_one
 
 from conftest import random_complex, random_hermitian, random_unitary
 
@@ -62,7 +61,7 @@ class TestHermitianMatrix:
         assert h.mat[0, 0] == 1e308
 
     def test_entries_read_only(self):
-        h = HermitianMatrix.diag([1.0, 2.0])
+        h = HermitianMatrix(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError):
             h.mat[0, 0] = 5.0
 
@@ -77,17 +76,19 @@ class TestHermitianMatrix:
             assert d.tobytes() == HermitianMatrix(d).mat.tobytes()
 
     def test_symmetric_constructors_store_what_init_stores(self):
-        # diag, zeros and rank_one skip the symmetry check and the H/2 + H*/2
-        # pass, which give back an exactly symmetric array bit for bit
+        # _symmetric skips the symmetry check and the H/2 + H*/2 pass, which give
+        # back an exactly symmetric array bit for bit: diagonals, zeros and the
+        # rank-one r v v^T / |v|^2
         rng = np.random.default_rng(5)
         values = rng.standard_normal(7)
         values[2] = -0.0
-        built = [
-            HermitianMatrix.diag(values),
-            HermitianMatrix.zeros(4),
-            rank_one(2.5, rng.standard_normal(9)),
-            rank_one(TWO_PI, np.ones(6)),
-        ]
+        v = rng.standard_normal(9)
+        built = [HermitianMatrix._symmetric(m) for m in (
+            np.diag(values),
+            np.zeros((4, 4)),
+            2.5 * (np.outer(v, v) / (v @ v)),
+            TWO_PI * (np.outer(np.ones(6), np.ones(6)) / 6.0),
+        )]
         for h in built:
             assert h.mat.tobytes() == HermitianMatrix(h.mat.copy()).mat.tobytes()
             assert h.mat.dtype == np.float64 and not h.mat.flags.writeable
@@ -105,14 +106,14 @@ class TestHermitianMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_diag_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            HermitianMatrix.diag([1.0, bad])
+            HermitianMatrix(np.diag([1.0, bad]))
 
     def test_dtype_rule_real_in_real_out(self):
         # a real input stays float64 through construction and as_matrix; a
         # complex input stays complex128, even with zero imaginary part
         assert HermitianMatrix([[1, 2], [2, 3]]).mat.dtype == np.float64
-        assert HermitianMatrix.diag([1.0, 2.0]).mat.dtype == np.float64
-        assert HermitianMatrix.zeros(3).mat.dtype == np.float64
+        assert HermitianMatrix(np.diag([1.0, 2.0])).mat.dtype == np.float64
+        assert HermitianMatrix(np.zeros((3, 3))).mat.dtype == np.float64
         assert as_matrix(np.eye(2, dtype=int)).dtype == np.float64
         assert HermitianMatrix(np.eye(2, dtype=complex)).mat.dtype == np.complex128
         assert as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
@@ -150,7 +151,7 @@ class TestSingularValues:
 
 class TestSchattenNorm:
     def test_trace_norm_diagonal(self):
-        assert schatten_norm(HermitianMatrix.diag([3.0, -4.0]).mat, 1) == pytest.approx(7.0)
+        assert schatten_norm(HermitianMatrix(np.diag([3.0, -4.0])).mat, 1) == pytest.approx(7.0)
 
     def test_triangular_ones_sqrt5(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]])

@@ -112,7 +112,7 @@ class TestDiagonalIrrelevance:
     ], ids=["equal", "shared-in-place", "shared-across", "shared-clusters"])
     def test_identity_where_eigenvalues_coincide(self, a, b):
         # the divided difference reaches its zero diagonal on the shared atoms
-        a, b = HermitianMatrix.diag(a), HermitianMatrix.diag(b)
+        a, b = HermitianMatrix(np.diag(a)), HermitianMatrix(np.diag(b))
         assert np.intersect1d(from_hermitian(a).values, from_hermitian(b).values).size
         for f in (SQUARE, eta_field(0.0), eta_field(TWO_PI)):
             assert perturbation_identity_residual(f, a, b) < 1e-12
@@ -120,8 +120,8 @@ class TestDiagonalIrrelevance:
     def test_shared_eigenvalue_identity_unchanged(self):
         # hand-built 3x3 pair sharing the eigenvalue 1: the matched diagonal
         # cell of A - B vanishes identically
-        a = HermitianMatrix.diag([1.0, 2.0, 4.0])
-        b = HermitianMatrix.diag([1.0, 3.0, 5.0])
+        a = HermitianMatrix(np.diag([1.0, 2.0, 4.0]))
+        b = HermitianMatrix(np.diag([1.0, 3.0, 5.0]))
         ea, eb = from_hermitian(a), from_hermitian(b)
         pa = projection(ea, 0)
         pb = projection(eb, 0)
@@ -135,7 +135,7 @@ class TestPsiDifference:
         n = 6
         p = np.full((n, n), 1.0 / n, dtype=complex)
         b1 = HermitianMatrix(TWO_PI * p)
-        b2 = HermitianMatrix.zeros(n)
+        b2 = HermitianMatrix(np.zeros((n, n)))
         psi = eta_field(TWO_PI)
         q = psi_difference(psi, b1, b2)
         assert np.abs(q - p).max() < 1e-12

@@ -9,7 +9,7 @@ from xplab.hermitian import HermitianMatrix
 from xplab.spectral import CLUSTER_TOL, SpectralMeasure, apply_scalar, from_hermitian, rank_one
 
 from conftest import random_hermitian
-from spectral_reference import atoms, full_apply_scalar, projection
+from spectral_reference import atoms, full_apply_scalar, operator, projection
 
 
 @pytest.fixture
@@ -27,20 +27,20 @@ def eigh_calls(monkeypatch):
 
 class TestFromHermitian:
     def test_exact_degeneracy_clusters(self):
-        e = from_hermitian(HermitianMatrix.diag([TWO_PI, 0.0, 0.0]))
+        e = from_hermitian(HermitianMatrix(np.diag([TWO_PI, 0.0, 0.0])))
         assert e.atom_count == 2
         assert np.allclose(e.values, [0.0, TWO_PI])
         ranks = [round(np.trace(p).real) for _, p in atoms(e)]
         assert ranks == [2, 1]
 
     def test_identity_single_atom(self):
-        e = from_hermitian(HermitianMatrix.diag(np.ones(4)))
+        e = from_hermitian(HermitianMatrix(np.diag(np.ones(4))))
         assert e.atom_count == 1
         assert e.values[0] == pytest.approx(1.0)
         assert np.allclose(projection(e, 0), np.eye(4))
 
     def test_near_degenerate_merged(self):
-        e = from_hermitian(HermitianMatrix.diag([1.0, 1.0 + 1e-12]))
+        e = from_hermitian(HermitianMatrix(np.diag([1.0, 1.0 + 1e-12])))
         assert e.atom_count == 1
         assert round(np.trace(projection(e, 0)).real) == 2
 
@@ -62,7 +62,7 @@ class TestFromHermitian:
             e.basis[0, 0] = 0.0
         with pytest.raises(ValueError):
             e.values[0] = 0.0
-        clustered = from_hermitian(HermitianMatrix.diag([0.0, 0.0, 5.0]))
+        clustered = from_hermitian(HermitianMatrix(np.diag([0.0, 0.0, 5.0])))
         with pytest.raises(ValueError):
             clustered.columns[0] = 1
 
@@ -143,7 +143,7 @@ class TestDiagonalPath:
         assert np.abs(sum(v * p for v, p in atoms(e)) - np.diag(d)).max() < 1e-12
 
     def test_zero_matrix_is_one_atom(self, no_eigh):
-        e = from_hermitian(HermitianMatrix.zeros(6))
+        e = from_hermitian(HermitianMatrix(np.zeros((6, 6))))
         assert list(e.values) == [0.0]
         assert list(np.diff(e.starts)) == [6]
         assert e.basis is None
@@ -155,7 +155,7 @@ class TestDiagonalPath:
         # a diagonal in each of the six orders: its basis is the permutation
         # matrix of its sort order, or None when that order is the identity
         d = np.array([10.0, 20.0, 30.0])[np.argsort(perm)]
-        e = from_hermitian(HermitianMatrix.diag(d))
+        e = from_hermitian(HermitianMatrix(np.diag(d)))
         assert np.array_equal(e.values, [10.0, 20.0, 30.0])
         if perm == [0, 1, 2]:
             assert e.basis is None
@@ -180,7 +180,7 @@ class TestDiagonalPath:
     def test_diagonal_measure_stores_no_matrix(self, no_eigh):
         # O(n) work and memory for a sorted diagonal: no n x n basis
         n = 512
-        h = HermitianMatrix.diag(np.arange(n, dtype=np.float64))
+        h = HermitianMatrix(np.diag(np.arange(n, dtype=np.float64)))
         tracemalloc.start()
         try:
             e = from_hermitian(h)
@@ -216,9 +216,8 @@ class TestRankOne:
             raise AssertionError("eigh was called")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        h = rank_one(TWO_PI, np.ones(n))
-        e = from_hermitian(h)
-        assert np.array_equal(h.mat, TWO_PI * np.full((n, n), 1 / n))
+        e = rank_one(TWO_PI, np.ones(n))
+        assert np.abs(operator(e) - TWO_PI * np.full((n, n), 1 / n)).max() <= 1e-15
         assert list(e.starts) == [0, n - 1, n] == list(want.starts)
         assert np.array_equal(e.values, [0.0, TWO_PI])
         assert np.abs(e.values - want.values).max() <= 1e-12
@@ -228,12 +227,33 @@ class TestRankOne:
     @pytest.mark.parametrize("last", [2.0, -2.0, 0.0])
     def test_general_vector(self, rng, last, no_eigh):
         v = np.append(rng.standard_normal(6), last)
-        h = rank_one(0.5, v)
-        e = from_hermitian(h)
+        e = rank_one(0.5, v)
         assert np.abs(e.basis.T @ e.basis - np.eye(7)).max() < 1e-14
         assert np.abs(projection(e, 1) - np.outer(v, v) / (v @ v)).max() < 1e-14
-        assert np.abs(sum(val * p for val, p in atoms(e)) - h.mat).max() < 1e-14
-        assert np.array_equal(h.mat, 0.5 * (np.outer(v, v) / (v @ v)))
+        assert np.abs(operator(e) - 0.5 * (np.outer(v, v) / (v @ v))).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_stores_the_reflector_as_a_vector(self, rng, n):
+        # the basis is formed on each read, with the dense reflector's arithmetic, read-only
+        v = rng.standard_normal(n)
+        e = rank_one(1.5, v)
+        w = v * (np.copysign(1.0, v[-1]) / np.sqrt(float(v @ v)))
+        w[-1] += 1.0
+        want = np.outer(w, w * (-2.0 / float(w @ w)))
+        want.flat[:: n + 1] += 1.0
+        first, second = e.basis, e.basis
+        assert first.tobytes() == second.tobytes() == want.tobytes()
+        assert first is not second and not first.flags.writeable
+        assert e.w.shape == (n,) and isinstance(e, SpectralMeasure)
+        with pytest.raises(AttributeError):
+            e.basis = want
+
+    def test_scaled_keeps_the_reflector(self):
+        e = rank_one(TWO_PI, np.ones(5))
+        half = e.scaled(0.5)
+        assert np.shares_memory(half.w, e.w)
+        assert np.array_equal(half.values, [0.0, 0.5 * TWO_PI])
+        assert half.basis.tobytes() == e.basis.tobytes()
 
     @pytest.mark.parametrize("r, v", [
         (1.0, [1.0]), (1.0, [0.0, 0.0]), (1.0, [[1.0, 2.0]]), (1.0, [1.0, np.inf]),
@@ -277,7 +297,7 @@ class TestApplyScalar:
         assert np.abs(out - out.conj().T).max() == 0.0
 
     def test_real_in_real_out(self, rng):
-        e = from_hermitian(build_instance(8).B1)
+        e = build_instance(8).B1
         assert apply_scalar(e, np.cos).dtype == np.float64
         assert apply_scalar(e, lambda x: np.exp(1j * x)).dtype == np.complex128
         complex_basis = from_hermitian(random_hermitian(rng, 5))
@@ -288,7 +308,7 @@ class TestApplyScalar:
         # psi(0) = 0 on B1's rank-(n-1) atom leaves one column: the outer
         # product gives the full product's bytes
         inst = build_instance(n)
-        e = from_hermitian(inst.B1)
+        e = inst.B1
         assert np.count_nonzero(inst.psi(e.values)[e.columns]) == 1
         assert apply_scalar(e, inst.psi).tobytes() == full_apply_scalar(e, inst.psi).tobytes()
 
@@ -300,7 +320,7 @@ class TestApplyScalar:
         assert np.abs(apply_scalar(e, g) - want).max() < 1e-15
 
     def test_one_call_on_atom_values(self):
-        e = from_hermitian(HermitianMatrix.diag([1.0, 4.0, 4.0]))
+        e = from_hermitian(HermitianMatrix(np.diag([1.0, 4.0, 4.0])))
         calls = []
 
         def g(x):
@@ -312,7 +332,7 @@ class TestApplyScalar:
         assert np.array_equal(calls[0], e.values)
 
     def test_field_error_propagates_unchanged(self):
-        e = from_hermitian(HermitianMatrix.diag([1.0, 4.0]))
+        e = from_hermitian(HermitianMatrix(np.diag([1.0, 4.0])))
 
         def bad(x):
             raise FloatingPointError("boom")
@@ -325,15 +345,15 @@ class TestCoordinateMeasure:
     def test_integer_form(self):
         # diag(0..n-1) gives atom j = e_j e_j* at value j, exactly
         for n in range(1, 9):
-            e = from_hermitian(HermitianMatrix.diag(np.arange(n)))
+            e = from_hermitian(HermitianMatrix(np.diag(np.arange(n))))
             assert np.array_equal(e.values, np.arange(n))
             assert e.basis is None
             assert np.array_equal(e.starts, np.arange(n + 1))
 
     def test_column_maps(self):
-        e = from_hermitian(HermitianMatrix.diag([0.0, 0.0, 5.0]))
+        e = from_hermitian(HermitianMatrix(np.diag([0.0, 0.0, 5.0])))
         assert list(e.columns) == [0, 0, 1]
         # rank-one atoms: the map is a slice, and indexing by it is a view
-        e = from_hermitian(HermitianMatrix.diag([0.0, 1.0, 5.0]))
+        e = from_hermitian(HermitianMatrix(np.diag([0.0, 1.0, 5.0])))
         assert e.columns == slice(None)
         assert np.shares_memory(e.values[e.columns], e.values)

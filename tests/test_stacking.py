@@ -47,10 +47,10 @@ def _pairs(rng):
                                                 [-3.0, 0.0, 0.0, 1.0, 1.0, 4.0])]
     return {
         "dense": (random_hermitian(rng, 6, 2.0), random_hermitian(rng, 6, 2.0)),
-        "none": tuple(HermitianMatrix.diag(np.sort(rng.standard_normal(6))) for _ in range(2)),
+        "none": tuple(HermitianMatrix(np.diag(np.sort(rng.standard_normal(6)))) for _ in range(2)),
         "clustered": tuple(HermitianMatrix((c + c.conj().T) / 2) for c in clustered),
-        "clustered-none": (HermitianMatrix.diag([0.0, 0.0, 1.0, 1.0, 1.0, 3.0]),
-                           HermitianMatrix.diag([-1.0, 2.0, 2.0, 2.0, 5.0, 5.0])),
+        "clustered-none": (HermitianMatrix(np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 3.0])),
+                           HermitianMatrix(np.diag([-1.0, 2.0, 2.0, 2.0, 5.0, 5.0]))),
     }
 
 
@@ -123,7 +123,7 @@ class TestStackEqualsFields:
 def test_doi_identity_branch_reached():
     # T = I over two identity bases keeps the symbol's diagonal; off it the
     # Hadamard product gives -0.0 where the symbol is negative, so compare values
-    e = from_hermitian(HermitianMatrix.diag([0.0, 1.0, 3.0]))
+    e = from_hermitian(HermitianMatrix(np.diag([0.0, 1.0, 3.0])))
     fgrid = grid_eval(lambda x, y: np.stack((x + y, x * y - 1.0)), e.values, e.values)
     got = doi(fgrid, e, np.eye(3), e)
     want = np.stack((np.diag([0.0, 2.0, 6.0]), np.diag([-1.0, 0.0, 8.0])))
