@@ -45,6 +45,7 @@ from .spectral import SpectralMeasure, _measure, rank_one
 
 TWO_PI = 2.0 * math.pi
 _ETA_SERIES_CUTOFF = 1e-3
+_WITNESS_BLOCK = 1 << 15  # entries per row block of the witness in growth_ratio
 
 __all__ = [
     "TWO_PI",
@@ -150,11 +151,15 @@ class CoeffMatrix:
     def _adopt(self, arr: np.ndarray) -> None:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("coefficient matrix must be 2-D and nonempty")
-        arr.setflags(write=False)
-        mags = np.abs(arr)
+        mags = np.abs(arr) if arr.dtype.kind == "c" else arr  # real data needs no n x n |c|
+        # the first max or min, whichever is larger in size; a tie takes the earlier index, and
+        # a NaN is the first index of both
+        hi, lo = int(mags.argmax()), int(mags.argmin())
+        k = hi if mags.flat[hi] > -mags.flat[lo] else lo if mags.flat[hi] < -mags.flat[lo] else min(hi, lo)
+        arr.setflags(write=False)  # after the scans: numpy copies a read-only array for argmax
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "peak", divmod(int(mags.argmax()), arr.shape[1]))
-        object.__setattr__(self, "sup_abs", float(mags[self.peak]))
+        object.__setattr__(self, "peak", divmod(k, arr.shape[1]))
+        object.__setattr__(self, "sup_abs", float(abs(mags.flat[k])))
 
     @property
     def rows(self) -> int:
@@ -169,7 +174,8 @@ def triangular_coeffs(n: int) -> CoeffMatrix:
     """Coefficients ``c_jk = 1`` for ``j <= k``, else 0 (0-indexed, n x n)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return CoeffMatrix._owning(np.triu(np.ones((n, n))))
+    k = np.arange(n)
+    return CoeffMatrix._owning(np.less_equal.outer(k, k).astype(np.float64))
 
 
 def _lattice(count: int) -> np.ndarray:
@@ -371,8 +377,14 @@ def triangular_witness(n: int) -> np.ndarray:
     ``[-N, N]``, so a small sine keeps full relative accuracy."""
     if n < 1:
         raise ValueError("need n >= 1")
+    return next(_witness_blocks(n, n))
+
+
+def _witness_blocks(n: int, step: int):
+    """:func:`triangular_witness` as fresh blocks of ``step`` rows, made as they are read."""
     g = _witness_g(n)
-    return sliding_window_view(g[n:], n) + sliding_window_view(g[: 2 * n - 1], n)[::-1]
+    hankel, toeplitz = sliding_window_view(g[n:], n), sliding_window_view(g[: 2 * n - 1], n)[::-1]
+    return (hankel[lo : lo + step] + toeplitz[lo : lo + step] for lo in range(0, n, step))
 
 
 def _witness_norm_bound(n: int) -> float:
@@ -415,13 +427,14 @@ def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
     so ``ratio = s1_diff / (sup |f| * pert)`` is a lower bound, about ``30 sqrt(n) u``
     (``u = 2^-53``) relative below exact: 7.7e-14 at n = 512."""
     n = inst.n
-    s1_diff = _s1_lower_bound(difference_matrix(inst), triangular_witness(n), _witness_norm_bound(n))
+    blocks = _witness_blocks(n, max(1, _WITNESS_BLOCK // n))
+    s1_diff = _s1_lower_bound(difference_matrix(inst), blocks, _witness_norm_bound(n))
     terms = []
     for e in map(_measure, (inst.B1, inst.B2)):
         mags = np.abs(e.values)[e.columns]
-        keep = np.flatnonzero(mags)
-        cols = e.basis  # a reflector measure forms its basis on each read
-        cols = np.ones((len(keep), 1)) if cols is None else cols[:, keep].T
+        keep = mags != 0
+        cols = e._kept_columns(keep)
+        cols = np.ones((np.count_nonzero(keep), 1)) if cols is None else cols.T
         terms += [_up(m * _up(math.fsum((c.real**2 + c.imag**2).tolist()), 3))
                   for m, c in zip(mags[keep].tolist(), cols)]
     pert = _up(math.fsum(terms))
@@ -431,12 +444,12 @@ def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
 
 def check_matrix_budget(n: int) -> None:
     """Raise ``ValueError`` when :func:`growth_ratio` at size ``n`` cannot fit in physical memory:
-    its numpy buffers peak at about ``3 n^2`` float64 (a test pins ``3.5 n^2``); it asks ``4 n^2``."""
-    need = 4 * n * n * 8
+    its numpy buffers peak at about ``2 n^2`` float64, the coefficients and ``D``; it asks ``3 n^2``."""
+    need = 3 * n * n * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"the matrix path at size {n} needs {need / 1e9:.1f} GB "
-                         f"(4 n^2 float64), over this machine's {have / 1e9:.1f} GB of memory")
+                         f"(3 n^2 float64), over this machine's {have / 1e9:.1f} GB of memory")
 
 
 def closed_form_ratio(inst: CounterexampleInstance) -> float:

@@ -200,18 +200,27 @@ def _up(x: float, k: int = 0) -> float:
     return math.nextafter(x * (1.0 + 2.0 * _gamma(k)), math.inf)
 
 
-def _s1_lower_bound(d: np.ndarray, x: np.ndarray, x_norm: float) -> float:
+def _s1_lower_bound(d: np.ndarray, x_blocks, x_norm: float) -> float:
     """A lower bound on ``||D||_S1`` by trace duality with a square witness ``X``,
-    given ``x_norm >= ||X||_op``: ``||D||_S1 >= |tr(X^T D)| / ||X||_op``.  The
-    trace takes each row's dot in blocks of ``_DOT_BLOCK`` products, sums a row's
-    blocks and adds the rows by ``math.fsum``, so it errs by at most ``gamma_k sum
-    |X o D| + u |tr|``, ``k = _DOT_BLOCK + n // _DOT_BLOCK``.  Overwrites ``d`` and ``x``."""
-    n = x.shape[1]
+    given ``x_norm >= ||X||_op``: ``||D||_S1 >= |tr(X^T D)| / ||X||_op``, with ``X``'s
+    rows in the consecutive blocks that ``x_blocks`` yields.  The trace takes each row's
+    dot in blocks of ``_DOT_BLOCK`` products, sums a row's blocks and adds the rows by
+    ``math.fsum``, so it errs by at most ``gamma_k sum |X o D| + u |tr|``, ``k =
+    _DOT_BLOCK + n // _DOT_BLOCK``.  Overwrites ``d`` with ``|D|`` and each block with
+    its ``|X|``; beside ``d``, one block of ``X`` is live at a time."""
+    n = d.shape[1]
     cut = n - n % _DOT_BLOCK
-    rows = np.einsum("ijk,ijk->ij", *(a[:, :cut].reshape(len(a), -1, _DOT_BLOCK) for a in (x, d)))
-    rows = rows.sum(axis=1) + np.einsum("ij,ij->i", x[:, cut:], d[:, cut:])
-    trace = abs(math.fsum(rows.tolist()))
-    abs_dot = float(np.vdot(np.abs(x, out=x), np.abs(d, out=d)))
+    rows, abs_dot, lo = [], 0.0, 0
+    for x in x_blocks:
+        db, lo = d[lo : lo + len(x)], lo + len(x)
+        dots = np.einsum("ijk,ijk->ij", *(a[:, :cut].reshape(len(a), -1, _DOT_BLOCK) for a in (x, db)))
+        rows += (dots.sum(axis=1) + np.einsum("ij,ij->i", x[:, cut:], db[:, cut:])).tolist()
+        # the blocks' dots sum n^2 products in all, so gamma_{n^2} still bounds them
+        abs_dot += float(np.vdot(np.abs(x, out=x), np.abs(db, out=db)))
+        del x  # before the next block is made
+    if lo != len(d):
+        raise ValueError("the blocks of X must cover the rows of D")
+    trace = abs(math.fsum(rows))
     slack = _up(_gamma(_DOT_BLOCK + n // _DOT_BLOCK) * _up(abs_dot, n * n))
     low = math.nextafter(trace - _up(slack + _up(_U * trace, 1)), -math.inf)
     return max(0.0, math.nextafter(low / x_norm, -math.inf))

@@ -108,16 +108,21 @@ def _operator(name: str, t, dim: int) -> np.ndarray:
     return tmat
 
 
-def doi(fgrid, e1: SpectralMeasure, t, e2: SpectralMeasure) -> np.ndarray:
+def doi(fgrid, e1: SpectralMeasure, t, e2: SpectralMeasure, _overwrite_t: bool = False) -> np.ndarray:
     """Double operator integral ``sum fgrid[..., j, k] P_j T Q_k`` of the
     symbol's atom grid ``fgrid[..., j, k] = Phi(a_j, b_k)``, stacked or not.  Over
     ``None``-basis measures it is by definition the Schur product of ``T`` and the grid
-    spread over the atoms' columns, so a check of that identity must permute atoms."""
+    spread over the atoms' columns, so a check of that identity must permute atoms.  The
+    product overwrites the changed ``T`` when it keeps its shape and dtype and the array is
+    new, or is ``T`` handed over by ``_overwrite_t`` (scipy's ``overwrite_a``)."""
     tmat = _operator("T", t, e1.dim)
     _check_dim("E2", e2.dim, e1.dim)
     fgrid = _atom_grid(fgrid, e1, e2)
     fcols = fgrid[..., e1.columns, :][..., e2.columns]
-    return _out_of_bases(e1, fcols * _into_bases(e1, tmat, e2), e2)
+    x = _into_bases(e1, tmat, e2)
+    own = (x is not tmat or _overwrite_t) and np.result_type(fcols, x) == x.dtype
+    own = own and np.broadcast_shapes(fcols.shape, x.shape) == x.shape
+    return _out_of_bases(e1, np.multiply(fcols, x, out=x if own else None), e2)
 
 
 def toi(fgrid, e1: SpectralMeasure, t1, e2: SpectralMeasure, t2, e3: SpectralMeasure) -> np.ndarray:

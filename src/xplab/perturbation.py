@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, _real_or_complex, schatten_norm
+from .hermitian import HermitianMatrix, _diagonal_matrices, _real_or_complex, schatten_norm
 from .opint import doi, grid_eval
-from .spectral import _measure, apply_scalar
+from .spectral import _column_values, _measure, apply_scalar
 
 __all__ = [
     "divided_difference",
@@ -61,7 +61,7 @@ def perturbation_identity_residual(f, A, B):
     array of the residuals of its fields and members, from one batched SVD.
     """
     A, B = map(HermitianMatrix.wrap, (A, B))
-    lhs = apply_scalar(_measure(A), f) - apply_scalar(_measure(B), f)
+    lhs = _scalar_difference(f, _measure(A), _measure(B))
     return schatten_norm(lhs - psi_difference(f, A, B), 1)
 
 
@@ -84,5 +84,18 @@ def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:
     Equals ``f(A, B1, C) - f(A, B2, C)`` for ``f(x, y, z) = phi(x, z) psi(y)``.
     """
     ea, ec, e1, e2 = map(_measure, (A, C, B1, B2))
-    q = apply_scalar(e1, psi) - apply_scalar(e2, psi)
-    return doi(grid_eval(phi, ea.values, ec.values), ea, q, ec)
+    q = _scalar_difference(psi, e1, e2)
+    return doi(grid_eval(phi, ea.values, ec.values), ea, q, ec, _overwrite_t=True)
+
+
+def _scalar_difference(f, e1, e2) -> np.ndarray:
+    """``apply_scalar(e1, f) - apply_scalar(e2, f)``, in the first term's array when ``e2``'s
+    basis is the identity and the dtype and shape allow: that term is diagonal, so it is
+    subtracted on the diagonal only, as ``x - 0.0 == x`` bit for bit."""
+    out = apply_scalar(e1, f)
+    g = None if e2.basis is not None else _column_values(e2, f)
+    if (g is None or np.result_type(out, g) != out.dtype
+            or np.broadcast_shapes(out.shape, g.shape + g.shape[-1:]) != out.shape):
+        return out - (apply_scalar(e2, f) if g is None else _diagonal_matrices(g))
+    np.einsum("...ii->...i", out)[...] -= g
+    return out

@@ -4,8 +4,9 @@ A spectral measure here is a finite list of atoms ``(value, projection)``
 whose orthogonal projections resolve the identity.  The measure stores one
 orthonormal basis of eigenvectors grouped by atom, or ``None`` when that
 basis is the identity (a diagonal matrix with a sorted diagonal); the
-projections themselves are never materialized, which keeps memory at one
-``n x n`` basis at most, and at O(n) for a rank-one measure (see :func:`rank_one`).
+projections themselves are never materialized: a measure holds one ``n x n`` basis
+at most, O(n) for a rank-one measure (see :func:`rank_one`), and :func:`apply_scalar`
+forms only the basis columns it keeps and one ``n x n`` real result, symmetrised in place.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .hermitian import HermitianMatrix, _diagonal_matrices, _eigh_checked, _real_or_complex
 
 CLUSTER_TOL = 1e-8
+_TILE = 64  # side of _symmetrise's square tiles: 32 KB of float64, so a pair stays in cache
 
 __all__ = [
     "CLUSTER_TOL",
@@ -88,6 +90,11 @@ class SpectralMeasure:
         """The measure of ``e > 0`` times the operator: the values times ``e``, the same basis."""
         return SpectralMeasure(e * self.values, self.basis, self.starts)
 
+    def _kept_columns(self, keep: np.ndarray):
+        """The basis columns that the boolean mask ``keep`` selects, for a product that
+        needs only those; ``None`` for the identity basis."""
+        return self.basis if self.basis is None or keep.all() else self.basis[..., keep]
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpectralMeasure(dim={self.dim}, atoms={self.atom_count})"
 
@@ -104,10 +111,16 @@ class _ReflectorMeasure(SpectralMeasure):
 
     @property
     def basis(self) -> np.ndarray:
-        basis = np.outer(self.w, self.w * (-2.0 / float(self.w @ self.w)))
-        basis.flat[:: self.dim + 1] += 1.0
+        basis = self._kept_columns(np.ones(self.dim, dtype=bool))
         basis.setflags(write=False)
         return basis
+
+    def _kept_columns(self, keep: np.ndarray) -> np.ndarray:
+        # the reflector's own columns, bit for bit: w_i (c w_j), plus 1 on the diagonal
+        idx = np.flatnonzero(keep)
+        cols = np.outer(self.w, (self.w * (-2.0 / float(self.w @ self.w)))[idx])
+        cols[idx, np.arange(len(idx))] += 1.0
+        return cols
 
     def scaled(self, e: float) -> SpectralMeasure:
         return _ReflectorMeasure(e * self.values, self.w, self.starts)
@@ -189,6 +202,14 @@ def rank_one(r: float, v) -> SpectralMeasure:
     return _ReflectorMeasure([0.0, r], w, [0, len(v) - 1, len(v)])
 
 
+def _column_values(E: SpectralMeasure, g) -> np.ndarray:
+    """``g`` called once on the atom values, one value per basis column (see :func:`apply_scalar`)."""
+    gvals = _real_or_complex(g(E.values))
+    if gvals.shape[-1:] != (E.atom_count,):
+        gvals = np.broadcast_to(gvals, gvals.shape[:-1] + (E.atom_count,))
+    return gvals[..., E.columns]
+
+
 def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     """Scalar functional calculus ``sum g(value_j) P_j``.
 
@@ -202,19 +223,30 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     member are dropped before the product, so an atom where ``g`` vanishes
     costs nothing: on the instance's ``B1`` the product is one outer product.
     """
-    gvals = _real_or_complex(g(E.values))
-    if gvals.shape[-1:] != (E.atom_count,):
-        gvals = np.broadcast_to(gvals, gvals.shape[:-1] + (E.atom_count,))
-    gvals = gvals[..., E.columns]
-    V = E.basis  # a reflector measure forms its basis on each read
+    gvals = _column_values(E, g)
+    keep = np.any(gvals != 0, axis=tuple(range(gvals.ndim - 1)))
+    V = E._kept_columns(keep)
     if V is None:
         return _diagonal_matrices(gvals)
-    keep = np.any(gvals != 0, axis=tuple(range(gvals.ndim - 1)))
-    if not keep.all():  # drops a formed basis once its kept columns are sliced
-        V, gvals = V[..., keep], gvals[..., keep]
+    if not keep.all():
+        gvals = gvals[..., keep]
     out = (V * gvals[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
+    if out.dtype.kind != "c":
+        return _symmetrise(out)
     sym = (out + np.swapaxes(out, -1, -2).conj()) / 2
-    if gvals.dtype.kind != "c":
-        return sym
     # each field of a stack is tested for realness on its own
     return np.where(np.all(gvals.imag == 0.0, axis=-1)[..., None, None], sym, out)
+
+
+def _symmetrise(out: np.ndarray) -> np.ndarray:
+    """Real ``(out + out^T) / 2`` in place, a pair of ``_TILE``-square tiles at a time: the
+    same bits, as ``a + b == b + a`` and halving is exact."""
+    n = out.shape[-1]
+    for i in range(0, n, _TILE):
+        rows, cols = out[..., i : i + _TILE, i:], np.swapaxes(out[..., i:, i : i + _TILE], -1, -2)
+        for j in range(0, n - i, _TILE):
+            upper, lower = rows[..., j : j + _TILE], cols[..., j : j + _TILE]
+            s = upper + lower
+            s /= 2
+            lower[...] = upper[...] = s
+    return out

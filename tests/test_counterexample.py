@@ -181,11 +181,23 @@ class TestCoeffsAndInterpolant:
         raw[0, 1] = 7.0
         assert c.entries[0, 1] == 1.0 and not c.entries.flags.writeable
         built = []
-        triu = np.triu
-        monkeypatch.setattr(np, "triu", lambda m: built.append(triu(m)) or built[-1])
+        owning = CoeffMatrix._owning
+        monkeypatch.setattr(CoeffMatrix, "_owning", staticmethod(lambda arr: built.append(arr) or owning(arr)))
         c = triangular_coeffs(5)
         assert c.entries is built[0] and not c.entries.flags.writeable
-        assert c.sup_abs == 1.0 and c.peak == (0, 0)
+        assert c.entries.dtype == np.float64 and c.sup_abs == 1.0 and c.peak == (0, 0)
+
+    def test_build_instance_peak_memory(self):
+        # the coefficients and their boolean pattern, 1.13 n^2 float64; ones plus triu,
+        # a copy or an n x n |c| would each take it past 2 n^2
+        n = 512
+        tracemalloc.start()
+        try:
+            build_instance(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
 
     def test_sup_abs_stored(self):
         c = CoeffMatrix([[1.0, -3.0j], [0.0, 2.0]])
@@ -193,6 +205,19 @@ class TestCoeffsAndInterpolant:
         # the first largest |c_jk| in row-major order, where certified_sup_norm checks f
         assert c.peak == (0, 1)
         assert CoeffMatrix([[1.0, 2.0], [-2.0, 0.5]]).peak == (0, 1)
+        # a real tie goes to the first in row-major order, whichever its sign
+        assert [(c.peak, c.sup_abs) for c in map(CoeffMatrix, ([[-2.0, 2.0]], [[2.0, -2.0]]))] == [((0, 0), 2.0)] * 2
+        negative = CoeffMatrix([[1.0, 0.5], [-3.0, 2.0]])
+        assert negative.peak == (1, 0) and negative.sup_abs == 3.0
+        frozen = np.array([[0.5, -4.0], [4.0, 1.0]])
+        frozen.setflags(write=False)
+        c = CoeffMatrix(frozen)
+        assert c.peak == (0, 1) and c.sup_abs == 4.0 and c.entries is not frozen
+        assert not c.entries.flags.writeable
+        # against |c| itself, on small integers, which tie often
+        for a in np.random.default_rng(5).integers(-3, 4, (50, 3, 4)).astype(np.float64):
+            c = CoeffMatrix(a)
+            assert c.peak == divmod(int(np.abs(a).argmax()), 4) and c.sup_abs == np.abs(a).max()
         assert math.isnan(CoeffMatrix([[1.0, np.nan]]).sup_abs)
 
     def test_single_coefficient_interpolation(self):
@@ -477,16 +502,27 @@ class TestRatios:
     def test_growth_ratio_peak_memory(self):
         # numpy buffers only (BLAS and LAPACK workspaces are not traced), so
         # the peak is deterministic; the operators are O(n) measures, and the
-        # arrays that live through the integral are the coefficients,
-        # psi(B1) - psi(B2) and D (3.31 n^2 at n = 256)
-        n = 256
-        tracemalloc.start()
-        try:
-            growth_ratio(build_instance(n))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * n * n * 8
+        # n x n arrays that live through every stage are the coefficients and
+        # psi(B1) - psi(B2), which becomes D in place, beside one row block of
+        # the witness, _WITNESS_BLOCK entries (2.22 n^2 at n = 512, 2.02 at 2048)
+        for n, bound in ((512, 2.3), (2048, 2.1)):
+            tracemalloc.start()
+            try:
+                growth_ratio(build_instance(n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * n * n * 8, n
+
+    def test_reflector_never_formed(self, monkeypatch):
+        # apply_scalar and pert form only the kept column of B1's basis
+        want = growth_ratio(build_instance(16))
+
+        def fail(self):
+            raise AssertionError("the reflector was formed")
+
+        monkeypatch.setattr(spectral._ReflectorMeasure, "basis", property(fail))
+        assert growth_ratio(build_instance(16)) == want
 
     def test_no_identity_built(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -568,15 +604,15 @@ class TestCertifiedRatio:
         d = difference_matrix(build_instance(n))
         svd_s1 = schatten_norm(d, 1)
         x = triangular_witness(n) + scale * np.random.default_rng(7).standard_normal((n, n))
-        got = _s1_lower_bound(d.copy(), x, gram_norm_bound(x))
+        got = _s1_lower_bound(d.copy(), [x], gram_norm_bound(x))
         assert 0.0 <= got <= svd_s1
 
     def test_wrong_witness_gives_a_loose_bound(self):
         d = difference_matrix(build_instance(16))
         x = -np.eye(16)
-        assert _s1_lower_bound(d.copy(), x, gram_norm_bound(x)) == pytest.approx(abs(np.trace(d)), rel=1e-12)
+        assert _s1_lower_bound(d.copy(), [x], gram_norm_bound(x)) == pytest.approx(abs(np.trace(d)), rel=1e-12)
         x = np.zeros((16, 16))
-        assert _s1_lower_bound(d.copy(), x, gram_norm_bound(x)) == 0.0
+        assert _s1_lower_bound(d.copy(), [x], gram_norm_bound(x)) == 0.0
 
     @pytest.mark.parametrize("n", [1, 63, 64, 100, 200])
     def test_trace_within_its_allowance(self, n):
@@ -586,7 +622,7 @@ class TestCertifiedRatio:
         with mpmath.workdps(60):
             exact = mpmath.fsum(mpmath.mpf(a) * mpmath.mpf(b) for a, b in zip(x.ravel().tolist(), d.ravel().tolist()))
         slack = (_gamma(64 + n // 64) + 3.0 * 2.0**-53) * float(exact)
-        got = _s1_lower_bound(d.copy(), x.copy(), 1.0)
+        got = _s1_lower_bound(d.copy(), [x.copy()], 1.0)
         # below the exact trace, by at most the rounding error plus the slack that covers it
         assert 0.0 <= float(exact) - got <= 2.0 * slack
 

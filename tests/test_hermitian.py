@@ -235,7 +235,8 @@ class TestRoundingModel:
         exact = abs(sum(products))
         allowance = (Fraction(_gamma(_DOT_BLOCK + n // _DOT_BLOCK)) * sum(abs(p) for p in products)
                      + Fraction(_U) * exact)
-        got = Fraction(_s1_lower_bound(d, x, 1.0))
+        # X in up to three row blocks: the trace and |X o D| add up across them
+        got = Fraction(_s1_lower_bound(d, np.array_split(x, min(n, 3)), 1.0))
         assert 0 < got <= exact
         # the allowance is spent twice at most: once by the trace's own error, once by
         # the slack subtracted to cover it, which its upward roundings raise by < 1e-9

@@ -6,6 +6,7 @@ import pytest
 from xplab.counterexample import TWO_PI, build_instance, eta_field
 from xplab.experiment import _suite_perturbation
 from xplab.hermitian import HermitianMatrix
+from xplab import spectral
 from xplab.spectral import CLUSTER_TOL, SpectralMeasure, apply_scalar, from_hermitian, rank_one
 
 from conftest import random_hermitian
@@ -248,6 +249,17 @@ class TestRankOne:
         with pytest.raises(AttributeError):
             e.basis = want
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_kept_columns_are_the_basis_columns(self, rng, n):
+        # a reflector forms only the columns kept, with the bits of the same columns of basis
+        e = rank_one(1.5, rng.standard_normal(n))
+        dense = SpectralMeasure(e.values, e.basis, e.starts)
+        for keep in (np.arange(n) == n - 1, rng.random(n) < 0.5, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)):
+            want = np.ascontiguousarray(e.basis[:, keep]).tobytes()
+            assert e._kept_columns(keep).tobytes() == want
+            assert np.ascontiguousarray(dense._kept_columns(keep)).tobytes() == want
+        assert SpectralMeasure(e.values, None, e.starts)._kept_columns(keep) is None
+
     def test_scaled_keeps_the_reflector(self):
         e = rank_one(TWO_PI, np.ones(5))
         half = e.scaled(0.5)
@@ -311,6 +323,20 @@ class TestApplyScalar:
         e = inst.B1
         assert np.count_nonzero(inst.psi(e.values)[e.columns]) == 1
         assert apply_scalar(e, inst.psi).tobytes() == full_apply_scalar(e, inst.psi).tobytes()
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 300, 1000])
+    def test_in_place_symmetrisation_is_bitwise(self, rng, monkeypatch, n):
+        # real dense and stacked measures against the out-of-place (out + out^T) / 2, with
+        # tiles that cross their edges: 5 wide as well below n = 65, the default above
+        tiles = [spectral._TILE, 5] if n <= 64 else [spectral._TILE]
+        stack = 2 if n <= 300 else 1
+        for basis in (rng.standard_normal((n, n)), rng.standard_normal((stack, n, n))):
+            e = SpectralMeasure(np.broadcast_to(np.arange(n, dtype=np.float64), basis.shape[:-1]),
+                                basis, np.arange(n + 1))
+            want = full_apply_scalar(e, np.cos).tobytes()  # cos is nonzero on the integers
+            for tile in tiles:
+                monkeypatch.setattr(spectral, "_TILE", tile)
+                assert apply_scalar(e, np.cos).tobytes() == want
 
     def test_zero_atom_matches_atom_sum(self, rng):
         # on a generic measure the kept columns may round differently
