@@ -20,9 +20,10 @@ plus a small dense transform along the middle axis.  The first pass of
 that transform runs only on the columns the window reaches, and the
 product along the middle axis runs only on the plane rows that a certified
 bound, from each shell's row maxima, cannot rule out.  The factors are
-real, so the plane takes
-``rfft2``/``irfft2`` and the products along the middle axis are real;
-dense samples may be real or complex.
+real, so the plane takes ``rfft2``/``irfft2`` and the products along the
+middle axis are real; dense samples may be real or complex.  Every piece
+writes into one workspace: beside ``phat`` and ``rr``, the live arrays are
+the shell stack and one half spectrum, and no shell allocates a plane.
 """
 
 from __future__ import annotations
@@ -201,6 +202,8 @@ def _separable_piece_sup(
     g: np.ndarray,
     shape: tuple,
     n: int,
+    *,
+    work: tuple | None = None,
 ) -> float:
     """Sup of one 3-D piece of a product field, one ``|xi_2|`` shell at a time.
 
@@ -221,8 +224,10 @@ def _separable_piece_sup(
     along the rows.  Row 0 of ``rr`` is ``xi_3^2``, ascending, and no row
     lies below it, so every half-spectrum column past the last one whose
     row-0 radius is within ``2^(n+1)`` is zero; the window and the first
-    pass run on the leading columns only, into one zeroed half-spectrum
-    buffer whose rest stays zero, and the row pass runs on that buffer.
+    pass run in place on the leading columns of the half spectrum, whose
+    rest is zeroed, and the row pass writes the shell's slot of the stack.
+    ``work`` (fresh by default) holds the stack, its row maxima and the half
+    spectrum for every piece; only ``phat`` and ``rr`` stay live beside it.
     ``fftfreq`` is odd, so rows ``i`` and ``nx - i`` of ``rr`` are bitwise
     equal: the window runs on rows ``0 .. nx/2`` and is mirrored.
     The product along the middle axis runs one plane row ``x`` at a time,
@@ -237,25 +242,25 @@ def _separable_piece_sup(
     """
     scale = 2.0**n
     rr_max = rr.max()
-    stack = np.empty((len(xi2),) + shape, dtype=g.dtype)
-    rowmax = np.empty((len(xi2), shape[0]))
-    half = np.zeros(phat.shape, dtype=phat.dtype)
-    width = 0  # leading columns of half written by the last shell
+    stack, rowmax, half = _workspace(phat, len(xi2), shape) if work is None else work
+    width = half.shape[1]  # leading columns of half that may be nonzero
     top = shape[0] // 2 + 1  # rows i and nx - i of rr are equal
     cols = []
     for j, x2 in enumerate(xi2):
         if np.sqrt(rr_max + x2 * x2) < scale / 2.0 or abs(x2) > 2.0 * scale:
             continue
         reach = int(np.count_nonzero(np.sqrt(rr[0] + x2 * x2) / scale <= 2.0))
-        upper = window(np.sqrt(rr[:top, :reach] + x2 * x2) / scale)
+        r = np.add(rr[:top, :reach], x2 * x2, out=stack[len(cols), :top, :reach])  # the slot it fills
+        upper = window(np.divide(np.sqrt(r, out=r), scale, out=r))
         if not upper.any():
             continue
-        mult = np.concatenate((upper, upper[-2:0:-1]))
         half[:, reach:width] = 0.0
-        half[:, :reach] = np.fft.ifft(phat[:, :reach] * mult, axis=0)
         width = reach
-        stack[len(cols)] = np.fft.irfft(half, n=shape[1], axis=1)
-        rowmax[len(cols)] = np.abs(stack[len(cols)]).max(axis=1)
+        np.multiply(phat[:top, :reach], upper, out=half[:top, :reach])
+        np.multiply(phat[top:, :reach], upper[-2:0:-1], out=half[top:, :reach])
+        np.fft.ifft(half[:, :reach], axis=0, out=half[:, :reach])
+        s = np.fft.irfft(half, n=shape[1], axis=1, out=stack[len(cols)])
+        np.maximum(s.max(axis=1), -s.min(axis=1), out=rowmax[len(cols)])
         cols.append(j)
     k = len(cols)
     if k == 0:
@@ -266,6 +271,11 @@ def _separable_piece_sup(
     best = _row_sup(gs, stack[:k], first)
     keep = np.flatnonzero(bound * _up((1.0 + _gamma(k)) / (1.0 - _gamma(k)), 3) >= best)
     return max([best] + [_row_sup(gs, stack[:k], x) for x in keep if x != first])
+
+
+def _workspace(phat: np.ndarray, shells: int, shape: tuple) -> tuple:
+    """The shell stack, its row maxima and one half spectrum, which every piece overwrites."""
+    return np.empty((shells,) + shape), np.empty((shells, shape[0])), np.empty_like(phat)
 
 
 def _row_sup(gs: np.ndarray, planes: np.ndarray, x: int) -> float:
@@ -330,9 +340,10 @@ def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
     shells, which = np.unique(np.minimum(active, ny - active), return_inverse=True)
     xi2 = f.line.freq_axis(0)[shells]
     # column j of g: inverse DFT of lhat restricted to the bins of shell j
-    terms = np.exp(2j * np.pi * np.outer(np.arange(ny), active) / ny) / ny * lhat[active]
-    g = (terms @ (which[:, None] == np.arange(len(shells)))).real
-    return {n: _separable_piece_sup(phat, rr, xi2, g, shape, n) for n in pieces}
+    g = ((np.exp(2j * np.pi * np.outer(np.arange(ny), active) / ny) / ny * lhat[active])
+         @ (which[:, None] == np.arange(len(shells)))).real.copy()
+    work = _workspace(phat, len(shells), shape)
+    return {n: _separable_piece_sup(phat, rr, xi2, g, shape, n, work=work) for n in pieces}
 
 
 def besov_breakdown(f) -> BesovBreakdown:

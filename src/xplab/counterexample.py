@@ -45,7 +45,7 @@ from .spectral import SpectralMeasure, _measure, rank_one
 
 TWO_PI = 2.0 * math.pi
 _ETA_SERIES_CUTOFF = 1e-3
-_WITNESS_BLOCK = 1 << 15  # entries per row block of the witness in growth_ratio
+_ROW_BLOCK = 1 << 15  # entries per row block of growth_ratio's witness and closed_form_ratio's check
 
 __all__ = [
     "TWO_PI",
@@ -427,7 +427,7 @@ def growth_ratio(inst: CounterexampleInstance) -> tuple[float, float, float]:
     so ``ratio = s1_diff / (sup |f| * pert)`` is a lower bound, about ``30 sqrt(n) u``
     (``u = 2^-53``) relative below exact: 7.7e-14 at n = 512."""
     n = inst.n
-    blocks = _witness_blocks(n, max(1, _WITNESS_BLOCK // n))
+    blocks = _witness_blocks(n, max(1, _ROW_BLOCK // n))
     s1_diff = _s1_lower_bound(difference_matrix(inst), blocks, _witness_norm_bound(n))
     terms = []
     for e in map(_measure, (inst.B1, inst.B2)):
@@ -464,7 +464,10 @@ def closed_form_ratio(inst: CounterexampleInstance) -> float:
     n = inst.n
     k = np.arange(n)
     s1 = math.fsum(1.0 / (2.0 * np.sin((2 * k + 1) * math.pi / (2.0 * (2 * n + 1)))))
-    if not np.array_equal(inst.coeffs.entries, ~np.tri(n, k=-1, dtype=bool)):
+    # row j of the pattern is z[n - j : 2n - j] for z = n zeros then n ones: views, no n x n array
+    pattern = np.lib.stride_tricks.sliding_window_view(np.repeat([0.0, 1.0], n), n)[:0:-1]
+    c, step = inst.coeffs.entries, max(1, _ROW_BLOCK // n)
+    if not all(np.array_equal(c[lo : lo + step], pattern[lo : lo + step]) for lo in range(0, n, step)):
         raise ValueError("closed_form_ratio needs the triangular coefficients c_jk = [j <= k]")
     num = inst.epsilon / n * s1
     den = inst.sup_bound * (TWO_PI * inst.epsilon)

@@ -41,9 +41,12 @@ def separable_piece_sup(
     g: np.ndarray,
     shape: tuple,
     n: int,
+    *,
+    work: tuple | None = None,
 ) -> float:
     """Sup of one 3-D piece of a product field, one ``|xi_2|`` shell at a
-    time: a full ``irfft2`` per active shell and a row loop of GEMMs."""
+    time: a full ``irfft2`` per active shell and a row loop of GEMMs.  It
+    takes the library's ``work`` keyword and allocates its own arrays."""
     scale = 2.0**n
     rr_max = rr.max()
     stack = np.empty((len(xi2),) + shape, dtype=g.dtype)

@@ -283,6 +283,7 @@ def _named_separable(name: str, instance: SeparableField3) -> SeparableField3:
     return {
         "f3:8": lambda: sample_instance(build_instance(8)),
         "f3:16": lambda: sample_instance(build_instance(16)),
+        "f3:32": lambda: sample_instance(build_instance(32)),
         "x-constant": _x_constant_separable,
         "alternating": _alternating_separable,
         "random": _random_separable,
@@ -392,7 +393,7 @@ class TestSeparable:
         spread = (max(totals) - min(totals)) / min(totals)
         assert spread < 0.10
 
-    @pytest.mark.parametrize("field", ["f3:8", "f3:16", "instance", "random", "oblong",
+    @pytest.mark.parametrize("field", ["f3:8", "f3:16", "f3:32", "instance", "random", "oblong",
                                        "single-shell", "x-constant", "alternating"])
     def test_piece_sup_matches_reference(self, monkeypatch, small_instance_field, field):
         # the pruned first pass, the mirrored window and the row bound give
@@ -411,9 +412,9 @@ class TestSeparable:
         runs, rows = [0], [0]
         piece, row = besov._separable_piece_sup, besov._row_sup
 
-        def piece_spy(phat, rr, xi2, g, shape, n):
+        def piece_spy(phat, rr, xi2, g, shape, n, **kw):
             before = runs[0]
-            out = piece(phat, rr, xi2, g, shape, n)
+            out = piece(phat, rr, xi2, g, shape, n, **kw)
             rows[0] += shape[0] if runs[0] > before else 0
             return out
 
@@ -452,6 +453,40 @@ class TestSeparable:
         with pytest.raises(ValueError, match="over the 0.1 GB budget"):
             besov_breakdown(SeparableField3(plane, long_line))
 
+    def test_pieces_share_one_workspace(self):
+        # the stack of 8 shells, one half spectrum, phat and rr are 10.5 plane-sized
+        # float64 arrays; a fresh stack per piece or a plane-sized temporary per shell
+        # took the peak to 13.37
+        f = sample_instance(build_instance(32))
+        tracemalloc.start()
+        try:
+            besov_breakdown(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.25 * f.plane.samples.size * 8
+
+    def test_fresh_workspace_gives_the_same_pieces(self, monkeypatch):
+        # the default, a fresh uninitialised workspace per piece, against the shared one
+        f = sample_instance(build_instance(8))
+        want = {n: v.hex() for n, v in besov_breakdown(f).piece_sup.items()}
+        piece = besov._separable_piece_sup
+        monkeypatch.setattr(besov, "_separable_piece_sup", lambda *args, work: piece(*args))
+        assert {n: v.hex() for n, v in besov_breakdown(f).piece_sup.items()} == want
+
+    def test_g_owns_real_data(self, monkeypatch):
+        # a real view of the complex product would pin twice its bytes
+        seen = []
+        original = besov._separable_piece_sup
+
+        def spy(phat, rr, xi2, g, shape, n, **kw):
+            seen.append(g)
+            return original(phat, rr, xi2, g, shape, n, **kw)
+
+        monkeypatch.setattr(besov, "_separable_piece_sup", spy)
+        besov_breakdown(sample_instance(build_instance(8)))
+        assert seen and all(g.dtype == np.float64 and g.flags.owndata for g in seen)
+
     def test_tied_rows_all_run(self, monkeypatch):
         runs, rows = self._rows_run(monkeypatch, _x_constant_separable())
         assert runs == rows > 0
@@ -461,9 +496,9 @@ class TestSeparable:
         shells = []
         original = besov._separable_piece_sup
 
-        def spy(phat, rr, xi2, g, shape, n):
+        def spy(phat, rr, xi2, g, shape, n, **kw):
             shells.append(len(xi2))
-            return original(phat, rr, xi2, g, shape, n)
+            return original(phat, rr, xi2, g, shape, n, **kw)
 
         monkeypatch.setattr(besov, "_separable_piece_sup", spy)
         assert sum(v > 0 for v in besov_breakdown(_single_shell_separable()).piece_sup.values()) >= 2

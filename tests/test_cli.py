@@ -271,7 +271,7 @@ class TestBesov:
         # from n = 250 the plane is 4096^2 and 15 middle-frequency slices
         # need 4.0 GB; at n = 249 it is 2048^2 and they fit in 1.0 GB
         reached = []
-        monkeypatch.setattr(besov, "_separable_piece_sup", lambda *args: reached.append(args[-1]) or 0.0)
+        monkeypatch.setattr(besov, "_separable_piece_sup", lambda *args, **kw: reached.append(args[-1]) or 0.0)
         assert main(["besov", "--fn", f"f3:{n}"]) == code
         if code == 2:
             assert not reached

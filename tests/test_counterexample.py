@@ -37,6 +37,13 @@ from counterexample_reference import dense_difference, gram_norm_bound, phi_elem
 from spectral_reference import operator
 
 
+def _triangle_with(n: int, j: int, k: int, value: float) -> np.ndarray:
+    """The triangular coefficients ``[j <= k]`` with entry ``(j, k)`` set to ``value``."""
+    c = np.triu(np.ones((n, n)))
+    c[j, k] = value
+    return c
+
+
 class TestEta:
     def test_value_at_zero(self):
         assert eta(0.0) == 1.0
@@ -504,7 +511,7 @@ class TestRatios:
         # the peak is deterministic; the operators are O(n) measures, and the
         # n x n arrays that live through every stage are the coefficients and
         # psi(B1) - psi(B2), which becomes D in place, beside one row block of
-        # the witness, _WITNESS_BLOCK entries (2.22 n^2 at n = 512, 2.02 at 2048)
+        # the witness, _ROW_BLOCK entries (2.22 n^2 at n = 512, 2.02 at 2048)
         for n, bound in ((512, 2.3), (2048, 2.1)):
             tracemalloc.start()
             try:
@@ -626,12 +633,31 @@ class TestCertifiedRatio:
         # below the exact trace, by at most the rounding error plus the slack that covers it
         assert 0.0 <= float(exact) - got <= 2.0 * slack
 
-    @pytest.mark.parametrize("coeffs", [np.eye(6), 2.0 * np.triu(np.ones((6, 6))), np.ones((6, 6))],
-                             ids=["identity", "doubled", "full"])
+    @pytest.mark.parametrize("coeffs", [np.eye(6), 2.0 * np.triu(np.ones((6, 6))), np.ones((6, 6)),
+                                        _triangle_with(6, 3, 1, 1.0), _triangle_with(6, 2, 2, 0.0),
+                                        _triangle_with(6, 1, 4, 0.0), _triangle_with(200, 199, 0, 1.0),
+                                        _triangle_with(200, 199, 199, 0.0), np.triu(np.ones((6, 8)))],
+                             ids=["identity", "doubled", "full", "one-below", "zero-on-diagonal",
+                                  "zero-above", "last-block-below", "last-block-diagonal", "wide"])
     def test_closed_form_needs_the_triangular_coefficients(self, coeffs):
-        inst = dataclasses.replace(build_instance(6), coeffs=CoeffMatrix(coeffs))
+        n = len(coeffs)
+        # the check reads row blocks; 200 rows take two, and row 199 is in the last
+        assert n == 6 or counterexample._ROW_BLOCK // n < n - 1
+        inst = dataclasses.replace(build_instance(n), coeffs=CoeffMatrix(coeffs))
         with pytest.raises(ValueError, match="triangular coefficients"):
             closed_form_ratio(inst)
+
+    def test_closed_form_check_peak_memory(self):
+        # one row block of the pattern check; three n x n boolean arrays took 0.25 n^2
+        n = 2048
+        inst = build_instance(n)
+        tracemalloc.start()
+        try:
+            closed_form_ratio(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * n * n * 8
 
     @pytest.mark.parametrize("n", [2, 5, 32])
     def test_perturbation_bound_with_a_residual(self, n):
