@@ -203,7 +203,7 @@ def _separable_piece_sup(
     shape: tuple,
     n: int,
     *,
-    work: tuple | None = None,
+    work: tuple,
 ) -> float:
     """Sup of one 3-D piece of a product field, one ``|xi_2|`` shell at a time.
 
@@ -226,8 +226,8 @@ def _separable_piece_sup(
     row-0 radius is within ``2^(n+1)`` is zero; the window and the first
     pass run in place on the leading columns of the half spectrum, whose
     rest is zeroed, and the row pass writes the shell's slot of the stack.
-    ``work`` (fresh by default) holds the stack, its row maxima and the half
-    spectrum for every piece; only ``phat`` and ``rr`` stay live beside it.
+    ``work`` holds the stack, its row maxima and the half spectrum, shared
+    by every piece; only ``phat`` and ``rr`` stay live beside it.
     ``fftfreq`` is odd, so rows ``i`` and ``nx - i`` of ``rr`` are bitwise
     equal: the window runs on rows ``0 .. nx/2`` and is mirrored.
     The product along the middle axis runs one plane row ``x`` at a time,
@@ -242,7 +242,7 @@ def _separable_piece_sup(
     """
     scale = 2.0**n
     rr_max = rr.max()
-    stack, rowmax, half = _workspace(phat, len(xi2), shape) if work is None else work
+    stack, rowmax, half = work
     width = half.shape[1]  # leading columns of half that may be nonzero
     top = shape[0] // 2 + 1  # rows i and nx - i of rr are equal
     cols = []
@@ -271,11 +271,6 @@ def _separable_piece_sup(
     best = _row_sup(gs, stack[:k], first)
     keep = np.flatnonzero(bound * _up((1.0 + _gamma(k)) / (1.0 - _gamma(k)), 3) >= best)
     return max([best] + [_row_sup(gs, stack[:k], x) for x in keep if x != first])
-
-
-def _workspace(phat: np.ndarray, shells: int, shape: tuple) -> tuple:
-    """The shell stack, its row maxima and one half spectrum, which every piece overwrites."""
-    return np.empty((shells,) + shape), np.empty((shells, shape[0])), np.empty_like(phat)
 
 
 def _row_sup(gs: np.ndarray, planes: np.ndarray, x: int) -> float:
@@ -342,7 +337,8 @@ def _separable_breakdown(f: SeparableField3, pieces: range) -> dict:
     # column j of g: inverse DFT of lhat restricted to the bins of shell j
     g = ((np.exp(2j * np.pi * np.outer(np.arange(ny), active) / ny) / ny * lhat[active])
          @ (which[:, None] == np.arange(len(shells)))).real.copy()
-    work = _workspace(phat, len(shells), shape)
+    # the shell stack, its row maxima and one half spectrum, which every piece overwrites
+    work = np.empty((len(shells),) + shape), np.empty((len(shells), shape[0])), np.empty_like(phat)
     return {n: _separable_piece_sup(phat, rr, xi2, g, shape, n, work=work) for n in pieces}
 
 

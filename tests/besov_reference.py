@@ -42,7 +42,7 @@ def separable_piece_sup(
     shape: tuple,
     n: int,
     *,
-    work: tuple | None = None,
+    work: tuple,
 ) -> float:
     """Sup of one 3-D piece of a product field, one ``|xi_2|`` shell at a
     time: a full ``irfft2`` per active shell and a row loop of GEMMs.  It

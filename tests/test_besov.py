@@ -466,14 +466,6 @@ class TestSeparable:
             tracemalloc.stop()
         assert peak <= 12.25 * f.plane.samples.size * 8
 
-    def test_fresh_workspace_gives_the_same_pieces(self, monkeypatch):
-        # the default, a fresh uninitialised workspace per piece, against the shared one
-        f = sample_instance(build_instance(8))
-        want = {n: v.hex() for n, v in besov_breakdown(f).piece_sup.items()}
-        piece = besov._separable_piece_sup
-        monkeypatch.setattr(besov, "_separable_piece_sup", lambda *args, work: piece(*args))
-        assert {n: v.hex() for n, v in besov_breakdown(f).piece_sup.items()} == want
-
     def test_g_owns_real_data(self, monkeypatch):
         # a real view of the complex product would pin twice its bytes
         seen = []
