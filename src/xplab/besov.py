@@ -378,31 +378,25 @@ def bandlimit_check(f, sigma: float) -> float:
     f.require_transformable()
     radius2 = _threshold(f, sigma) ** 2
     if isinstance(f, SeparableField3):
-        phat2 = np.abs(np.fft.fft2(f.plane.samples)) ** 2
-        lhat2 = np.abs(np.fft.fft(f.line.samples)) ** 2
-        rr = _radius2(f.plane)
-        xi2 = f.freq_axis(1)
-        plane_total = float(phat2.sum())
-        total = plane_total * float(lhat2.sum())
-        if total == 0.0:
-            return 0.0
-        # bins k and ny - k have bitwise-equal xi2^2: one plane sum per shell
-        ny = len(xi2)
-        plane_out = {}
-        outside = 0.0
-        for i2 in range(ny):
-            if lhat2[i2] == 0.0:
-                continue
-            shell = min(i2, ny - i2)
-            if shell not in plane_out:
-                room = radius2 - xi2[i2] ** 2
-                plane_out[shell] = plane_total if room < 0 else float(phat2[rr > room].sum())
-            outside += lhat2[i2] * plane_out[shell]
-        return outside / total
-    fhat2 = np.abs(np.fft.fftn(f.samples)) ** 2
-    rr = _radius2(f)
-    total = float(fhat2.sum())
+        plane, lhat2, xi2 = f.plane, np.abs(np.fft.fft(f.line.samples)) ** 2, f.freq_axis(1)
+    else:  # a product with a one-point middle line at frequency 0, which changes no bit
+        plane, lhat2, xi2 = f, np.ones(1), np.zeros(1)
+    phat2 = np.abs(np.fft.fftn(plane.samples)) ** 2
+    rr = _radius2(plane)
+    plane_total = float(phat2.sum())
+    total = plane_total * float(lhat2.sum())
     if total == 0.0:
         return 0.0
-    outside = float(fhat2[rr > radius2].sum())
+    # bins k and ny - k have bitwise-equal xi2^2: one plane sum per shell
+    ny = len(xi2)
+    plane_out = {}
+    outside = 0.0
+    for i2 in range(ny):
+        if lhat2[i2] == 0.0:
+            continue
+        shell = min(i2, ny - i2)
+        if shell not in plane_out:
+            room = radius2 - xi2[i2] ** 2
+            plane_out[shell] = plane_total if room < 0 else float(phat2[rr > room].sum())
+        outside += lhat2[i2] * plane_out[shell]
     return outside / total

@@ -143,17 +143,14 @@ def singular_values(M) -> np.ndarray:
     direct SVD, which keeps the small singular values accurate to machine
     precision instead of ``sqrt(eps)``.
     """
-    mat = M.mat if isinstance(M, HermitianMatrix) else _real_or_complex(M)
-    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
+    mat = as_matrix(M)
     if mat.size == 0:
         return np.zeros(mat.shape[:-1])
     try:
-        s = np.linalg.svd(mat, compute_uv=False)
+        return np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         n = mat.shape[-1]
         raise RuntimeError(f"SVD did not converge for a {n}x{n} matrix") from exc
-    return s
 
 
 def schatten_norm(M, p):

@@ -88,17 +88,19 @@ def _atom_grid(fgrid, *measures) -> np.ndarray:
 
 
 def _into_bases(e1: SpectralMeasure, x: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
-    """``e1.basis^H @ x @ e2.basis``, skipping a ``None`` basis."""
-    if e1.basis is not None:
-        x = np.swapaxes(e1.basis, -1, -2).conj() @ x
-    return x if e2.basis is None else x @ e2.basis
+    """``e1.basis^H @ x @ e2.basis``, skipping a ``None`` basis; reads each ``basis`` once."""
+    b1, b2 = e1.basis, e2.basis
+    if b1 is not None:
+        x = np.swapaxes(b1, -1, -2).conj() @ x
+    return x if b2 is None else x @ b2
 
 
 def _out_of_bases(e1: SpectralMeasure, y: np.ndarray, e2: SpectralMeasure) -> np.ndarray:
-    """``e1.basis @ y @ e2.basis^H``, skipping a ``None`` basis."""
-    if e1.basis is not None:
-        y = e1.basis @ y
-    return y if e2.basis is None else y @ np.swapaxes(e2.basis, -1, -2).conj()
+    """``e1.basis @ y @ e2.basis^H``, skipping a ``None`` basis; reads each ``basis`` once."""
+    b1, b2 = e1.basis, e2.basis
+    if b1 is not None:
+        y = b1 @ y
+    return y if b2 is None else y @ np.swapaxes(b2, -1, -2).conj()
 
 
 def _operator(name: str, t, dim: int) -> np.ndarray:

@@ -90,10 +90,11 @@ def separated_difference(phi, psi, A, B1, B2, C) -> np.ndarray:
 
 def _scalar_difference(f, e1, e2) -> np.ndarray:
     """``apply_scalar(e1, f) - apply_scalar(e2, f)``, in the first term's array when ``e2``'s
-    basis is the identity and the dtype and shape allow: that term is diagonal, so it is
-    subtracted on the diagonal only, as ``x - 0.0 == x`` bit for bit."""
+    basis is the identity (``_kept_columns`` of no column is ``None``: no reflector is formed)
+    and the dtype and shape allow: that term is diagonal, so it is subtracted on the diagonal
+    only, as ``x - 0.0 == x`` bit for bit."""
     out = apply_scalar(e1, f)
-    g = None if e2.basis is not None else _column_values(e2, f)
+    g = None if e2._kept_columns(np.zeros(e2.dim, bool)) is not None else _column_values(e2, f)
     if (g is None or np.result_type(out, g) != out.dtype
             or np.broadcast_shapes(out.shape, g.shape + g.shape[-1:]) != out.shape):
         return out - (apply_scalar(e2, f) if g is None else _diagonal_matrices(g))

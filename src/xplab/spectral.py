@@ -6,7 +6,7 @@ orthonormal basis of eigenvectors grouped by atom, or ``None`` when that
 basis is the identity (a diagonal matrix with a sorted diagonal); the
 projections themselves are never materialized: a measure holds one ``n x n`` basis
 at most, O(n) for a rank-one measure (see :func:`rank_one`), and :func:`apply_scalar`
-forms only the basis columns it keeps and one ``n x n`` real result, symmetrised in place.
+forms only the basis columns it keeps, and a real result symmetric by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from .hermitian import HermitianMatrix, _diagonal_matrices, _eigh_checked, _real_or_complex
 
 CLUSTER_TOL = 1e-8
-_TILE = 64  # side of _symmetrise's square tiles: 32 KB of float64, so a pair stays in cache
 
 __all__ = [
     "CLUSTER_TOL",
@@ -221,7 +220,10 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
     the basis are real, complex128 otherwise (the dtype rule of
     :mod:`xplab.hermitian`).  Basis columns whose ``g`` is zero in every
     member are dropped before the product, so an atom where ``g`` vanishes
-    costs nothing: on the instance's ``B1`` the product is one outer product.
+    costs nothing: on the instance's ``B1`` the product is one outer product.  A real
+    ``V diag(g) V^T`` is ``P P^T - N N^T``, ``P = V sqrt(max(g, 0))``, ``N = V sqrt(max(-g, 0))``,
+    exactly symmetric: numpy forms ``X @ X^T`` by one symmetric rank-k update (or, for one
+    column, by the products ``x_i x_j``); a mixed-sign ``g`` costs one more ``n x n`` array.
     """
     gvals = _column_values(E, g)
     keep = np.any(gvals != 0, axis=tuple(range(gvals.ndim - 1)))
@@ -230,23 +232,15 @@ def apply_scalar(E: SpectralMeasure, g) -> np.ndarray:
         return _diagonal_matrices(gvals)
     if not keep.all():
         gvals = gvals[..., keep]
+    if V.dtype.kind != "c" and gvals.dtype.kind != "c":
+        P = V * np.sqrt(np.maximum(gvals, 0.0))[..., None, :]
+        out = P @ np.swapaxes(P, -1, -2)
+        if (gvals < 0).any():
+            N = V * np.sqrt(np.maximum(-gvals, 0.0))[..., None, :]
+            out -= N @ np.swapaxes(N, -1, -2)
+        return out
     out = (V * gvals[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
-    if out.dtype.kind != "c":
-        return _symmetrise(out)
     sym = (out + np.swapaxes(out, -1, -2).conj()) / 2
     # each field of a stack is tested for realness on its own
     return np.where(np.all(gvals.imag == 0.0, axis=-1)[..., None, None], sym, out)
 
-
-def _symmetrise(out: np.ndarray) -> np.ndarray:
-    """Real ``(out + out^T) / 2`` in place, a pair of ``_TILE``-square tiles at a time: the
-    same bits, as ``a + b == b + a`` and halving is exact."""
-    n = out.shape[-1]
-    for i in range(0, n, _TILE):
-        rows, cols = out[..., i : i + _TILE, i:], np.swapaxes(out[..., i:, i : i + _TILE], -1, -2)
-        for j in range(0, n - i, _TILE):
-            upper, lower = rows[..., j : j + _TILE], cols[..., j : j + _TILE]
-            s = upper + lower
-            s /= 2
-            lower[...] = upper[...] = s
-    return out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from xplab.counterexample import TWO_PI, eta_field
+from xplab.counterexample import TWO_PI, build_instance, eta_field
 from xplab.hermitian import HermitianMatrix, schatten_norm
 from xplab.opint import doi, func_calc_triple, grid_eval
 from xplab.perturbation import (
@@ -11,7 +11,7 @@ from xplab.perturbation import (
     psi_difference,
     separated_difference,
 )
-from xplab.spectral import apply_scalar, from_hermitian
+from xplab.spectral import _ReflectorMeasure, apply_scalar, from_hermitian
 
 from conftest import random_hermitian
 from spectral_reference import projection
@@ -203,3 +203,22 @@ class TestSeparatedDifference:
         split = (separated_difference(p1, psi, a, b1, b2, c)
                  + 2.0 * separated_difference(p2, psi, a, b1, b2, c))
         assert np.abs(combo - split).max() < 1e-10
+
+    def test_reflector_formed_only_where_used(self, monkeypatch):
+        # a rank-one measure forms the columns of its reflector on each call; reading
+        # ``basis`` forms all n of them
+        built = []
+        kept_columns = _ReflectorMeasure._kept_columns
+
+        def spy(self, keep):
+            built.append(int(np.count_nonzero(keep)))
+            return kept_columns(self, keep)
+
+        monkeypatch.setattr(_ReflectorMeasure, "_kept_columns", spy)
+        n = 8
+        inst = build_instance(n)
+        func_calc_triple(lambda x, y, z: x + y + z, inst.A, inst.B1, inst.C)
+        assert built == [n, n]  # one basis into the operator integral, one out of it
+        built.clear()
+        separated_difference(inst.phi, inst.psi, inst.A, inst.B2, inst.B1, inst.C)
+        assert sum(built) == 1  # psi(B1) keeps one column, and nothing forms the reflector

@@ -5,8 +5,7 @@ import pytest
 
 from xplab.counterexample import TWO_PI, build_instance, eta_field
 from xplab.experiment import _suite_perturbation
-from xplab.hermitian import HermitianMatrix
-from xplab import spectral
+from xplab.hermitian import HermitianMatrix, _gamma
 from xplab.spectral import CLUSTER_TOL, SpectralMeasure, apply_scalar, from_hermitian, rank_one
 
 from conftest import random_hermitian
@@ -325,18 +324,25 @@ class TestApplyScalar:
         assert apply_scalar(e, inst.psi).tobytes() == full_apply_scalar(e, inst.psi).tobytes()
 
     @pytest.mark.parametrize("n", [*range(2, 65), 300, 1000])
-    def test_in_place_symmetrisation_is_bitwise(self, rng, monkeypatch, n):
-        # real dense and stacked measures against the out-of-place (out + out^T) / 2, with
-        # tiles that cross their edges: 5 wide as well below n = 65, the default above
-        tiles = [spectral._TILE, 5] if n <= 64 else [spectral._TILE]
+    def test_real_product_is_symmetric_by_construction(self, rng, n):
+        # real dense and stacked measures; cos is nonzero and of mixed sign on the integers
         stack = 2 if n <= 300 else 1
         for basis in (rng.standard_normal((n, n)), rng.standard_normal((stack, n, n))):
             e = SpectralMeasure(np.broadcast_to(np.arange(n, dtype=np.float64), basis.shape[:-1]),
                                 basis, np.arange(n + 1))
-            want = full_apply_scalar(e, np.cos).tobytes()  # cos is nonzero on the integers
-            for tile in tiles:
-                monkeypatch.setattr(spectral, "_TILE", tile)
-                assert apply_scalar(e, np.cos).tobytes() == want
+            got = apply_scalar(e, np.cos)
+            assert np.array_equal(got, np.swapaxes(got, -1, -2))
+            # P P^T - N N^T errs by at most gamma_{n+5} (sqrt, two scalings, the product,
+            # n - 1 additions and the difference), the reference by gamma_{n+2}
+            mag = np.abs(basis)
+            scale = (mag * np.abs(np.cos(e.values))[..., None, :]) @ np.swapaxes(mag, -1, -2)
+            assert (np.abs(got - full_apply_scalar(e, np.cos)) <= 2 * _gamma(n + 4) * scale).all()
+            zero = apply_scalar(e, lambda x: 0.0 * x)
+            assert zero.shape == got.shape and not zero.any() and not np.signbit(zero).any()
+            # one kept column with g = 1: np.multiply.outer(u, u) of each member, bit for bit
+            u = basis[..., :, :1]
+            one = apply_scalar(e, lambda x: (x == 0.0).astype(np.float64))
+            assert one.tobytes() == np.multiply(u, np.swapaxes(u, -1, -2)).tobytes()
 
     def test_zero_atom_matches_atom_sum(self, rng):
         # on a generic measure the kept columns may round differently
